@@ -247,11 +247,10 @@ def parse_background_text(text: str, path: str = "") -> Background:
         nu=pieces.get("nu"), delta=pieces.get("delta"), eps=pieces.get("eps"),
         theta=pieces.get("theta"))
     ps = ProductStructure(gl, gr)
-    bg = Background(ps, flux, [box_map[n] for n in all_names],
-                    ident=Path(path).stem if path else "",
-                    provenance=f"background file {path}" if path else "background file")
-    bg.file_tolerance = tol
-    return bg
+    return Background(ps, flux, [box_map[n] for n in all_names],
+                      ident=Path(path).stem if path else "",
+                      provenance=f"background file {path}" if path else "background file",
+                      tolerance=tol)
 
 
 def render_background(bg: Background, header: str = "") -> str:

@@ -442,7 +442,6 @@ class CatalogEntry:
     defaults: tuple
     builder: Callable
     perturb_key: str
-    expected_verdict: str = "pass"
 
     def default_params(self) -> dict:
         return dict(self.defaults)

@@ -7,8 +7,12 @@ Two subcommands::
 
 ``verify`` runs the closedness, Maxwell, Einstein, and trace residual
 checks over a seeded sample plan and prints a report (text by default,
-canonical JSON with --json or to --out).  Exit codes: 0 all residual rows
-below tolerance, 1 verification failed, 2 bad input.
+canonical JSON with --json or to --out).  The tolerance is --tol, else the
+background file's ``tol``, else 1e-8.  Exit codes: 0 all residual rows
+below tolerance, 1 verification failed, 2 bad input.  Bad input, reported
+in one ``error:`` line, includes a background whose metric is degenerate or
+has the wrong signature at a sample point, and one whose expressions leave
+their domain there (the line names the subexpression and the point).
 
 Reports are byte-deterministic for a fixed (target, seed, points,
 tolerance); wall-clock timing is therefore only included when --timing is
@@ -50,8 +54,8 @@ def _scale_flux(bg: Background, factor: float) -> Background:
         f = getattr(fs, name)
         scaled[name] = None if f is None else f.scale(factor)
     new = FluxSpec(psi=fs.psi, phi=fs.phi, **scaled)
-    out = Background(bg.product, new, bg.box, bg.ident, bg.provenance, bg.predicate)
-    return out
+    return Background(bg.product, new, bg.box, bg.ident, bg.provenance, bg.predicate,
+                      bg.tolerance)
 
 
 def _resolve_target(target: str, perturb: dict) -> Background:
@@ -147,10 +151,10 @@ def _cmd_verify(args) -> int:
         return 2
     tol = args.tol
     if tol is None:
-        tol = getattr(bg, "file_tolerance", None) or 1e-8
+        tol = bg.tolerance or 1e-8
     t0 = time.monotonic()
     try:
-        result = verify(bg, count=args.points, seed=args.seed, tol=tol, jobs=args.jobs)
+        result = verify(bg, count=args.points, seed=args.seed, tol=tol)
     except (FormError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -186,8 +190,6 @@ def main(argv=None) -> int:
                     help="scale a builder profile or constant, e.g. H:1.1")
     vp.add_argument("--out", help="write the JSON report to this path")
     vp.add_argument("--json", action="store_true", help="print JSON to stdout")
-    vp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="worker threads for point evaluation")
     vp.add_argument("--timing", action="store_true",
                     help="include wall-clock millis in the report (breaks byte determinism)")
     args = ap.parse_args(argv)

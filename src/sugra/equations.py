@@ -26,26 +26,29 @@ Maxwell equation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, compile_expr, evaluate, is_zero, _as_expr
+from .expr import EvalDomainError, Expr, compile_expr, diff, evaluate, is_zero, to_text, _as_expr
 from .forms import (
     FormError,
     KForm,
     Metric,
+    check_signature_values,
     embed_form,
     embed_scalar,
     ext_d,
     form_inner,
     hodge,
+    perm_sign,
     wedge,
     zero_form,
+    _components,
 )
-from .geometry import ProductStructure, product_metric, ricci
+from .geometry import ProductStructure, product_metric
 
 __all__ = [
     "FluxSpec",
@@ -124,12 +127,14 @@ class FluxSpec:
 
 
 class Background:
-    """A candidate solution: block metric, flux pieces, and a sample box."""
+    """A candidate solution: block metric, flux pieces, a sample box, and
+    the residual ``tolerance`` it declares (a file's ``tol``), if any."""
 
     def __init__(self, product: ProductStructure, flux: FluxSpec,
                  box: Sequence[tuple[float, float]], ident: str = "",
                  provenance: str = "",
-                 predicate: Optional[Callable[[Sequence[float]], bool]] = None):
+                 predicate: Optional[Callable[[Sequence[float]], bool]] = None,
+                 tolerance: Optional[float] = None):
         chart = product.chart
         if len(box) != 11:
             raise FormError(f"sample box needs 11 coordinate ranges, got {len(box)}")
@@ -150,7 +155,7 @@ class Background:
         self.provenance = provenance
         self.predicate = predicate
         self.chart = chart
-        self._engine: Optional[_Engine] = None
+        self.tolerance = tolerance
 
     def metric(self) -> Metric:
         return product_metric(self.product)
@@ -167,11 +172,6 @@ class Background:
         else:
             pred = lambda pt: any(f(pt) for f in preds)
         return sample_points(self.box, count, seed, pred)
-
-    def engine(self) -> "_Engine":
-        if self._engine is None:
-            self._engine = _Engine(self)
-        return self._engine
 
 
 def sample_points(box, count: int, seed: int,
@@ -290,284 +290,274 @@ class VerificationResult:
         raise KeyError((equation, block))
 
 
-class _Acc:
-    """Max/mean accumulator with worst-offender tracking."""
-
-    __slots__ = ("max", "sum", "count", "point", "component")
-
-    def __init__(self):
-        self.max = -1.0
-        self.sum = 0.0
-        self.count = 0
-        self.point = ()
-        self.component = "(none)"
-
-    def feed(self, value: float, point, component: str):
-        a = abs(value)
-        self.sum += a
-        self.count += 1
-        if a > self.max:
-            self.max = a
-            self.point = point
-            self.component = component
-
-    def row(self, equation: str, block: str) -> ResidualRow:
-        return ResidualRow(
-            equation=equation,
-            block=block,
-            max_abs=self.max if self.max >= 0.0 else 0.0,
-            mean_abs=self.sum / self.count if self.count else 0.0,
-            worst_point=tuple(self.point),
-            worst_component=self.component,
-        )
+def _row(equation: str, block: str, a: np.ndarray, points, names: list[str]) -> ResidualRow:
+    """Summarize ``a[point, component] = |residual|``: the max (the first in
+    point-major order among equal ones) and the mean over all entries."""
+    if not a.size:
+        return ResidualRow(equation, block, 0.0, 0.0, (), "(none)")
+    point, comp = divmod(int(np.argmax(a)), a.shape[1])
+    return ResidualRow(equation, block, float(a[point, comp]), float(a.mean()),
+                       points[point], names[comp])
 
 
-def _det_small(sub) -> float:
-    k = len(sub)
-    if k == 1:
-        return sub[0][0]
-    if k == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    if k == 3:
-        return (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-    total = 0.0
-    for c in range(k):
-        if sub[0][c] == 0.0:
-            continue
-        minor = [row[:c] + row[c + 1:] for row in sub[1:]]
-        term = sub[0][c] * _det_small(minor)
-        total += -term if c % 2 else term
-    return total
+#: Points per numpy batch.  The metric jet holds 11^4 floats per point, so
+#: larger batches raise peak memory without making verification faster.
+_BATCH = 8
 
 
-def _gram(hinv, keys_a, vals_a, keys_b, vals_b) -> float:
-    total = 0.0
-    for ka, va in zip(keys_a, vals_a):
-        if va == 0.0:
-            continue
-        for kb, vb in zip(keys_b, vals_b):
-            if vb == 0.0:
-                continue
-            if len(ka) == 0:
-                total += va * vb
-                continue
-            sub = [[hinv[i][j] for j in kb] for i in ka]
-            g = _det_small(sub)
-            if g != 0.0:
-                total += va * vb * g
-    return total
+def _ricci(hinv: np.ndarray, dh: np.ndarray, ddh: np.ndarray):
+    """Ricci tensors (``geometry`` module convention) of a batch of metric
+    jets ``dh[z,k,i,j] = d_k h_ij``, ``ddh[z,k,l,i,j] = d_k d_l h_ij``, and
+    the traces ``G^k_kb = d_b log sqrt|h|``."""
+    dhinv = -hinv[:, None] @ dh @ hinv[:, None]  # d_k h^ij = -h^ia d_k h_ab h^bj
+    # Christoffel symbols G_lij = (d_i h_lj + d_j h_li - d_l h_ij)/2 and G^k_ij.
+    gam_low = 0.5 * (np.einsum("zilj->zlij", dh) + np.einsum("zjli->zlij", dh) - dh)
+    gam = np.einsum("zkl,zlij->zkij", hinv, gam_low)
+    tau = 0.5 * np.einsum("zkl,zbkl->zb", hinv, dh)
+    # Ric_ab = d_k G^k_ab - d_a G^k_kb + G^k_kl G^l_ab - G^k_al G^l_kb, where
+    # d_k G^k_ab = d_k h^kl G_lab + h^kl (d_k d_a h_lb + d_k d_b h_la - d_k d_l h_ab)/2
+    # and d_a G^k_kb = (d_a h^kl d_b h_kl + h^kl d_a d_b h_kl)/2.
+    x = np.einsum("zkl,zkalb->zab", hinv, ddh)
+    ric = (np.einsum("zkkl,zlab->zab", dhinv, gam_low)
+           + 0.5 * (x + x.transpose(0, 2, 1) - np.einsum("zkl,zklab->zab", hinv, ddh))
+           - 0.5 * (np.einsum("zakl,zbkl->zab", dhinv, dh) + np.einsum("zkl,zabkl->zab", hinv, ddh))
+           + np.einsum("zl,zlab->zab", tau, gam)
+           - np.einsum("zkal,zlkb->zab", gam, gam, optimize=True))
+    return ric, tau
 
 
-def _parallel_map(fn, points, jobs: int):
-    if jobs <= 1 or len(points) < 8:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, points))
+def _flux_terms(f, df, dvars, hinv, dh, tau):
+    """For a batch of flux jets ``f[z,a,b,c,d] = F_abcd``,
+    ``df[z,l,a,b,c,d] = d_l F_abcd`` (for the coordinates ``dvars`` only)
+    and metric data on the same coordinates: ``<i_i F, i_j F>``, ``|F|^2``
+    and ``div^bcd = d_l(sqrt|h| F^lbcd) / sqrt|h|``."""
+    g = np.einsum("zabcd,zBb,zCc,zDd->zaBCD", f, hinv, hinv, hinv, optimize=True)  # F_a^bcd
+    fup = np.einsum("zla,zabcd->zlbcd", hinv, g)         # F^abcd
+    inner = np.einsum("zibcd,zjbcd->zij", f, g) / 6.0
+    norm = np.einsum("zij,zij->z", hinv, inner) / 4.0
+    # d_l F^lbcd by the product rule, with d_l h^ab = -h^ax d_l h_xy h^yb
+    # in each of the four slots; the three free slots give hp up to sign.
+    e = np.einsum("zla,zlabcd,zBb,zCc,zDd->zBCD", hinv[:, dvars], df, hinv, hinv, hinv,
+                  optimize=True)
+    v = tau - np.einsum("zlx,zlxy->zy", hinv, dh)
+    hp = np.einsum("zbx,zlxy,zlycd->zbcd", hinv, dh, fup, optimize=True)
+    div = (e + np.einsum("zy,zybcd->zbcd", v, fup)
+           - hp + np.einsum("zcbd->zbcd", hp) - np.einsum("zdbc->zbcd", hp))
+    return inner, norm, div
 
 
-class _Engine:
-    """Compiled pointwise evaluators for one background (built lazily)."""
+class _Jets:
+    """The compiled jets of one background, evaluated a batch of points at
+    a time; :meth:`residuals` derives the four residual families from them
+    with numpy algebra.
+
+    Only symbolically nonzero entries are compiled: the metric jet ``h_ij,
+    d_k h_ij, d_k d_l h_ij`` on all 11 coordinates, the flux jet ``F_K,
+    d_l F_K`` on the flux coordinates S (those in F's keys, closed under the
+    metric's connected blocks, so h^-1 never mixes S with the rest; l only
+    where F depends on it), and the metric-free dF and F^F/2 whole.  Maxwell
+    components are the 8-forms A whose complementary 3-set B lies in S, with
+    ``(d*F)_A = s_A d_l(sqrt|h| F^lB)`` for a fixed sign s_A, and those of F^F.
+    """
 
     def __init__(self, bg: Background):
-        self.bg = bg
-        self.h = product_metric(bg.product)
-        self.phi = assemble_flux(bg.flux, bg.product)
-        self.h_fns = [[compile_expr(self.h.entries[i][j]) for j in range(11)]
-                      for i in range(11)]
-        self.phi_keys = list(self.phi.coeffs.keys())
-        self.phi_fns = [compile_expr(v) for v in self.phi.coeffs.values()]
-        # interior-product tables: per direction i, entries (dst_key, src_pos, sign)
-        self.iota = []
-        for i in range(11):
-            table = []
-            for pos, key in enumerate(self.phi_keys):
-                if i in key:
-                    t = key.index(i)
-                    table.append((key[:t] + key[t + 1:], pos, -1.0 if t % 2 else 1.0))
-            self.iota.append(table)
-        self._dphi = None
-        self._maxwell = None
-        self._ric = None
+        h = bg.metric()
+        flux = bg.flux_form()
+        n = 11
+        used = {i for key in flux.coeffs for i in key}
+        s = sorted(i for comp in _components(h.entries, n) if used & set(comp) for i in comp)
+        dflux = [(l, key, d) for key, e in flux.items() for l in s if not is_zero(d := diff(e, l))]
+        dvars = sorted({l for l, _, _ in dflux})
+        local = {g: a for a, g in enumerate(s)}
+        closed = ext_d(flux)
+        ff = wedge(flux, flux).scale(0.5)
+        stars = {tuple(sorted(set(range(n)) - set(b))): b for b in itertools.combinations(s, 3)}
+        mkeys = sorted(set(stars) | set(ff.coeffs))
+        m = len(s)
 
-    # -- lazy symbolic pieces ---------------------------------------------
-    def dphi(self):
-        if self._dphi is None:
-            d = ext_d(self.phi)
-            self._dphi = [(k, compile_expr(v)) for k, v in d.items()]
-        return self._dphi
+        self.chart = bg.chart
+        self.signature = h.signature
+        self.s = np.array(s, dtype=int)
+        self.dvars = np.array([local[l] for l in dvars], dtype=int)
+        self.exprs: list[Expr] = []
+        # A family without components gets one identically zero column.
+        self.tables = {name: (shape, [], [], []) for name, shape in (
+            ("h", (n, n)), ("dh", (n,) * 3), ("ddh", (n,) * 4), ("F", (m,) * 4),
+            ("dF", (len(dvars),) + (m,) * 4), ("closed", (max(len(closed.coeffs), 1),)),
+            ("ff", (max(len(mkeys), 1),)))}
+        self._put_metric_jet(h)
 
-    def maxwell_form(self):
-        if self._maxwell is None:
-            lhs = ext_d(hodge(self.phi, self.h))
-            rhs = wedge(self.phi, self.phi).scale(0.5)
-            res = lhs - rhs
-            self._maxwell = [(k, compile_expr(v)) for k, v in res.items()]
-        return self._maxwell
+        def perms(key):
+            return [(tuple(local[key[t]] for t in perm), perm_sign(perm))
+                    for perm in itertools.permutations(range(4))]
 
-    def ric_fns(self):
-        if self._ric is None:
-            ric = ricci(self.h)
-            self._ric = [[compile_expr(ric[i][j]) for j in range(i, 11)] for i in range(11)]
-        return self._ric
+        for key, e in flux.items():
+            self._put("F", e, perms(key))
+        for l, key, d in dflux:
+            self._put("dF", d, [((dvars.index(l),) + idx, sign) for idx, sign in perms(key)])
+        for c, e in enumerate(closed.coeffs.values()):
+            self._put("closed", e, [((c,), 1)])
+        for c, key in enumerate(mkeys):
+            if key in ff.coeffs:
+                self._put("ff", ff.coeffs[key], [((c,), 1)])
+        self.fns = [compile_expr(e) for e in self.exprs]
 
-    # -- pointwise numeric helpers ------------------------------------------
-    def h_at(self, p):
-        return [[self.h_fns[i][j](p) for j in range(11)] for i in range(11)]
+        # star[c, B] = s_A for the Maxwell column c of A = complement of B
+        self.star = np.zeros((max(len(mkeys), 1), m ** 3))
+        for c, key in enumerate(mkeys):
+            if key in stars:
+                b = np.ravel_multi_index([local[i] for i in stars[key]], (m,) * 3)
+                self.star[c, b] = -perm_sign(stars[key] + key)
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        self.upper = tuple(np.array(ix) for ix in zip(*upper))
+        self.rows = self._layout(closed, mkeys, upper)
 
-    def phi_at(self, p):
-        return [fn(p) for fn in self.phi_fns]
+    def _put(self, table: str, expr: Expr, slots) -> None:
+        """Add ``expr`` to the compiled entries; its value, times each sign,
+        goes to every index of ``table`` in ``slots``."""
+        shape, src, dst, sign = self.tables[table]
+        for index, s in slots:
+            src.append(len(self.exprs))
+            dst.append(np.ravel_multi_index(index, shape))
+            sign.append(s)
+        self.exprs.append(expr)
 
-    def norm_sq_at(self, p, hinv, phiv) -> float:
-        return _gram(hinv, self.phi_keys, phiv, self.phi_keys, phiv)
+    def _put_metric_jet(self, h: Metric) -> None:
+        n = h.dim
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            if is_zero(e := h.entries[i][j]):
+                continue
+            pairs = {(i, j), (j, i)}
+            self._put("h", e, [(ij, 1) for ij in pairs])
+            for k in range(n):
+                if is_zero(dk := diff(e, k)):
+                    continue
+                self._put("dh", dk, [((k,) + ij, 1) for ij in pairs])
+                for l in range(k, n):
+                    if not is_zero(dkl := diff(dk, l)):
+                        self._put("ddh", dkl,
+                                  [(kl + ij, 1) for kl in {(k, l), (l, k)} for ij in pairs])
 
-    def iota_at(self, i, phiv):
-        keys = []
-        vals = []
-        for dst, src, sign in self.iota[i]:
-            keys.append(dst)
-            vals.append(sign * phiv[src])
-        return keys, vals
+    def _layout(self, closed: KForm, mkeys, upper) -> list[tuple]:
+        """``(equation, block, columns, names)`` of each report row, in report
+        order; ``columns`` index the family's residual array."""
+        def names(keys):
+            return ["^".join(self.chart.names[i] for i in key) for key in keys]
 
-    def ric_at(self, p):
-        fns = self.ric_fns()
-        out = [[0.0] * 11 for _ in range(11)]
-        for i in range(11):
-            for dj, fn in enumerate(fns[i]):
-                v = fn(p)
-                out[i][i + dj] = v
-                out[i + dj][i] = v
+        closedness = names(closed.coeffs) or ["(identically zero)"]
+        maxwell = names(mkeys) or ["(identically zero)"]
+        einstein = [f"({self.chart.names[i]},{self.chart.names[j]})" for i, j in upper]
+        rows = [("closedness", "all", list(range(len(closedness))), closedness),
+                ("maxwell", "all", list(range(len(maxwell))), maxwell)]
+        # (lorentz-degree, riemann-degree) types and V(Lorentzian)/H blocks
+        types = [f"({sum(i < 5 for i in key)},{sum(i >= 5 for i in key)})" for key in mkeys]
+        blocks = ["VV" if j < 5 else "VH" if i < 5 else "HH" for i, j in upper]
+        for t in ("(2,6)", "(3,5)", "(4,4)", "(5,3)"):
+            cols = [c for c, x in enumerate(types) if x == t]
+            rows.append(("maxwell", t, cols, [maxwell[c] for c in cols]))
+        for b in ("HH", "VV", "VH"):
+            cols = [c for c, x in enumerate(blocks) if x == b]
+            rows.append(("einstein", b, cols, [einstein[c] for c in cols]))
+        rows.append(("trace", "all", [0], ["scal - s*|F|^2/6"]))
+        return rows
+
+    def _values(self, points) -> dict[str, np.ndarray]:
+        """Every compiled entry at every point, scattered into dense tables."""
+        try:
+            vals = np.array([[fn(p) for fn in self.fns] for p in points])
+        except (ValueError, ArithmeticError):
+            self._explain(points)
+            raise
+        out = {}
+        for name, (shape, src, dst, sign) in self.tables.items():
+            dense = np.zeros((len(points), int(np.prod(shape))))
+            dense[:, dst] = vals[:, src] * np.array(sign)
+            out[name] = dense.reshape((len(points),) + shape)
+        return out
+
+    def _explain(self, points) -> None:
+        """Re-evaluate with the interpreted evaluator, which names the
+        offending subexpression, and raise that as an EvalDomainError."""
+        for p in points:
+            for e in self.exprs:
+                try:
+                    evaluate(e, p)
+                except (EvalDomainError, ValueError, ArithmeticError) as err:
+                    sub = getattr(err, "expr", e)  # interpreted overflow names no subexpression
+                    raise EvalDomainError(f"{err}: {to_text(sub, self.chart)} at {p}", sub) from None
+
+    def residuals(self, points) -> dict[str, np.ndarray]:
+        """The residual components of each family at a batch of points, as
+        arrays of shape ``(len(points), components)``."""
+        t = self._values(points)
+        h = t["h"]
+        check_signature_values(h, self.signature, points)
+        hinv = np.linalg.inv(h)
+        ric, tau = _ricci(hinv, t["dh"], t["ddh"])
+        s = self.s
+        inner, norm, div = _flux_terms(t["F"], t["dF"], self.dvars, hinv[:, s][:, :, s],
+                                       t["dh"][:, s][:, :, s][:, :, :, s], tau[:, s])
+        sqrt_det = np.sqrt(np.abs(np.linalg.det(h)))[:, None]
+        maxwell = sqrt_det * (div.reshape(len(points), -1) @ self.star.T) - t["ff"]
+        einstein = ric - h * (norm / 6.0)[:, None, None]
+        einstein[:, s[:, None], s] += 0.5 * inner
+        out = {
+            "closedness": t["closed"],
+            "maxwell": maxwell,
+            "einstein": einstein[(slice(None),) + self.upper],
+            "trace": (np.einsum("zij,zij->z", hinv, ric) - TRACE_IDENTITY_SIGN * norm / 6.0)[:, None],
+        }
+        for name, values in out.items():
+            bad = ~np.isfinite(values).all(axis=1)
+            if bad.any():
+                raise FormError(f"non-finite {name} residual at {points[int(np.argmax(bad))]}")
         return out
 
 
-def _block_of(i: int, j: int) -> str:
-    li, lj = i < 5, j < 5
-    if li and lj:
-        return "VV"
-    if not li and not lj:
-        return "HH"
-    return "VH"
-
-
-def _type_of(key: tuple[int, ...]) -> str:
-    l = sum(1 for i in key if i < 5)
-    return f"({l},{len(key) - l})"
-
-
-def closedness_residual(bg: Background, points, jobs: int = 1) -> list[ResidualRow]:
-    """Components of dF evaluated over the plan; zero for a closed flux."""
-    eng = bg.engine()
-    comps = eng.dphi()
-    chart = bg.chart
-
-    def at(p):
-        return [fn(p) for _, fn in comps]
-
-    acc = _Acc()
-    for p, vals in zip(points, _parallel_map(at, points, jobs)):
-        for (key, _), v in zip(comps, vals):
-            acc.feed(v, p, "^".join(chart.names[i] for i in key))
-        if not comps:
-            acc.feed(0.0, p, "(identically zero)")
-    return [acc.row("closedness", "all")]
-
-
-def maxwell_residual(bg: Background, points, jobs: int = 1) -> list[ResidualRow]:
-    """Components of ``d star F - (1/2) F ^ F`` over the plan, reported in
-    aggregate and split by (lorentz-degree, riemann-degree) type."""
-    eng = bg.engine()
-    comps = eng.maxwell_form()
-    chart = bg.chart
-    types = ["(2,6)", "(3,5)", "(4,4)", "(5,3)"]
-    accs = {t: _Acc() for t in types}
-    total = _Acc()
-
-    def at(p):
-        return [fn(p) for _, fn in comps]
-
-    for p, vals in zip(points, _parallel_map(at, points, jobs)):
-        for (key, _), v in zip(comps, vals):
-            name = "^".join(chart.names[i] for i in key)
-            t = _type_of(key)
-            if t in accs:
-                accs[t].feed(v, p, name)
-            total.feed(v, p, name)
-        if not comps:
-            total.feed(0.0, p, "(identically zero)")
-    rows = [total.row("maxwell", "all")]
-    rows.extend(accs[t].row("maxwell", t) for t in types)
+def _residual_rows(bg: Background, points, equations) -> list[ResidualRow]:
+    """Rows of the given residual families over the plan, evaluated a batch
+    of points at a time."""
+    jets = _Jets(bg)
+    points = [tuple(p) for p in points]
+    batches = [jets.residuals(points[i:i + _BATCH]) for i in range(0, len(points), _BATCH)]
+    rows = []
+    for equation, block, columns, names in jets.rows:
+        if equation in equations:
+            a = np.abs(np.concatenate([b[equation][:, columns] for b in batches] or [[]]))
+            rows.append(_row(equation, block, a, points, names))
     return rows
 
 
-def einstein_residual(bg: Background, points, jobs: int = 1) -> list[ResidualRow]:
+def closedness_residual(bg: Background, points) -> list[ResidualRow]:
+    """Components of dF evaluated over the plan; zero for a closed flux."""
+    return _residual_rows(bg, points, ("closedness",))
+
+
+def maxwell_residual(bg: Background, points) -> list[ResidualRow]:
+    """Components of ``d star F - (1/2) F ^ F`` over the plan, reported in
+    aggregate and split by (lorentz-degree, riemann-degree) type."""
+    return _residual_rows(bg, points, ("maxwell",))
+
+
+def einstein_residual(bg: Background, points) -> list[ResidualRow]:
     """Componentwise residual of the Einstein equation in the coordinate
     frame: ``Ric_ij + (1/2) <e_i . F, e_j . F> - (1/6) h_ij |F|^2``,
     reported per block (VV Lorentzian, HH Riemannian, VH mixed)."""
-    eng = bg.engine()
-    eng.ric_fns()
-    chart = bg.chart
-
-    def at(p):
-        h = eng.h_at(p)
-        hinv = np.linalg.inv(np.array(h)).tolist()
-        phiv = eng.phi_at(p)
-        n2 = eng.norm_sq_at(p, hinv, phiv)
-        ric = eng.ric_at(p)
-        iotas = [eng.iota_at(i, phiv) for i in range(11)]
-        out = []
-        for i in range(11):
-            ki, vi = iotas[i]
-            for j in range(i, 11):
-                kj, vj = iotas[j]
-                c = _gram(hinv, ki, vi, kj, vj)
-                res = ric[i][j] + 0.5 * c - h[i][j] * n2 / 6.0
-                out.append((i, j, res))
-        return out
-
-    accs = {b: _Acc() for b in ("HH", "VV", "VH")}
-    for p, triples in zip(points, _parallel_map(at, points, jobs)):
-        for i, j, res in triples:
-            accs[_block_of(i, j)].feed(res, p, f"({chart.names[i]},{chart.names[j]})")
-    return [accs[b].row("einstein", b) for b in ("HH", "VV", "VH")]
+    return _residual_rows(bg, points, ("einstein",))
 
 
-def trace_check(bg: Background, points, jobs: int = 1) -> list[ResidualRow]:
+def trace_check(bg: Background, points) -> list[ResidualRow]:
     """``|Scal_h - s (1/6) |F|^2|`` with the pinned sign s (see
     ``TRACE_IDENTITY_SIGN``); Scal_h is the plain inverse-metric trace of
     the Ricci tensor."""
-    eng = bg.engine()
-    eng.ric_fns()
-
-    def at(p):
-        h = eng.h_at(p)
-        hinv = np.linalg.inv(np.array(h)).tolist()
-        phiv = eng.phi_at(p)
-        n2 = eng.norm_sq_at(p, hinv, phiv)
-        ric = eng.ric_at(p)
-        scal = 0.0
-        for i in range(11):
-            for j in range(11):
-                g = hinv[i][j]
-                if g != 0.0:
-                    scal += g * ric[i][j]
-        return scal - TRACE_IDENTITY_SIGN * n2 / 6.0
-
-    acc = _Acc()
-    for p, v in zip(points, _parallel_map(at, points, jobs)):
-        acc.feed(v, p, "scal - s*|F|^2/6")
-    return [acc.row("trace", "all")]
+    return _residual_rows(bg, points, ("trace",))
 
 
-def verify(bg: Background, count: int = 100, seed: int = 42, tol: float = 1e-8,
-           jobs: int = 1) -> VerificationResult:
+def verify(bg: Background, count: int = 100, seed: int = 42,
+           tol: float = 1e-8) -> VerificationResult:
     """Run all four residual families over a fresh seeded plan."""
-    points = bg.sample(count, seed)
-    rows = []
-    rows.extend(closedness_residual(bg, points, jobs))
-    rows.extend(maxwell_residual(bg, points, jobs))
-    rows.extend(einstein_residual(bg, points, jobs))
-    rows.extend(trace_check(bg, points, jobs))
+    rows = _residual_rows(bg, bg.sample(count, seed),
+                          ("closedness", "maxwell", "einstein", "trace"))
     return VerificationResult(rows=rows, tolerance=tol)
 
 

@@ -727,10 +727,10 @@ _COMPILE_ENV = {
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """Compile to a fast point->float callable.
 
-    Used internally by the residual engines; falls back to the interpreted
+    Used internally by the residual jet core; falls back to the interpreted
     evaluator when the generated source is too deeply nested for CPython.
-    Domain errors surface as ZeroDivisionError/ValueError from the compiled
-    path, so callers must keep points away from declared singular sets.
+    Domain errors surface as ZeroDivisionError/ValueError/OverflowError from
+    the compiled path; :func:`evaluate` names the offending subexpression.
     """
     try:
         src = e._src()

@@ -342,19 +342,27 @@ class Metric:
 
     def check_signature(self, points: Iterable[Sequence[float]]) -> None:
         """Verify invertibility and the declared count of negative eigenvalues."""
-        p, q = self.signature
-        for pt in points:
-            vals = np.linalg.eigvalsh(self.matrix_at(pt))
-            if np.any(np.abs(vals) < 1e-12):
-                raise SingularMetricError(f"metric is degenerate at {tuple(pt)}")
-            negs = int(np.sum(vals < 0.0))
-            if negs != q:
-                raise FormError(
-                    f"metric has {negs} negative eigenvalues at {tuple(pt)}, declared {q}"
-                )
+        points = list(points)
+        values = np.array([self.matrix_at(pt) for pt in points]).reshape(-1, self.dim, self.dim)
+        check_signature_values(values, self.signature, points)
 
     def __repr__(self):
         return f"<Metric {self.signature} on {self.chart.names}>"
+
+
+def check_signature_values(values: np.ndarray, signature: tuple[int, int], points) -> None:
+    """Check a stack of metric values (one ``(n, n)`` matrix per point) for
+    invertibility and the declared count ``q`` of negative eigenvalues;
+    raise at the first point that fails."""
+    vals = np.linalg.eigvalsh(values)
+    degenerate = np.any(np.abs(vals) < 1e-12, axis=1)
+    negs = np.sum(vals < 0.0, axis=1)
+    for pt, deg, neg in zip(points, degenerate, negs):
+        if deg:
+            raise SingularMetricError(f"metric is degenerate at {tuple(pt)}")
+        if neg != signature[1]:
+            raise FormError(f"metric has {neg} negative eigenvalues at {tuple(pt)}, "
+                            f"declared {signature[1]}")
 
 
 # -- symbolic determinant / adjugate with zero pruning ----------------------

@@ -2,10 +2,13 @@
 
 The curvature oracle differentiates metric *values* by Richardson-stepped
 central differences (step 1e-4, one extrapolation), never touching the
-symbolic derivative path it cross-checks.
+symbolic derivative path it cross-checks.  The field-equation oracles build
+on it: they see the metric and the flux only through their values at points.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -69,3 +72,74 @@ def fd_ricci(matfn, point, h: float = 1e-4) -> np.ndarray:
             t4 = sum(gam[k, a, l] * gam[l, k, b] for k in range(n) for l in range(n))
             ric[a, b] = t1 - t2 + t3 - t4
     return ric
+
+
+def _parity(seq) -> int:
+    """Sign of the permutation that sorts ``seq`` (distinct entries)."""
+    inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def flux_tensor(values: dict, n: int) -> np.ndarray:
+    """The antisymmetric n^4 array of a 4-form given by its values on
+    increasing index tuples."""
+    f = np.zeros((n,) * 4)
+    for key, v in values.items():
+        for perm in itertools.permutations(range(4)):
+            f[tuple(key[t] for t in perm)] = _parity(perm) * v
+    return f
+
+
+def numeric_star(g: np.ndarray, f: np.ndarray) -> dict:
+    """Hodge star of a 4-form array at one point, ``(*F)_J = sqrt|g| F^I eps_IJ``
+    on increasing (n-4)-tuples J, with I the complement of J and eps the
+    Levi-Civita symbol (so that ``a ^ *b = <a, b> vol``)."""
+    n = g.shape[0]
+    ginv = np.linalg.inv(g)
+    fup = np.einsum("abcd,aA,bB,cC,dD->ABCD", f, ginv, ginv, ginv, ginv, optimize=True)
+    vol = np.sqrt(abs(np.linalg.det(g)))
+    out = {}
+    for j in itertools.combinations(range(n), n - 4):
+        i = tuple(sorted(set(range(n)) - set(j)))
+        out[j] = vol * fup[i] * _parity(i + j)
+    return out
+
+
+def fd_maxwell(matfn, fluxfn, point, h: float = 1e-4) -> dict:
+    """``d*F - (1/2) F^F`` on every increasing (n-3)-tuple at ``point``.
+
+    ``fluxfn`` returns the flux as an antisymmetric n^4 array.  The star is
+    :func:`numeric_star` of the values, differentiated by Richardson-stepped
+    central differences; the wedge is the signed sum over splittings.
+    """
+    n = len(point)
+    keys7 = list(itertools.combinations(range(n), n - 4))
+    col = {j: c for c, j in enumerate(keys7)}
+
+    def star(p):
+        s = numeric_star(np.asarray(matfn(p)), fluxfn(p))
+        return np.array([s[j] for j in keys7])
+
+    dstar = [richardson_partial(star, point, i, h) for i in range(n)]
+    f = fluxfn(point)
+    out = {}
+    for a in itertools.combinations(range(n), n - 3):
+        d = sum((-1) ** t * dstar[x][col[a[:t] + a[t + 1:]]] for t, x in enumerate(a))
+        ff = 0.0
+        for i in itertools.combinations(a, 4):
+            j = tuple(x for x in a if x not in i)
+            ff += _parity(i + j) * f[i] * f[j]
+        out[a] = d - 0.5 * ff
+    return out
+
+
+def fd_einstein(matfn, fluxfn, point, h: float = 1e-4) -> np.ndarray:
+    """``Ric_ab + (1/2) <e_a . F, e_b . F> - (1/6) g_ab |F|^2`` at ``point``:
+    :func:`fd_ricci` plus a numpy contraction of the flux values."""
+    g = np.asarray(matfn(point))
+    ginv = np.linalg.inv(g)
+    f = fluxfn(point)
+    f_up3 = np.einsum("ajkl,jJ,kK,lL->aJKL", f, ginv, ginv, ginv, optimize=True)
+    inner = np.einsum("ajkl,bjkl->ab", f, f_up3) / 6.0
+    norm = np.einsum("ijkl,iI,Ijkl->", f, ginv, f_up3) / 24.0
+    return fd_ricci(matfn, point, h) + 0.5 * inner - g * norm / 6.0

@@ -412,7 +412,7 @@ def test_criterion_10_files_and_determinism(capsys):
             delta = max(abs(a.max_abs - b.max_abs), abs(a.mean_abs - b.mean_abs))
             if delta > 1e-12:
                 failures.append(f"{ident} {a.equation}/{a.block}: file-builder delta {delta:.2e}")
-    args = ["verify", "gamma-delta-ppwave", "--points", "40", "--json", "--jobs", "1"]
+    args = ["verify", "gamma-delta-ppwave", "--points", "40", "--json"]
     assert cli_main(args) == 0
     first = capsys.readouterr().out
     assert cli_main(args) == 0

@@ -64,7 +64,7 @@ class TestParser:
         bg = parse_background_text(MINIMAL, "minimal.bg")
         res = verify(bg, count=30, seed=42, tol=1e-8)
         assert res.verdict
-        assert bg.file_tolerance == 1e-8
+        assert bg.tolerance == 1e-8
 
     def test_shipped_files_match_builders(self):
         for ident in catalog_ids():
@@ -153,14 +153,13 @@ class TestCli:
             assert ident in out
 
     def test_verify_pass(self, capsys):
-        code = main(["verify", "alpha-ppwave", "--points", "20", "--jobs", "1"])
+        code = main(["verify", "alpha-ppwave", "--points", "20"])
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: pass" in out
 
     def test_verify_perturbed_fails_with_vv_flag(self, capsys):
-        code = main(["verify", "alpha-ppwave", "--points", "20", "--jobs", "1",
-                     "--perturb", "H:1.1"])
+        code = main(["verify", "alpha-ppwave", "--points", "20", "--perturb", "H:1.1"])
         out = capsys.readouterr().out
         assert code == 1
         assert "verdict: fail" in out
@@ -176,7 +175,7 @@ class TestCli:
 
     def test_verify_file_target(self, tmp_path, capsys):
         src = SHIPPED / "beta-nu-ppwave.bg"
-        code = main(["verify", str(src), "--points", "20", "--jobs", "1"])
+        code = main(["verify", str(src), "--points", "20"])
         assert code == 0
         capsys.readouterr()
 
@@ -186,8 +185,25 @@ class TestCli:
         assert main(["verify", str(bad)]) == 2
         assert "bad.bg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, replacement, message", [
+        # leaves sqrt's domain on the half of the box where x1 < 0
+        ("g(u,u) = ", "g(u,u) = sqrt(x1)", "square root of a negative value: sqrt(x1) at ("),
+        # a second positive direction: signature (2, 9) instead of (1, 10)
+        ("g(x1,x1) = ", "g(x1,x1) = 1.0", "metric has 9 negative eigenvalues at ("),
+    ])
+    def test_bad_background_exit_2(self, tmp_path, capsys, entry, replacement, message):
+        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
+        lines = [replacement if ln.startswith(entry) else ln for ln in lines]
+        path = tmp_path / "bad.bg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
+
     def test_json_report_deterministic(self, capsys):
-        args = ["verify", "beta-nu-ppwave", "--points", "20", "--json", "--jobs", "1"]
+        args = ["verify", "beta-nu-ppwave", "--points", "20", "--json"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -202,8 +218,7 @@ class TestCli:
 
     def test_out_path_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        code = main(["verify", "alpha-ppwave", "--points", "10", "--out", str(out),
-                     "--jobs", "1"])
+        code = main(["verify", "alpha-ppwave", "--points", "10", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
         report = json.loads(out.read_text())
@@ -211,23 +226,21 @@ class TestCli:
         assert report["tolerance"] == 1e-8
 
     def test_timing_flag_adds_millis(self, capsys):
-        code = main(["verify", "alpha-ppwave", "--points", "10", "--json",
-                     "--timing", "--jobs", "1"])
+        code = main(["verify", "alpha-ppwave", "--points", "10", "--json", "--timing"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert "millis" in report
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUGRA_SEED", "7")
-        code = main(["verify", "alpha-ppwave", "--points", "10", "--json", "--jobs", "1"])
+        code = main(["verify", "alpha-ppwave", "--points", "10", "--json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 7
 
     def test_flux_perturbation_on_file_target(self, capsys):
         src = SHIPPED / "beta-nu-ppwave.bg"
-        code = main(["verify", str(src), "--points", "20", "--jobs", "1",
-                     "--perturb", "flux:1.1"])
+        code = main(["verify", str(src), "--points", "20", "--perturb", "flux:1.1"])
         capsys.readouterr()
         assert code == 1
 
@@ -237,11 +250,10 @@ class TestCli:
         path = tmp_path / "loose.bg"
         path.write_text(loose)
         # closedness residual ~0.9 passes at the file's loose tolerance...
-        assert main(["verify", str(path), "--points", "20", "--jobs", "1"]) == 0
+        assert main(["verify", str(path), "--points", "20"]) == 0
         capsys.readouterr()
         # ...but an explicit --tol wins over the file's setting
-        assert main(["verify", str(path), "--points", "20", "--jobs", "1",
-                     "--tol", "1e-8"]) == 1
+        assert main(["verify", str(path), "--points", "20", "--tol", "1e-8"]) == 1
         capsys.readouterr()
 
     def test_version(self, capsys):

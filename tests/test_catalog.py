@@ -196,7 +196,6 @@ class TestEntries:
         for ident in ids:
             entry = CATALOG[ident]
             assert entry.summary
-            assert entry.expected_verdict == "pass"
             bg = build(ident)
             assert bg.ident == ident
             assert bg.provenance

@@ -3,18 +3,32 @@
 import numpy as np
 import pytest
 
-from conftest import flat_metric, random_form, random_points, rng_for
+from conftest import flat_metric, random_form, random_points, random_scalar, rng_for
+from oracles import fd_einstein, fd_maxwell, flux_tensor, numeric_star
 
-from sugra.expr import Chart, add, const, coord, evaluate, mul, parse, sin
+import sugra.equations
+import sugra.forms
+import sugra.geometry
+from sugra.expr import Chart, add, const, coord, diff, evaluate, mul, parse, sin
 from sugra.forms import (
     KForm,
+    Metric,
     coordinate_form,
+    ext_d,
     form_inner,
+    hodge,
     interior,
     monomial_form,
     wedge,
 )
-from sugra.geometry import WALKER_CHART, ProductStructure, WalkerData, walker_metric
+from sugra.geometry import (
+    WALKER_CHART,
+    ProductStructure,
+    WalkerData,
+    ricci,
+    scalar_curvature,
+    walker_metric,
+)
 from sugra.equations import (
     Background,
     FluxSpec,
@@ -29,6 +43,8 @@ from sugra.equations import (
     sample_points,
     trace_check,
     verify,
+    _Jets,
+    _ricci,
 )
 from sugra.catalog import build, catalog_ids
 
@@ -226,9 +242,6 @@ class TestResidualOperators:
         res = verify(bg, count=20, seed=42, tol=1e-8)
         assert res.verdict
         assert len(res.rows) == 10
-        res_jobs = verify(bg, count=20, seed=42, tol=1e-8, jobs=4)
-        for a, b in zip(res.rows, res_jobs.rows):
-            assert a.max_abs == b.max_abs and a.mean_abs == b.mean_abs
 
     def test_mixed_block_vanishes_and_cross_pairing(self):
         """The mixed Einstein block vanishes for the null catalog entries;
@@ -278,6 +291,144 @@ class TestEngineCrossPath:
                      - TRACE_IDENTITY_SIGN * flux_norm_sq(bg, p) / 6.0)
         row = trace_check(bg, [p])[0]
         assert row.max_abs == pytest.approx(manual, rel=1e-9, abs=1e-12)
+
+
+def tri6_background() -> Background:
+    """kahler-theta's AdS5 block times a tri-diagonal Riemannian block
+    ``g(yi,yi) = -(2 + 0.1 yi^2)``, ``g(yi,y(i+1)) = 0.1 yi y(i+1)`` for
+    i = 1..3, with flux ``(1 + y1^2) dy1^dy2^dy3^dy4``: a non-diagonal
+    background whose Maxwell and Einstein residuals are far from zero."""
+    ads = build("kahler-theta")
+    rows = [["0"] * 6 for _ in range(6)]
+    for i in range(6):
+        rows[i][i] = f"-(2 + 0.1 * y{i + 1}^2)"
+    for i in range(3):
+        rows[i][i + 1] = f"0.1 * y{i + 1} * y{i + 2}"
+    riemann = Metric(R6, [[parse(e, R6) for e in row] for row in rows], (0, 6))
+    theta = monomial_form(R6, parse("1 + y1^2", R6), ("y1", "y2", "y3", "y4"))
+    return Background(ProductStructure(ads.product.lorentz, riemann),
+                      FluxSpec(theta=theta, psi=const(1.0)), ads.box)
+
+
+def core_components(bg, points) -> list[dict[str, dict[str, float]]]:
+    """Per point, each family's residual components from the jet core, by name."""
+    jets = _Jets(bg)
+    res = jets.residuals(points)
+    out = [{} for _ in points]
+    for equation, _block, columns, names in jets.rows:
+        for k, values in enumerate(res[equation]):
+            out[k].setdefault(equation, {}).update(
+                (name, float(values[c])) for c, name in zip(columns, names))
+    return out
+
+
+def key_name(chart, key) -> str:
+    return "^".join(chart.names[i] for i in key)
+
+
+class TestJetCore:
+    """The batched jet core against the symbolic layer and against
+    finite-difference oracles that see only metric and flux values."""
+
+    @pytest.mark.parametrize("ident", catalog_ids())
+    def test_matches_symbolic_layer(self, ident):
+        bg = build(ident)
+        h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
+        ric = ricci(h)
+        maxwell = ext_d(hodge(phi, h)) - wedge(phi, phi).scale(0.5)
+        iotas = [interior([1.0 if t == i else 0.0 for t in range(11)], phi) for i in range(11)]
+        pts = bg.sample(2, seed=5)
+        for p, core in zip(pts, core_components(bg, pts)):
+            n2 = form_inner(phi, phi, h, p)
+            hv = h.matrix_at(p)
+            want = {}
+            for i in range(11):
+                for j in range(i, 11):
+                    want[f"({chart.names[i]},{chart.names[j]})"] = (
+                        evaluate(ric[i][j], p) + 0.5 * form_inner(iotas[i], iotas[j], h, p)
+                        - hv[i, j] * n2 / 6.0)
+            self._agree(core["einstein"], want, ident)
+            want = {key_name(chart, k): evaluate(v, p) for k, v in maxwell.items()}
+            self._agree(core["maxwell"], want, ident)
+            trace = scalar_curvature(h, p) - TRACE_IDENTITY_SIGN * n2 / 6.0
+            assert core["trace"]["scal - s*|F|^2/6"] == pytest.approx(trace, rel=1e-10, abs=1e-10)
+
+    @staticmethod
+    def _agree(core: dict, want: dict, label: str, rtol: float = 1e-10):
+        """Components missing on either side must vanish on the other."""
+        for name in set(core) | set(want):
+            a, b = core.get(name, 0.0), want.get(name, 0.0)
+            assert abs(a - b) <= rtol * max(1.0, abs(b)), (label, name, a, b)
+
+    def test_ricci_algebra_on_dense_metric(self):
+        """The batched Ricci contraction against symbolic ricci() on a dense
+        3-metric, where no term vanishes by block structure."""
+        chart = Chart(("a", "b", "c"))
+        rng = rng_for("denseric")
+        rows = [[const(0.0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                base = (3.0 if i == 0 else -3.0) if i == j else 0.0
+                rows[i][j] = add(base, mul(0.2, random_scalar(chart, rng, polynomial_only=True)))
+        m = Metric(chart, rows, (1, 2))
+        pts = random_points(rng, 3, 3)
+        m.check_signature(pts)
+        r = range(3)
+        h = np.array([m.matrix_at(p) for p in pts])
+        dh = np.array([[[[evaluate(diff(m.entries[i][j], k), p) for j in r] for i in r] for k in r]
+                       for p in pts])
+        ddh = np.array([[[[[evaluate(diff(diff(m.entries[i][j], k), l), p) for j in r] for i in r]
+                          for l in r] for k in r] for p in pts])
+        ric, _ = _ricci(np.linalg.inv(h), dh, ddh)
+        want = np.array([[[evaluate(e, p) for e in row] for row in ricci(m)] for p in pts])
+        assert np.max(np.abs(ric - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    # Central differences with step H lose about eps/H (first derivatives,
+    # relative to the size of *F) and eps/H^2 (the nested second derivatives
+    # of the Ricci oracle, relative to the size of the metric) to rounding;
+    # Richardson extrapolation leaves an O(H^4) truncation error.
+    H = 1e-4
+    MAXWELL_RTOL = 100 * np.finfo(float).eps / H
+    EINSTEIN_RTOL = 100 * np.finfo(float).eps / H ** 2
+
+    @pytest.mark.parametrize("which", ["tri6", "kahler-theta"])
+    def test_matches_fd_oracles(self, which):
+        bg = tri6_background() if which == "tri6" else build(which)
+        h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
+
+        def fluxfn(p):
+            return flux_tensor(phi.evaluate(p), 11)
+
+        pts = bg.sample(2, seed=9)
+        for k, (p, core) in enumerate(zip(pts, core_components(bg, pts))):
+            g = h.matrix_at(p)
+            want = {key_name(chart, a): v
+                    for a, v in fd_maxwell(h.matrix_fn(), fluxfn, p, self.H).items()}
+            scale = max(1.0, max(abs(v) for v in numeric_star(g, fluxfn(p)).values()))
+            self._agree(core["maxwell"], want, which, self.MAXWELL_RTOL * scale)
+            if k:
+                continue  # the 11-dimensional FD Ricci costs about a second per point
+            ein = fd_einstein(h.matrix_fn(), fluxfn, p, self.H)
+            want = {f"({chart.names[i]},{chart.names[j]})": ein[i, j]
+                    for i in range(11) for j in range(i, 11)}
+            scale = max(1.0, float(np.max(np.abs(g))))
+            self._agree(core["einstein"], want, which, self.EINSTEIN_RTOL * scale)
+        if which == "tri6":
+            # non-vacuous: residuals well above the tolerances
+            assert max(abs(v) for v in core["einstein"].values()) > 1.0
+            assert max(abs(v) for v in core["maxwell"].values()) > 1e-3
+
+    def test_verify_needs_no_symbolic_curvature(self, monkeypatch):
+        bgs = [build("kahler-theta"), tri6_background()]
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("verify must not build symbolic curvature or Hodge stars")
+
+        for module, name in ((sugra.geometry, "ricci"), (sugra.geometry, "christoffel"),
+                             (sugra.forms, "hodge"), (sugra.equations, "hodge")):
+            monkeypatch.setattr(module, name, unavailable)
+        for bg in bgs:
+            assert len(verify(bg, count=20, seed=42).rows) == 10
 
 
 class TestSamplePlans:
