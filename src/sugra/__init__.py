@@ -12,6 +12,7 @@ from .expr import (
     compile_expr,
     diff,
     evaluate,
+    evaluate_points,
     parse,
     to_text,
 )

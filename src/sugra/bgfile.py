@@ -33,6 +33,7 @@ the wrong block anywhere in a piece is a block violation.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Optional
@@ -222,6 +223,9 @@ def parse_background_text(text: str, path: str = "") -> Background:
                 tol = float(value)
             except ValueError:
                 raise BgFileError(f"bad tolerance {value!r}", lineno, path) from None
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise BgFileError(f"tolerance must be finite and positive, got {value!r}",
+                                  lineno, path)
             continue
         parts = value.split()
         if len(parts) != 2:
@@ -230,6 +234,9 @@ def parse_background_text(text: str, path: str = "") -> Background:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             raise BgFileError(f"bad sample range {value!r}", lineno, path) from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise BgFileError(f"sample range for {key!r} must be finite, got {value!r}",
+                              lineno, path)
         if not lo < hi:
             raise BgFileError(f"empty sample range for {key!r}", lineno, path)
         if key not in chart_l.names and key not in chart_r.names:

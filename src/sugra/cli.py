@@ -12,7 +12,10 @@ background file's ``tol``, else 1e-8.  Exit codes: 0 all residual rows
 below tolerance, 1 verification failed, 2 bad input.  Bad input, reported
 in one ``error:`` line, includes a background whose metric is degenerate or
 has the wrong signature at a sample point, and one whose expressions leave
-their domain there (the line names the subexpression and the point).
+their domain there or evaluate to a non-finite value (the line names the
+subexpression and the first such point).  So are bad numbers: --points
+below 1, a negative seed, a non-integer SUGRA_SEED, a tolerance that is not
+finite and positive, and a non-finite --perturb factor.
 
 Reports are byte-deterministic for a fixed (target, seed, points,
 tolerance); wall-clock timing is therefore only included when --timing is
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -43,7 +47,10 @@ def _parse_perturb(spec: str) -> tuple[str, float]:
     if ":" not in spec:
         raise ValueError(f"--perturb wants KEY:FACTOR, got {spec!r}")
     key, _, factor = spec.partition(":")
-    return key.strip(), float(factor)
+    value = float(factor)
+    if not math.isfinite(value):
+        raise ValueError(f"--perturb factor must be finite, got {spec!r}")
+    return key.strip(), value
 
 
 def _scale_flux(bg: Background, factor: float) -> Background:
@@ -136,6 +143,14 @@ def _cmd_list() -> int:
 
 
 def _cmd_verify(args) -> int:
+    seed = args.seed
+    if seed is None:
+        try:
+            seed = int(os.environ.get("SUGRA_SEED", "42"))
+        except ValueError:
+            print(f"error: SUGRA_SEED must be an integer, got {os.environ['SUGRA_SEED']!r}",
+                  file=sys.stderr)
+            return 2
     perturb = {}
     for spec in args.perturb or []:
         try:
@@ -151,15 +166,15 @@ def _cmd_verify(args) -> int:
         return 2
     tol = args.tol
     if tol is None:
-        tol = bg.tolerance or 1e-8
+        tol = 1e-8 if bg.tolerance is None else bg.tolerance
     t0 = time.monotonic()
     try:
-        result = verify(bg, count=args.points, seed=args.seed, tol=tol)
+        result = verify(bg, count=args.points, seed=seed, tol=tol)
     except (FormError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     millis = int((time.monotonic() - t0) * 1000) if args.timing else None
-    report = build_report(args.target, bg, result, args.seed, args.points, millis)
+    report = build_report(args.target, bg, result, seed, args.points, millis)
     payload = report_to_json(report)
     if args.out:
         Path(args.out).write_text(payload)
@@ -171,7 +186,6 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    default_seed = int(os.environ.get("SUGRA_SEED", "42"))
     ap = argparse.ArgumentParser(
         prog="sugra",
         description="verify eleven-dimensional product supergravity backgrounds",
@@ -182,7 +196,7 @@ def main(argv=None) -> int:
     vp = sub.add_parser("verify", help="verify a catalog id or a .bg file")
     vp.add_argument("target", help="catalog id or path to a background file")
     vp.add_argument("--points", type=int, default=100, help="sample points (default 100)")
-    vp.add_argument("--seed", type=int, default=default_seed,
+    vp.add_argument("--seed", type=int, default=None,
                     help="sample seed (default 42, or SUGRA_SEED)")
     vp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance (default 1e-8 or the file's tol)")

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, compile_expr, diff, evaluate, is_zero, to_text, _as_expr
+from .expr import EvalDomainError, Expr, diff, evaluate, evaluate_points, is_zero, to_text, _as_expr
 from .forms import (
     FormError,
     KForm,
@@ -180,8 +180,13 @@ def sample_points(box, count: int, seed: int,
 
     The predicate returns True for points to avoid (too close to a declared
     singular set).  Draw order is fixed by the seed, so results are
-    deterministic for a given (box, count, seed, predicate).
+    deterministic for a given (box, count, seed, predicate).  ``count`` must
+    be positive and ``seed`` non-negative.
     """
+    if count < 1:
+        raise FormError(f"sample count must be positive, got {count}")
+    if seed < 0:
+        raise FormError(f"sample seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
@@ -347,11 +352,11 @@ def _flux_terms(f, df, dvars, hinv, dh, tau):
 
 
 class _Jets:
-    """The compiled jets of one background, evaluated a batch of points at
-    a time; :meth:`residuals` derives the four residual families from them
-    with numpy algebra.
+    """The jets of one background: :meth:`values` evaluates their entries
+    over a plan, and :meth:`residuals` derives the four residual families
+    from them, a batch of points at a time, with numpy algebra.
 
-    Only symbolically nonzero entries are compiled: the metric jet ``h_ij,
+    Only symbolically nonzero entries are kept: the metric jet ``h_ij,
     d_k h_ij, d_k d_l h_ij`` on all 11 coordinates, the flux jet ``F_K,
     d_l F_K`` on the flux coordinates S (those in F's keys, closed under the
     metric's connected blocks, so h^-1 never mixes S with the rest; l only
@@ -400,7 +405,6 @@ class _Jets:
         for c, key in enumerate(mkeys):
             if key in ff.coeffs:
                 self._put("ff", ff.coeffs[key], [((c,), 1)])
-        self.fns = [compile_expr(e) for e in self.exprs]
 
         # star[c, B] = s_A for the Maxwell column c of A = complement of B
         self.star = np.zeros((max(len(mkeys), 1), m ** 3))
@@ -413,7 +417,7 @@ class _Jets:
         self.rows = self._layout(closed, mkeys, upper)
 
     def _put(self, table: str, expr: Expr, slots) -> None:
-        """Add ``expr`` to the compiled entries; its value, times each sign,
+        """Add ``expr`` to the entries; its value, times each sign,
         goes to every index of ``table`` in ``slots``."""
         shape, src, dst, sign = self.tables[table]
         for index, s in slots:
@@ -461,35 +465,24 @@ class _Jets:
         rows.append(("trace", "all", [0], ["scal - s*|F|^2/6"]))
         return rows
 
-    def _values(self, points) -> dict[str, np.ndarray]:
-        """Every compiled entry at every point, scattered into dense tables."""
+    def values(self, points) -> np.ndarray:
+        """Every entry at every point, shape ``(len(points), entries)``; a
+        domain error names its subexpression in the background's chart."""
         try:
-            vals = np.array([[fn(p) for fn in self.fns] for p in points])
-        except (ValueError, ArithmeticError):
-            self._explain(points)
-            raise
-        out = {}
+            return evaluate_points(self.exprs, points)
+        except EvalDomainError as err:
+            raise EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
+                                  err.expr, err.point) from None
+
+    def residuals(self, points, values: np.ndarray) -> dict[str, np.ndarray]:
+        """The residual components of each family at a batch of points, as
+        arrays of shape ``(len(points), components)``, from the rows of
+        :meth:`values` at those points."""
+        t = {}
         for name, (shape, src, dst, sign) in self.tables.items():
             dense = np.zeros((len(points), int(np.prod(shape))))
-            dense[:, dst] = vals[:, src] * np.array(sign)
-            out[name] = dense.reshape((len(points),) + shape)
-        return out
-
-    def _explain(self, points) -> None:
-        """Re-evaluate with the interpreted evaluator, which names the
-        offending subexpression, and raise that as an EvalDomainError."""
-        for p in points:
-            for e in self.exprs:
-                try:
-                    evaluate(e, p)
-                except (EvalDomainError, ValueError, ArithmeticError) as err:
-                    sub = getattr(err, "expr", e)  # interpreted overflow names no subexpression
-                    raise EvalDomainError(f"{err}: {to_text(sub, self.chart)} at {p}", sub) from None
-
-    def residuals(self, points) -> dict[str, np.ndarray]:
-        """The residual components of each family at a batch of points, as
-        arrays of shape ``(len(points), components)``."""
-        t = self._values(points)
+            dense[:, dst] = values[:, src] * np.array(sign)
+            t[name] = dense.reshape((len(points),) + shape)
         h = t["h"]
         check_signature_values(h, self.signature, points)
         hinv = np.linalg.inv(h)
@@ -519,7 +512,9 @@ def _residual_rows(bg: Background, points, equations) -> list[ResidualRow]:
     of points at a time."""
     jets = _Jets(bg)
     points = [tuple(p) for p in points]
-    batches = [jets.residuals(points[i:i + _BATCH]) for i in range(0, len(points), _BATCH)]
+    values = jets.values(points)
+    batches = [jets.residuals(points[i:i + _BATCH], values[i:i + _BATCH])
+               for i in range(0, len(points), _BATCH)]
     rows = []
     for equation, block, columns, names in jets.rows:
         if equation in equations:
@@ -556,6 +551,8 @@ def trace_check(bg: Background, points) -> list[ResidualRow]:
 def verify(bg: Background, count: int = 100, seed: int = 42,
            tol: float = 1e-8) -> VerificationResult:
     """Run all four residual families over a fresh seeded plan."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise FormError(f"tolerance must be finite and positive, got {tol!r}")
     rows = _residual_rows(bg, bg.sample(count, seed),
                           ("closedness", "maxwell", "einstein", "trace"))
     return VerificationResult(rows=rows, tolerance=tol)
@@ -612,33 +609,20 @@ class ReducedCaseDiagnosis:
 
 
 def _form_stats(form: KForm, pts) -> tuple[float, float]:
-    mx = 0.0
-    total = 0.0
-    count = 0
-    for p in pts:
-        for v in form.coeffs.values():
-            a = abs(evaluate(v, p))
-            total += a
-            count += 1
-            if a > mx:
-                mx = a
-        if not form.coeffs:
-            count += 1
-    return mx, (total / count if count else 0.0)
+    """Max and mean of ``|component|`` over the components and points."""
+    a = np.abs(evaluate_points(list(form.coeffs.values()), pts))
+    return float(a.max(initial=0.0)), float(a.mean()) if a.size else 0.0
 
 
 def _fit_ratio(num_form: KForm, den_form: KForm, pts) -> float:
     """Least-squares constant c with num ~ c * den over components and points."""
-    sn = 0.0
-    sd = 0.0
-    keys = set(num_form.coeffs) | set(den_form.coeffs)
+    keys = sorted(set(num_form.coeffs) | set(den_form.coeffs))
     zero = _as_expr(0.0)
-    for p in pts:
-        for k in keys:
-            a = evaluate(num_form.coeffs.get(k, zero), p)
-            b = evaluate(den_form.coeffs.get(k, zero), p)
-            sn += a * b
-            sd += b * b
+    v = evaluate_points([num_form.coeffs.get(k, zero) for k in keys]
+                        + [den_form.coeffs.get(k, zero) for k in keys], pts)
+    a, b = v[:, :len(keys)], v[:, len(keys):]
+    sn = float(np.sum(a * b))
+    sd = float(np.sum(b * b))
     if sd < _FIT_ZERO_THRESHOLD:
         return 0.0
     c = sn / sd

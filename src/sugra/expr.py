@@ -6,8 +6,10 @@ elementary functions exp/sin/cos.  Trees are immutable after construction
 and safe to share between threads.  They support
 
 * exact symbolic differentiation, closed under the node set above,
-* double-precision evaluation at a point, with domain errors that carry
-  the offending subexpression,
+* double-precision evaluation with one evaluator, :func:`evaluate_points`:
+  a numpy walk over the distinct nodes (by identity) of a list of trees,
+  each node computed once for a whole batch of points; domain errors carry
+  the offending subexpression and the first point where it fails,
 * parsing from text and printing back to parseable text.
 
 There is deliberately no general simplifier: the smart constructors only
@@ -18,11 +20,14 @@ are made by evaluation, never by structural equality.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Chart",
@@ -54,6 +59,7 @@ __all__ = [
     "coord",
     "parse",
     "evaluate",
+    "evaluate_points",
     "diff",
     "to_text",
     "compile_expr",
@@ -62,25 +68,32 @@ __all__ = [
     "is_zero",
 ]
 
-# Deeply nested derivative trees (second derivatives of metric entries) can
-# exceed the default recursion limit during printing/compilation.
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
-
 
 class ExprError(Exception):
     """Invalid expression construction or use."""
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the expression's domain (sqrt of a negative, x/0).
+    """Evaluation left the expression's domain (sqrt of a negative, x/0,
+    0^-n) or produced a non-finite value.
 
-    Carries the offending subexpression in ``.expr``.
+    Carries the offending subexpression in ``.expr`` and the first point of
+    the evaluated batch where it fails in ``.point``.
     """
 
-    def __init__(self, message: str, expr: "Expr"):
+    def __init__(self, message: str, expr: "Expr", point: tuple[float, ...]):
         super().__init__(message)
         self.expr = expr
+        self.point = point
+
+
+class _OutOfDomain(Exception):
+    """Raised by ``_np`` with a message and the index of the first bad point."""
+
+
+def _check(bad, message: str) -> None:
+    if np.count_nonzero(bad):
+        raise _OutOfDomain(message, int(np.argmax(bad)))
 
 
 class ParseError(ExprError):
@@ -156,13 +169,11 @@ class Expr:
     def diff(self, index: int) -> "Expr":
         raise NotImplementedError
 
-    def _eval(self, point) -> float:
+    def _np(self, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
+        """Values at the rows of ``pts``, given those ``args`` of :meth:`_children`."""
         raise NotImplementedError
 
     def _text(self, names) -> str:
-        raise NotImplementedError
-
-    def _src(self) -> str:
         raise NotImplementedError
 
     def _children(self) -> tuple:
@@ -203,7 +214,7 @@ class Const(Expr):
     def diff(self, index):
         return _ZERO
 
-    def _eval(self, point):
+    def _np(self, pts):
         return self.value
 
     def _text(self, names):
@@ -211,9 +222,6 @@ class Const(Expr):
 
     def _prec(self):
         return 5 if self.value >= 0 else 3
-
-    def _src(self):
-        return repr(self.value)
 
     def _make_key(self):
         return (0, self.value)
@@ -233,19 +241,11 @@ class Coord(Expr):
     def diff(self, index):
         return _ONE if index == self.index else _ZERO
 
-    def _eval(self, point):
-        try:
-            return point[self.index]
-        except IndexError:
-            raise ExprError(
-                f"point of length {len(point)} has no coordinate {self.index}"
-            ) from None
+    def _np(self, pts):
+        return pts[:, self.index]
 
     def _text(self, names):
         return names[self.index]
-
-    def _src(self):
-        return f"p[{self.index}]"
 
     def _make_key(self):
         return (1, self.index)
@@ -263,8 +263,8 @@ class Add(Expr):
     def diff(self, index):
         return add(*[t.diff(index) for t in self.terms])
 
-    def _eval(self, point):
-        return math.fsum(t._eval(point) for t in self.terms)
+    def _np(self, pts, *terms):
+        return functools.reduce(operator.add, terms)
 
     def _children(self):
         return self.terms
@@ -282,9 +282,6 @@ class Add(Expr):
             else:
                 parts.append(f" + {t._text(names)}")
         return "".join(parts)
-
-    def _src(self):
-        return "(" + " + ".join(t._src() for t in self.terms) + ")"
 
     def _make_key(self):
         return (9, tuple(t.sort_key() for t in self.terms))
@@ -306,11 +303,8 @@ class Mul(Expr):
             terms.append(mul(d, *rest))
         return add(*terms)
 
-    def _eval(self, point):
-        out = 1.0
-        for f in self.factors:
-            out *= f._eval(point)
-        return out
+    def _np(self, pts, *factors):
+        return functools.reduce(operator.mul, factors)
 
     def _children(self):
         return self.factors
@@ -329,9 +323,6 @@ class Mul(Expr):
                 parts.append(_paren(f, 3, names))
         return " * ".join(parts)
 
-    def _src(self):
-        return "(" + " * ".join(f._src() for f in self.factors) + ")"
-
     def _make_key(self):
         return (8, tuple(f.sort_key() for f in self.factors))
 
@@ -345,8 +336,8 @@ class Neg(Expr):
     def diff(self, index):
         return neg(self.arg.diff(index))
 
-    def _eval(self, point):
-        return -self.arg._eval(point)
+    def _np(self, pts, arg):
+        return -arg
 
     def _children(self):
         return (self.arg,)
@@ -356,9 +347,6 @@ class Neg(Expr):
 
     def _text(self, names):
         return f"-{_paren(self.arg, 4, names)}"
-
-    def _src(self):
-        return f"(-{self.arg._src()})"
 
     def _make_key(self):
         return (7, self.arg.sort_key())
@@ -378,11 +366,9 @@ class Div(Expr):
             return div(dn, self.den)
         return div(add(mul(dn, self.den), neg(mul(self.num, dd))), intpow(self.den, 2))
 
-    def _eval(self, point):
-        d = self.den._eval(point)
-        if d == 0.0:
-            raise EvalDomainError("division by zero", self)
-        return self.num._eval(point) / d
+    def _np(self, pts, num, den):
+        _check(den == 0.0, "division by zero")
+        return num / den
 
     def _children(self):
         return (self.num, self.den)
@@ -392,9 +378,6 @@ class Div(Expr):
 
     def _text(self, names):
         return f"{_paren(self.num, 2, names)} / {_paren(self.den, 3, names)}"
-
-    def _src(self):
-        return f"({self.num._src()} / {self.den._src()})"
 
     def _make_key(self):
         return (6, self.num.sort_key(), self.den.sort_key())
@@ -413,11 +396,10 @@ class IntPow(Expr):
             return _ZERO
         return mul(Const(self.exponent), intpow(self.base, self.exponent - 1), db)
 
-    def _eval(self, point):
-        b = self.base._eval(point)
-        if b == 0.0 and self.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", self)
-        return b ** self.exponent
+    def _np(self, pts, base):
+        if self.exponent < 0:
+            _check(base == 0.0, "zero raised to a negative power")
+        return base ** self.exponent
 
     def _children(self):
         return (self.base,)
@@ -427,9 +409,6 @@ class IntPow(Expr):
 
     def _text(self, names):
         return f"{_paren(self.base, 5, names)}^{self.exponent}"
-
-    def _src(self):
-        return f"({self.base._src()} ** {self.exponent})"
 
     def _make_key(self):
         return (5, self.base.sort_key(), self.exponent)
@@ -462,14 +441,9 @@ class Sqrt(_Func):
             return _ZERO
         return div(da, mul(Const(2.0), Sqrt(self.arg)))
 
-    def _eval(self, point):
-        v = self.arg._eval(point)
-        if v < 0.0:
-            raise EvalDomainError("square root of a negative value", self)
-        return math.sqrt(v)
-
-    def _src(self):
-        return f"sqrt({self.arg._src()})"
+    def _np(self, pts, arg):
+        _check(arg < 0.0, "square root of a negative value")
+        return np.sqrt(arg)
 
 
 class Exp(_Func):
@@ -482,11 +456,8 @@ class Exp(_Func):
             return _ZERO
         return mul(Exp(self.arg), da)
 
-    def _eval(self, point):
-        return math.exp(self.arg._eval(point))
-
-    def _src(self):
-        return f"exp({self.arg._src()})"
+    def _np(self, pts, arg):
+        return np.exp(arg)
 
 
 class Sin(_Func):
@@ -499,11 +470,8 @@ class Sin(_Func):
             return _ZERO
         return mul(Cos(self.arg), da)
 
-    def _eval(self, point):
-        return math.sin(self.arg._eval(point))
-
-    def _src(self):
-        return f"sin({self.arg._src()})"
+    def _np(self, pts, arg):
+        return np.sin(arg)
 
 
 class Cos(_Func):
@@ -516,11 +484,8 @@ class Cos(_Func):
             return _ZERO
         return neg(mul(Sin(self.arg), da))
 
-    def _eval(self, point):
-        return math.cos(self.arg._eval(point))
-
-    def _src(self):
-        return f"cos({self.arg._src()})"
+    def _np(self, pts, arg):
+        return np.cos(arg)
 
 
 _ZERO = Const(0.0)
@@ -661,9 +626,80 @@ def diff(e: Expr, index: int) -> Expr:
     return e.diff(index)
 
 
+def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
+    """Values of every expression at every point, as an array of shape
+    ``(len(points), len(exprs))``; ``points`` holds one float per chart
+    coordinate each.
+
+    Walks the distinct nodes of ``exprs`` (distinct by identity, so shared
+    subtrees cost once) children first, computes each for all points with
+    numpy and drops its values after their last use.  A domain error names
+    the first point where any node fails, and the first node failing there.
+    """
+    if not len(points):
+        return np.empty((0, len(exprs)))
+    pts = np.asarray(points, dtype=float)
+    index = _distinct_nodes(exprs)
+    uses = [0] * len(index)  # parents not yet computed, per node
+    for node in index:
+        for c in node._children():
+            uses[index[c]] += 1
+    cols: dict[int, list[int]] = {}
+    for c, e in enumerate(exprs):
+        cols.setdefault(index[e], []).append(c)
+    out = np.empty((len(pts), len(exprs)))
+    vals: list = [None] * len(index)
+    with np.errstate(all="ignore"):
+        try:
+            for i, node in enumerate(index):
+                kids = [index[c] for c in node._children()]
+                v = vals[i] = node._np(pts, *[vals[k] for k in kids])
+                for c in cols.get(i, ()):
+                    out[:, c] = v
+                for k in kids:
+                    uses[k] -= 1
+                    if not uses[k]:
+                        vals[k] = None
+                if not uses[i]:
+                    vals[i] = None
+        except _OutOfDomain as err:
+            message, first = err.args
+            evaluate_points(exprs, pts[:first])  # raises if an earlier point fails
+            raise EvalDomainError(message, node, tuple(pts[first].tolist())) from None
+        except IndexError:
+            raise ExprError(f"points of length {pts.shape[1]} have no coordinate "
+                            f"{node.index}") from None
+    bad = ~np.isfinite(out)
+    if np.count_nonzero(bad):
+        first = int(np.argmax(bad.any(axis=1)))
+        raise EvalDomainError("non-finite value", exprs[int(np.argmax(bad[first]))],
+                              tuple(pts[first].tolist()))
+    return out
+
+
+def _distinct_nodes(exprs: Sequence[Expr]) -> dict[Expr, int]:
+    """The distinct nodes of ``exprs`` (nodes hash by identity), children
+    first, each mapped to its position in that order."""
+    index: dict[Expr, int] = {}
+    for root in exprs:
+        if root in index:
+            continue
+        stack = [(root, iter(root._children()))]
+        while stack:
+            node, children = stack[-1]
+            for c in children:
+                if c not in index:
+                    stack.append((c, iter(c._children())))
+                    break
+            else:
+                stack.pop()
+                index[node] = len(index)
+    return index
+
+
 def evaluate(e: Expr, point: Sequence[float]) -> float:
     """IEEE double value of ``e`` at ``point`` (one float per chart coordinate)."""
-    return e._eval(point)
+    return float(evaluate_points([e], [point])[0, 0])
 
 
 def to_text(e: Expr, chart: Chart) -> str:
@@ -706,37 +742,12 @@ def remap_coords(e: Expr, table: dict[int, int]) -> Expr:
 def depends_on(e: Expr, indices: Iterable[int]) -> bool:
     """True when ``e`` mentions any coordinate in ``indices``."""
     wanted = set(indices)
-
-    def walk(node: Expr) -> bool:
-        if isinstance(node, Coord):
-            return node.index in wanted
-        return any(walk(c) for c in node._children())
-
-    return walk(e)
-
-
-_COMPILE_ENV = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "__builtins__": {},
-}
+    return any(isinstance(n, Coord) and n.index in wanted for n in _distinct_nodes([e]))
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile to a fast point->float callable.
-
-    Used internally by the residual jet core; falls back to the interpreted
-    evaluator when the generated source is too deeply nested for CPython.
-    Domain errors surface as ZeroDivisionError/ValueError/OverflowError from
-    the compiled path; :func:`evaluate` names the offending subexpression.
-    """
-    try:
-        src = e._src()
-        return eval(compile(f"lambda p: {src}", "<expr>", "eval"), _COMPILE_ENV)
-    except (RecursionError, SyntaxError, MemoryError):
-        return lambda p: e._eval(p)
+    """``e`` as a point -> float callable, :func:`evaluate` bound to ``e``."""
+    return lambda p: evaluate(e, p)
 
 
 # ---------------------------------------------------------------------------

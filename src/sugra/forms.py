@@ -23,18 +23,19 @@ import numpy as np
 
 from .expr import (
     Chart,
+    Coord,
     Expr,
     add,
-    compile_expr,
     diff,
     div,
-    evaluate,
+    evaluate_points,
     is_zero,
     mul,
     neg,
     remap_coords,
     sqrt,
     _as_expr,
+    _distinct_nodes,
 )
 
 __all__ = [
@@ -157,10 +158,11 @@ class KForm:
         return self + (-other)
 
     def evaluate(self, point) -> dict[tuple[int, ...], float]:
-        return {k: evaluate(v, point) for k, v in self.coeffs.items()}
+        values = evaluate_points(list(self.coeffs.values()), [point])[0]
+        return dict(zip(self.coeffs, values.tolist()))
 
     def max_abs_at(self, point) -> float:
-        return max((abs(evaluate(v, point)) for v in self.coeffs.values()), default=0.0)
+        return max(map(abs, self.evaluate(point).values()), default=0.0)
 
     def key_name(self, key: tuple[int, ...]) -> str:
         return "^".join(self.chart.names[i] for i in key) if key else "1"
@@ -272,7 +274,7 @@ class Metric:
     set (True means the point must be avoided).
     """
 
-    __slots__ = ("chart", "entries", "signature", "singular", "_inv", "_matrix_fn")
+    __slots__ = ("chart", "entries", "signature", "singular", "_inv")
 
     def __init__(self, chart: Chart, entries, signature: tuple[int, int],
                  singular: Optional[Callable[[Sequence[float]], bool]] = None):
@@ -295,7 +297,6 @@ class Metric:
         self.signature = (p, q)
         self.singular = singular
         self._inv = None
-        self._matrix_fn = None
 
     @property
     def dim(self) -> int:
@@ -320,18 +321,11 @@ class Metric:
 
     # -- numeric access ---------------------------------------------------
     def matrix_fn(self) -> Callable[[Sequence[float]], np.ndarray]:
-        if self._matrix_fn is None:
-            n = self.dim
-            fns = [[compile_expr(self.entries[i][j]) for j in range(n)] for i in range(n)]
-
-            def evaluate_matrix(point, _fns=fns, _n=n):
-                return np.array([[_fns[i][j](point) for j in range(_n)] for i in range(_n)])
-
-            self._matrix_fn = evaluate_matrix
-        return self._matrix_fn
+        """:meth:`matrix_at` as a point -> matrix callable."""
+        return self.matrix_at
 
     def matrix_at(self, point) -> np.ndarray:
-        return self.matrix_fn()(point)
+        return matrix_values(self.entries, [point])[0]
 
     def inverse_at(self, point) -> np.ndarray:
         m = self.matrix_at(point)
@@ -343,11 +337,20 @@ class Metric:
     def check_signature(self, points: Iterable[Sequence[float]]) -> None:
         """Verify invertibility and the declared count of negative eigenvalues."""
         points = list(points)
-        values = np.array([self.matrix_at(pt) for pt in points]).reshape(-1, self.dim, self.dim)
-        check_signature_values(values, self.signature, points)
+        check_signature_values(matrix_values(self.entries, points), self.signature, points)
 
     def __repr__(self):
         return f"<Metric {self.signature} on {self.chart.names}>"
+
+
+def matrix_values(entries, points) -> np.ndarray:
+    """Values of a square matrix of expressions at ``points``, shape
+    ``(len(points), n, n)``; literal zero entries are not evaluated."""
+    n = len(entries)
+    nonzero = [i * n + j for i in range(n) for j in range(n) if not is_zero(entries[i][j])]
+    out = np.zeros((len(points), n * n))
+    out[:, nonzero] = evaluate_points([entries[k // n][k % n] for k in nonzero], points)
+    return out.reshape(-1, n, n)
 
 
 def check_signature_values(values: np.ndarray, signature: tuple[int, int], points) -> None:
@@ -556,7 +559,7 @@ def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> K
         if any(not cs for cs in colsets):
             continue
         for sel in _candidate_columns(colsets):
-            minor = _det_sub_generic(inv, key, sel)
+            minor = _det_sub(inv, tuple(key), tuple(sel), {})
             if is_zero(minor):
                 continue
             comp = tuple(sorted(all_idx - set(sel)))
@@ -564,10 +567,6 @@ def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> K
             term = mul(sign, val, minor, sq)
             out[comp] = add(out[comp], term) if comp in out else term
     return KForm(a.chart, n - k, out)
-
-
-def _det_sub_generic(matrix, rows: Sequence[int], cols: Sequence[int]) -> Expr:
-    return _det_sub(matrix, tuple(rows), tuple(cols), {})
 
 
 def volume_form(m: Metric, orientation: Optional[Sequence[str]] = None) -> KForm:
@@ -611,14 +610,5 @@ def restrict_form(a: KForm, small: Chart, offset: int) -> KForm:
 
 def embed_scalar(e: Expr, offset: int) -> Expr:
     """Shift all coordinate indices of a scalar expression by ``offset``."""
-    idx: set[int] = set()
-
-    def collect(node):
-        from .expr import Coord
-        if isinstance(node, Coord):
-            idx.add(node.index)
-        for c in node._children():
-            collect(c)
-
-    collect(e)
+    idx = {n.index for n in _distinct_nodes([e]) if isinstance(n, Coord)}
     return remap_coords(e, {i: i + offset for i in idx}) if idx else e

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import Chart, Expr, add, diff, evaluate, is_zero, mul, neg, _as_expr
-from .forms import FormError, Metric, sym_inverse
+from .forms import FormError, Metric, matrix_values, sym_inverse
 
 __all__ = [
     "ProductStructure",
@@ -153,19 +153,7 @@ def ricci(m: Metric, block: Optional[tuple[int, ...]] = None):
 
 def scalar_curvature(m: Metric, point) -> float:
     """Trace of the Ricci tensor with the inverse metric at ``point``."""
-    ric = ricci(m)
-    hinv = m.inverse_at(point)
-    n = m.dim
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            r = ric[i][j]
-            if is_zero(r):
-                continue
-            g = hinv[i, j]
-            if g != 0.0:
-                total += g * evaluate(r, point)
-    return total
+    return float(np.sum(m.inverse_at(point) * matrix_values(ricci(m), [point])[0]))
 
 
 def laplace_beltrami(m: Metric, s: Expr, block: Optional[tuple[int, ...]] = None) -> Expr:
@@ -343,7 +331,7 @@ def ricci_endomorphism_pairing(m: Metric, point, x: np.ndarray, y: np.ndarray) -
     Vanishing for all X, Y is the defining property of a totally
     Ricci-isotropic metric.
     """
-    ricv = np.array([[evaluate(m_ij, point) for m_ij in row] for row in ricci(m)])
+    ricv = matrix_values(ricci(m), [point])[0]
     h = m.matrix_at(point)
     hinv = np.linalg.inv(h)
     rx = hinv @ (ricv @ np.asarray(x))

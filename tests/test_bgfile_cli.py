@@ -202,6 +202,36 @@ class TestCli:
         assert captured.err.startswith("error: " + message)
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, env, edit, message", [
+        (["--points", "0"], None, None, "sample count must be positive"),
+        (["--points", "-3"], None, None, "sample count must be positive"),
+        (["--seed", "-1"], None, None, "sample seed must be non-negative"),
+        ([], "abc", None, "SUGRA_SEED must be an integer"),
+        (["--tol", "nan"], None, None, "tolerance must be finite and positive"),
+        (["--tol", "-1"], None, None, "tolerance must be finite and positive"),
+        ([], None, ("tol = ", "tol = nan"), "tolerance must be finite and positive"),
+        ([], None, ("tol = ", "tol = 0"), "tolerance must be finite and positive"),
+        (["--perturb", "H:nan"], None, None, "--perturb factor must be finite"),
+        (["--perturb", "flux:nan"], None, None, "--perturb factor must be finite"),
+        ([], None, ("u = ", "u = -inf 1.5"), "sample range for 'u' must be finite"),
+    ])
+    def test_bad_number_exit_2(self, tmp_path, capsys, monkeypatch, argv, env, edit, message):
+        """Each bad number gives one error line and exit 2 (the ``H`` perturbation
+        goes to the catalog id, everything else to a copy of its file)."""
+        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
+        if edit is not None:
+            lines = [edit[1] if ln.startswith(edit[0]) else ln for ln in lines]
+        path = tmp_path / "bg.bg"
+        path.write_text("\n".join(lines) + "\n")
+        if env is not None:
+            monkeypatch.setenv("SUGRA_SEED", env)
+        target = "alpha-ppwave" if "H:nan" in argv else str(path)
+        assert main(["verify", target, "--points", "5", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_json_report_deterministic(self, capsys):
         args = ["verify", "beta-nu-ppwave", "--points", "20", "--json"]
         assert main(args) == 0

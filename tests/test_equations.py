@@ -313,7 +313,7 @@ def tri6_background() -> Background:
 def core_components(bg, points) -> list[dict[str, dict[str, float]]]:
     """Per point, each family's residual components from the jet core, by name."""
     jets = _Jets(bg)
-    res = jets.residuals(points)
+    res = jets.residuals(points, jets.values(points))
     out = [{} for _ in points]
     for equation, _block, columns, names in jets.rows:
         for k, values in enumerate(res[equation]):
@@ -445,6 +445,23 @@ class TestSamplePlans:
         pts = sample_points(box, 50, 1, predicate=lambda p: p[0] < 0.0)
         assert len(pts) == 50
         assert all(p[0] >= 0.0 for p in pts)
+
+    @pytest.mark.parametrize("count, seed, message", [
+        (0, 42, "sample count must be positive"),
+        (-3, 42, "sample count must be positive"),
+        (5, -1, "sample seed must be non-negative"),
+    ])
+    def test_bad_count_or_seed_rejected(self, count, seed, message):
+        """No vacuous pass over an empty plan, no numpy error for a negative
+        seed: every way to draw a plan rejects them."""
+        bg = build("alpha-ppwave")
+        draws = [lambda: sample_points(bg.box, count, seed),
+                 lambda: bg.sample(count, seed),
+                 lambda: verify(bg, count=count, seed=seed),
+                 lambda: diagnose_reduced_case(bg.flux, bg.product, count=count, seed=seed)]
+        for draw in draws:
+            with pytest.raises(sugra.forms.FormError, match=message):
+                draw()
 
 
 class TestDiagnostics:

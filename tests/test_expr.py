@@ -1,7 +1,11 @@
 """Expression kernel: parsing, differentiation, evaluation, printing."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_scalar, rng_for
@@ -19,11 +23,12 @@ from sugra.expr import (
     ParseError,
     Sqrt,
     add,
-    coord,
     compile_expr,
+    coord,
     diff,
     div,
     evaluate,
+    evaluate_points,
     intpow,
     mul,
     parse,
@@ -120,13 +125,76 @@ class TestEval:
         with pytest.raises(EvalDomainError):
             evaluate(e, (0.0, 0, 0, 0, 0))
 
-    def test_compiled_matches_interpreted(self):
+    def test_matches_sympy(self):
+        """evaluate_points against an independent evaluator: sympy parses
+        the printed text, and lambdify evaluates it with the math module."""
+        sympy = pytest.importorskip("sympy")
         rng = rng_for("compiled")
-        for _ in range(30):
-            e = random_scalar(W5, rng)
-            fn = compile_expr(e)
-            p = tuple(rng.uniform(0.2, 1.0, size=5))
-            assert fn(p) == pytest.approx(evaluate(e, p), rel=1e-14, abs=1e-14)
+        exprs = [random_scalar(W5, rng) for _ in range(30)]
+        exprs += [diff(e, 1) for e in exprs]
+        exprs.append(parse("sqrt(2 + u^2) * exp(-x1) / (1 + x2^2)^3 - x3^-2", W5))
+        pts = [tuple(rng.uniform(0.2, 1.0, size=5)) for _ in range(7)]
+        got = evaluate_points(exprs, pts)
+        assert got.shape == (len(pts), len(exprs))
+        assert compile_expr(exprs[0])(pts[1]) == got[1, 0] == evaluate(exprs[0], pts[1])
+        symbols = sympy.symbols(W5.names)
+        for c, e in enumerate(exprs):
+            fn = sympy.lambdify(symbols, sympy.sympify(to_text(e, W5)), "math")
+            for k, p in enumerate(pts):
+                assert got[k, c] == pytest.approx(fn(*p), rel=1e-12)
+
+    def test_shared_nodes_are_evaluated_once(self):
+        # 2^61 - 1 tree nodes but 61 distinct ones
+        e = coord(1)
+        for _ in range(60):
+            e = Add((e, e))
+        assert evaluate(e, (0.0, 3.0, 0.0, 0.0, 0.0)) == 3.0 * 2.0 ** 60
+
+    def test_wide_sum(self):
+        terms = [mul(float(k), coord(k % 5)) for k in range(1, 5001)]
+        e = add(*terms)
+        assert isinstance(e, Add) and len(e.terms) == 5000
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 5))
+        want = [sum(k * p[k % 5] for k in range(1, 5001)) for p in pts]
+        assert evaluate_points([e], pts)[:, 0] == pytest.approx(want, rel=1e-12)
+
+    def test_no_points(self):
+        assert evaluate_points([parse("u", W5), parse("1/x1", W5)], []).shape == (0, 2)
+
+    def test_domain_error_names_the_first_failing_point(self):
+        # 1/x2 first fails at the third point, sqrt(u) at the second
+        exprs = [parse("1/x2", W5), parse("sqrt(u)", W5)]
+        pts = [(1.0, 1.0, 1.0, 0.0, 0.0), (-1.0, 1.0, 1.0, 0.0, 0.0),
+               (1.0, 1.0, 0.0, 0.0, 0.0), (-2.0, 0.0, 0.0, 0.0, 0.0)]
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_points(exprs, pts)
+        assert isinstance(err.value.expr, Sqrt)
+        assert err.value.point == pts[1]
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_points(exprs, [pts[0], pts[2], pts[1]])
+        assert isinstance(err.value.expr, Div)
+        assert err.value.point == pts[2]
+
+    @pytest.mark.parametrize("text, message, first", [
+        ("x1^-2", "zero raised to a negative power", 1),
+        ("exp(exp(x1 + 7))", "non-finite value", 0),  # overflows at both points
+    ])
+    def test_other_domain_errors(self, text, message, first):
+        pts = [(0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)]
+        with pytest.raises(EvalDomainError, match=message) as err:
+            evaluate_points([parse(text, W5)], pts)
+        assert err.value.point == pts[first]
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    import sugra
+
+    code = ("import sys; before = sys.getrecursionlimit(); import sugra; "
+            "print(before, sys.getrecursionlimit())")
+    src = str(Path(sugra.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60).stdout.split()
+    assert out[0] == out[1]
 
 
 class TestDiff:
