@@ -96,14 +96,7 @@ def _poly_in_x(e: Expr, x_idx: tuple[int, int, int], v_idx: int):
     if isinstance(e, Mul):
         out = {(0, 0, 0): const(1.0)}
         for f in e.factors:
-            fd = _poly_in_x(f, x_idx, v_idx)
-            nxt: dict = {}
-            for ka, va in out.items():
-                for kb, vb in fd.items():
-                    k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                    term = mul(va, vb)
-                    nxt[k] = add(nxt[k], term) if k in nxt else term
-            out = nxt
+            out = _poly_product(out, _poly_in_x(f, x_idx, v_idx))
         return out
     if isinstance(e, IntPow):
         if e.exponent < 0:
@@ -111,19 +104,24 @@ def _poly_in_x(e: Expr, x_idx: tuple[int, int, int], v_idx: int):
         out = {(0, 0, 0): const(1.0)}
         base = _poly_in_x(e.base, x_idx, v_idx)
         for _ in range(e.exponent):
-            nxt = {}
-            for ka, va in out.items():
-                for kb, vb in base.items():
-                    k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                    term = mul(va, vb)
-                    nxt[k] = add(nxt[k], term) if k in nxt else term
-            out = nxt
+            out = _poly_product(out, base)
         return out
     if isinstance(e, Div):
         if depends_on(e.den, bad):
             raise SolverError("transverse coordinate in a denominator")
         return {k: div(v, e.den) for k, v in _poly_in_x(e.num, x_idx, v_idx).items()}
     raise SolverError(f"non-polynomial dependence on the transverse coordinates: {type(e).__name__}")
+
+
+def _poly_product(a: dict, b: dict) -> dict:
+    """Product of two :func:`_poly_in_x` decompositions."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+            term = mul(va, vb)
+            out[k] = add(out[k], term) if k in out else term
+    return out
 
 
 def solve_walker_H(rhs: Expr, chart: Chart = WALKER_CHART) -> Expr:

@@ -6,11 +6,16 @@ elementary functions exp/sin/cos.  Trees are immutable after construction
 and safe to share between threads.  They support
 
 * exact symbolic differentiation, closed under the node set above,
-* double-precision evaluation with one evaluator, :func:`evaluate_points`:
-  a numpy walk over the distinct nodes (by identity) of a list of trees,
+* double-precision evaluation with one evaluator, :func:`evaluate_points`,
   each node computed once for a whole batch of points; domain errors carry
   the offending subexpression and the first point where it fails,
-* parsing from text and printing back to parseable text.
+* coordinate remapping, and
+* parsing from text (at most ``_MAX_NESTING`` parentheses deep) and printing.
+
+Every operation is one walk over the distinct nodes (by identity) of its
+expressions, children first (:func:`_distinct_nodes`), applying a local rule
+of each node class to the results of its children: shared subtrees cost
+once and no operation recurses.  Sort keys are built at construction.
 
 There is deliberately no general simplifier: the smart constructors only
 absorb literal zeros and ones (and fold arithmetic on literal constants),
@@ -132,7 +137,11 @@ class Chart:
 
 
 class Expr:
-    """Base class of all expression nodes.  Immutable; identity-hashed."""
+    """Base class of all expression nodes.  Immutable; identity-hashed.
+
+    Subclasses set ``_key`` (see :meth:`sort_key`) in ``__init__`` from
+    their children's keys and implement the local rules below.
+    """
 
     __slots__ = ("_key",)
 
@@ -165,16 +174,22 @@ class Expr:
     def __neg__(self):
         return neg(self)
 
-    # -- core interface --------------------------------------------------
-    def diff(self, index: int) -> "Expr":
+    # -- local rules, given the results for the nodes below ---------------
+    def _diff(self, index: int, d: dict) -> "Expr":
+        """Derivative along coordinate ``index``; ``d`` maps each child to its derivative."""
         raise NotImplementedError
 
     def _np(self, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
         """Values at the rows of ``pts``, given those ``args`` of :meth:`_children`."""
         raise NotImplementedError
 
-    def _text(self, names) -> str:
+    def _text(self, names, t: dict) -> str:
+        """Printed form; ``t`` maps every node below to its printed form."""
         raise NotImplementedError
+
+    def _rebuild(self, kids: list) -> "Expr":
+        """The same node over the children ``kids``, sums and products re-sorted."""
+        return type(self)(*kids)
 
     def _children(self) -> tuple:
         return ()
@@ -183,15 +198,8 @@ class Expr:
         return 5
 
     def sort_key(self):
-        try:
-            return self._key
-        except AttributeError:
-            key = self._make_key()
-            self._key = key
-            return key
-
-    def _make_key(self):
-        raise NotImplementedError
+        """Structural key that orders the terms of sums and products."""
+        return self._key
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -205,26 +213,31 @@ def _as_expr(x) -> Expr:
     raise ExprError(f"cannot interpret {x!r} as an expression")
 
 
+def _sorted(nodes) -> tuple:
+    return tuple(sorted(nodes, key=Expr.sort_key))
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
         self.value = float(value)
+        self._key = (0, self.value)
 
-    def diff(self, index):
+    def _diff(self, index, d):
         return _ZERO
 
     def _np(self, pts):
         return self.value
 
-    def _text(self, names):
+    def _text(self, names, t):
         return repr(self.value) if self.value >= 0 else f"-{repr(-self.value)}"
+
+    def _rebuild(self, kids):
+        return self
 
     def _prec(self):
         return 5 if self.value >= 0 else 3
-
-    def _make_key(self):
-        return (0, self.value)
 
     def __repr__(self):
         return f"Const({self.value!r})"
@@ -237,18 +250,16 @@ class Coord(Expr):
         if index < 0:
             raise ExprError(f"coordinate index must be non-negative, got {index}")
         self.index = index
+        self._key = (1, index)
 
-    def diff(self, index):
+    def _diff(self, index, d):
         return _ONE if index == self.index else _ZERO
 
     def _np(self, pts):
         return pts[:, self.index]
 
-    def _text(self, names):
+    def _text(self, names, t):
         return names[self.index]
-
-    def _make_key(self):
-        return (1, self.index)
 
     def __repr__(self):
         return f"Coord({self.index})"
@@ -259,9 +270,10 @@ class Add(Expr):
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
+        self._key = (9, tuple([x._key for x in terms]))
 
-    def diff(self, index):
-        return add(*[t.diff(index) for t in self.terms])
+    def _diff(self, index, d):
+        return add(*[d[x] for x in self.terms])
 
     def _np(self, pts, *terms):
         return functools.reduce(operator.add, terms)
@@ -269,22 +281,22 @@ class Add(Expr):
     def _children(self):
         return self.terms
 
+    def _rebuild(self, kids):
+        return Add(_sorted(kids))
+
     def _prec(self):
         return 1
 
-    def _text(self, names):
-        parts = [self.terms[0]._text(names)]
-        for t in self.terms[1:]:
-            if isinstance(t, Neg):
-                parts.append(f" - {_paren(t.arg, 2, names)}")
-            elif isinstance(t, Const) and t.value < 0:
-                parts.append(f" - {repr(-t.value)}")
+    def _text(self, names, t):
+        parts = [t[self.terms[0]]]
+        for x in self.terms[1:]:
+            if isinstance(x, Neg):
+                parts.append(f" - {_paren(x.arg, 2, t)}")
+            elif isinstance(x, Const) and x.value < 0:
+                parts.append(f" - {repr(-x.value)}")
             else:
-                parts.append(f" + {t._text(names)}")
+                parts.append(f" + {t[x]}")
         return "".join(parts)
-
-    def _make_key(self):
-        return (9, tuple(t.sort_key() for t in self.terms))
 
 
 class Mul(Expr):
@@ -292,15 +304,13 @@ class Mul(Expr):
 
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
+        self._key = (8, tuple([f._key for f in factors]))
 
-    def diff(self, index):
+    def _diff(self, index, d):
         terms = []
         for i, f in enumerate(self.factors):
-            d = f.diff(index)
-            if is_zero(d):
-                continue
-            rest = self.factors[:i] + self.factors[i + 1:]
-            terms.append(mul(d, *rest))
+            if not is_zero(df := d[f]):
+                terms.append(mul(df, *self.factors[:i], *self.factors[i + 1:]))
         return add(*terms)
 
     def _np(self, pts, *factors):
@@ -309,22 +319,19 @@ class Mul(Expr):
     def _children(self):
         return self.factors
 
+    def _rebuild(self, kids):
+        return Mul(_sorted(kids))
+
     def _prec(self):
         return 2
 
-    def _text(self, names):
-        parts = [_paren(self.factors[0], 2, names)]
+    def _text(self, names, t):
+        parts = [_paren(self.factors[0], 2, t)]
         for f in self.factors[1:]:
             # a * b / c parses as (a*b)/c, so quotients after the first slot
             # must be parenthesized.
-            if isinstance(f, Div):
-                parts.append(f"({f._text(names)})")
-            else:
-                parts.append(_paren(f, 3, names))
+            parts.append(f"({t[f]})" if isinstance(f, Div) else _paren(f, 3, t))
         return " * ".join(parts)
-
-    def _make_key(self):
-        return (8, tuple(f.sort_key() for f in self.factors))
 
 
 class Neg(Expr):
@@ -332,9 +339,10 @@ class Neg(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
+        self._key = (7, arg._key)
 
-    def diff(self, index):
-        return neg(self.arg.diff(index))
+    def _diff(self, index, d):
+        return neg(d[self.arg])
 
     def _np(self, pts, arg):
         return -arg
@@ -345,11 +353,8 @@ class Neg(Expr):
     def _prec(self):
         return 3
 
-    def _text(self, names):
-        return f"-{_paren(self.arg, 4, names)}"
-
-    def _make_key(self):
-        return (7, self.arg.sort_key())
+    def _text(self, names, t):
+        return f"-{_paren(self.arg, 4, t)}"
 
 
 class Div(Expr):
@@ -358,10 +363,11 @@ class Div(Expr):
     def __init__(self, num: Expr, den: Expr):
         self.num = num
         self.den = den
+        self._key = (6, num._key, den._key)
 
-    def diff(self, index):
-        dn = self.num.diff(index)
-        dd = self.den.diff(index)
+    def _diff(self, index, d):
+        dn = d[self.num]
+        dd = d[self.den]
         if is_zero(dd):
             return div(dn, self.den)
         return div(add(mul(dn, self.den), neg(mul(self.num, dd))), intpow(self.den, 2))
@@ -376,11 +382,8 @@ class Div(Expr):
     def _prec(self):
         return 2
 
-    def _text(self, names):
-        return f"{_paren(self.num, 2, names)} / {_paren(self.den, 3, names)}"
-
-    def _make_key(self):
-        return (6, self.num.sort_key(), self.den.sort_key())
+    def _text(self, names, t):
+        return f"{_paren(self.num, 2, t)} / {_paren(self.den, 3, t)}"
 
 
 class IntPow(Expr):
@@ -389,9 +392,10 @@ class IntPow(Expr):
     def __init__(self, base: Expr, exponent: int):
         self.base = base
         self.exponent = exponent
+        self._key = (5, base._key, exponent)
 
-    def diff(self, index):
-        db = self.base.diff(index)
+    def _diff(self, index, d):
+        db = d[self.base]
         if is_zero(db):
             return _ZERO
         return mul(Const(self.exponent), intpow(self.base, self.exponent - 1), db)
@@ -404,14 +408,14 @@ class IntPow(Expr):
     def _children(self):
         return (self.base,)
 
+    def _rebuild(self, kids):
+        return IntPow(kids[0], self.exponent)
+
     def _prec(self):
         return 4
 
-    def _text(self, names):
-        return f"{_paren(self.base, 5, names)}^{self.exponent}"
-
-    def _make_key(self):
-        return (5, self.base.sort_key(), self.exponent)
+    def _text(self, names, t):
+        return f"{_paren(self.base, 5, t)}^{self.exponent}"
 
 
 class _Func(Expr):
@@ -420,26 +424,22 @@ class _Func(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
+        self._key = (2, self.name, arg._key)
 
     def _children(self):
         return (self.arg,)
 
-    def _text(self, names):
-        return f"{self.name}({self.arg._text(names)})"
-
-    def _make_key(self):
-        return (2, self.name, self.arg.sort_key())
+    def _text(self, names, t):
+        return f"{self.name}({t[self.arg]})"
 
 
 class Sqrt(_Func):
     __slots__ = ()
     name = "sqrt"
 
-    def diff(self, index):
-        da = self.arg.diff(index)
-        if is_zero(da):
-            return _ZERO
-        return div(da, mul(Const(2.0), Sqrt(self.arg)))
+    def _diff(self, index, d):
+        da = d[self.arg]
+        return _ZERO if is_zero(da) else div(da, mul(Const(2.0), self))
 
     def _np(self, pts, arg):
         _check(arg < 0.0, "square root of a negative value")
@@ -450,11 +450,9 @@ class Exp(_Func):
     __slots__ = ()
     name = "exp"
 
-    def diff(self, index):
-        da = self.arg.diff(index)
-        if is_zero(da):
-            return _ZERO
-        return mul(Exp(self.arg), da)
+    def _diff(self, index, d):
+        da = d[self.arg]
+        return _ZERO if is_zero(da) else mul(self, da)
 
     def _np(self, pts, arg):
         return np.exp(arg)
@@ -464,11 +462,9 @@ class Sin(_Func):
     __slots__ = ()
     name = "sin"
 
-    def diff(self, index):
-        da = self.arg.diff(index)
-        if is_zero(da):
-            return _ZERO
-        return mul(Cos(self.arg), da)
+    def _diff(self, index, d):
+        da = d[self.arg]
+        return _ZERO if is_zero(da) else mul(Cos(self.arg), da)
 
     def _np(self, pts, arg):
         return np.sin(arg)
@@ -478,11 +474,9 @@ class Cos(_Func):
     __slots__ = ()
     name = "cos"
 
-    def diff(self, index):
-        da = self.arg.diff(index)
-        if is_zero(da):
-            return _ZERO
-        return neg(mul(Sin(self.arg), da))
+    def _diff(self, index, d):
+        da = d[self.arg]
+        return _ZERO if is_zero(da) else neg(mul(Sin(self.arg), da))
 
     def _np(self, pts, arg):
         return np.cos(arg)
@@ -531,8 +525,7 @@ def add(*terms) -> Expr:
         return _ZERO
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda e: e.sort_key())
-    return Add(tuple(flat))
+    return Add(_sorted(flat))
 
 
 def mul(*factors) -> Expr:
@@ -556,8 +549,7 @@ def mul(*factors) -> Expr:
         flat.append(Const(cprod))
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda e: e.sort_key())
-    return Mul(tuple(flat))
+    return Mul(_sorted(flat))
 
 
 def neg(e) -> Expr:
@@ -623,7 +615,10 @@ def cos(e) -> Expr:
 
 def diff(e: Expr, index: int) -> Expr:
     """Exact partial derivative with respect to the chart coordinate ``index``."""
-    return e.diff(index)
+    d: dict = {}
+    for node in _distinct_nodes([e]):
+        d[node] = node._diff(index, d)
+    return d[e]
 
 
 def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
@@ -640,6 +635,28 @@ def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
         return np.empty((0, len(exprs)))
     pts = np.asarray(points, dtype=float)
     index = _distinct_nodes(exprs)
+    n, failure = len(pts), None
+    while True:  # after a domain error, search the points before it for another
+        try:
+            out = _node_values(exprs, index, pts[:n])
+            break
+        except _OutOfDomain as err:
+            failure = err.args
+            n = failure[1]
+    bad = ~np.isfinite(out)
+    if np.count_nonzero(bad):
+        first = int(np.argmax(bad.any(axis=1)))
+        raise EvalDomainError("non-finite value", exprs[int(np.argmax(bad[first]))],
+                              tuple(pts[first].tolist()))
+    if failure is not None:
+        message, first, node = failure
+        raise EvalDomainError(message, node, tuple(pts[first].tolist()))
+    return out
+
+
+def _node_values(exprs: Sequence[Expr], index: dict[Expr, int], pts: np.ndarray) -> np.ndarray:
+    """The walk of :func:`evaluate_points` over the nodes in ``index``; the
+    first failing node raises ``_OutOfDomain(message, first bad point, node)``."""
     uses = [0] * len(index)  # parents not yet computed, per node
     for node in index:
         for c in node._children():
@@ -663,17 +680,10 @@ def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
                 if not uses[i]:
                     vals[i] = None
         except _OutOfDomain as err:
-            message, first = err.args
-            evaluate_points(exprs, pts[:first])  # raises if an earlier point fails
-            raise EvalDomainError(message, node, tuple(pts[first].tolist())) from None
+            raise _OutOfDomain(*err.args, node) from None
         except IndexError:
             raise ExprError(f"points of length {pts.shape[1]} have no coordinate "
                             f"{node.index}") from None
-    bad = ~np.isfinite(out)
-    if np.count_nonzero(bad):
-        first = int(np.argmax(bad.any(axis=1)))
-        raise EvalDomainError("non-finite value", exprs[int(np.argmax(bad[first]))],
-                              tuple(pts[first].tolist()))
     return out
 
 
@@ -704,39 +714,24 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
 
 def to_text(e: Expr, chart: Chart) -> str:
     """Print ``e`` in the expression grammar; round-trips through :func:`parse`."""
-    return e._text(chart.names)
+    t: dict = {}
+    for node in _distinct_nodes([e]):
+        t[node] = node._text(chart.names, t)
+    return t[e]
 
 
-def _paren(e: Expr, min_prec: int, names) -> str:
-    t = e._text(names)
-    return f"({t})" if e._prec() < min_prec else t
+def _paren(e: Expr, min_prec: int, t: dict) -> str:
+    return f"({t[e]})" if e._prec() < min_prec else t[e]
 
 
 def remap_coords(e: Expr, table: dict[int, int]) -> Expr:
-    """Rebuild ``e`` with every coordinate index sent through ``table``."""
-    if isinstance(e, Coord):
-        return Coord(table[e.index])
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return add(*[remap_coords(t, table) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[remap_coords(f, table) for f in e.factors])
-    if isinstance(e, Neg):
-        return neg(remap_coords(e.arg, table))
-    if isinstance(e, Div):
-        return div(remap_coords(e.num, table), remap_coords(e.den, table))
-    if isinstance(e, IntPow):
-        return intpow(remap_coords(e.base, table), e.exponent)
-    if isinstance(e, Sqrt):
-        return sqrt(remap_coords(e.arg, table))
-    if isinstance(e, Exp):
-        return exp(remap_coords(e.arg, table))
-    if isinstance(e, Sin):
-        return sin(remap_coords(e.arg, table))
-    if isinstance(e, Cos):
-        return cos(remap_coords(e.arg, table))
-    raise ExprError(f"cannot remap {e!r}")
+    """Rebuild ``e`` with every coordinate index sent through ``table``.  Each
+    node keeps its class (a nested sum is not flattened into its parent)."""
+    new: dict = {}
+    for node in _distinct_nodes([e]):
+        new[node] = (Coord(table[node.index]) if isinstance(node, Coord)
+                     else node._rebuild([new[c] for c in node._children()]))
+    return new[e]
 
 
 def depends_on(e: Expr, indices: Iterable[int]) -> bool:
@@ -765,6 +760,10 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
+
+# Deepest nesting of parentheses (function calls included) that parse
+# accepts.  The parser recurses four calls per level; shipped files nest 3.
+_MAX_NESTING = 100
 
 
 class _Tok:
@@ -805,6 +804,7 @@ class _Parser:
         self.chart = chart
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -864,20 +864,25 @@ class _Parser:
             raise ParseError(f"malformed exponent {t.text or 'end of input'!r}", self.text, t.pos)
         return sign * int(t.text)
 
+    def group(self, opening: _Tok) -> Expr:
+        """The expression after ``opening`` and its closing parenthesis."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", self.text, opening.pos)
+        e = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return e
+
     def base(self) -> Expr:
         t = self.next()
         if t.kind == "num":
             return Const(float(t.text))
         if t.kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.group(t)
         if t.kind == "ident":
             if t.text in _FUNCS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return _FUNCS[t.text](arg)
+                return _FUNCS[t.text](self.group(self.expect("(")))
             if t.text in self.chart.names:
                 return Coord(self.chart.names.index(t.text))
             raise ParseError(f"unknown identifier {t.text!r}", self.text, t.pos)

@@ -320,10 +320,6 @@ class Metric:
         return sqrt(det)
 
     # -- numeric access ---------------------------------------------------
-    def matrix_fn(self) -> Callable[[Sequence[float]], np.ndarray]:
-        """:meth:`matrix_at` as a point -> matrix callable."""
-        return self.matrix_at
-
     def matrix_at(self, point) -> np.ndarray:
         return matrix_values(self.entries, [point])[0]
 

@@ -198,7 +198,7 @@ def test_criterion_03_walker_ricci():
                 failures.append(f"trial {trial}: off-profile component {off:.2e}")
         p = pts[0]
         sym = np.array([[evaluate(ric[i][j], p) for j in range(5)] for i in range(5)])
-        orc = fd_ricci(m.matrix_fn(), p)
+        orc = fd_ricci(m.matrix_at, p)
         if np.max(np.abs(sym - orc)) >= 1e-5:
             failures.append(f"trial {trial}: oracle mismatch {np.max(np.abs(sym - orc)):.2e}")
     report(3, "Walker Ricci profile law and finite-difference oracle", failures)

@@ -190,6 +190,10 @@ class TestCli:
         ("g(u,u) = ", "g(u,u) = sqrt(x1)", "square root of a negative value: sqrt(x1) at ("),
         # a second positive direction: signature (2, 9) instead of (1, 10)
         ("g(x1,x1) = ", "g(x1,x1) = 1.0", "metric has 9 negative eigenvalues at ("),
+        # past the parser's nesting bound (a RecursionError traceback before)
+        pytest.param("g(x1,x1) = ", "g(x1,x1) = -" + "(" * 260 + "1" + ")" * 260,
+                     "{path}:9: metric entry g(x1,x1): parentheses nested deeper than 100",
+                     id="nesting"),
     ])
     def test_bad_background_exit_2(self, tmp_path, capsys, entry, replacement, message):
         lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
@@ -199,7 +203,7 @@ class TestCli:
         assert main(["verify", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: " + message)
+        assert captured.err.startswith("error: " + message.format(path=path))
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, env, edit, message", [

@@ -403,12 +403,12 @@ class TestJetCore:
         for k, (p, core) in enumerate(zip(pts, core_components(bg, pts))):
             g = h.matrix_at(p)
             want = {key_name(chart, a): v
-                    for a, v in fd_maxwell(h.matrix_fn(), fluxfn, p, self.H).items()}
+                    for a, v in fd_maxwell(h.matrix_at, fluxfn, p, self.H).items()}
             scale = max(1.0, max(abs(v) for v in numeric_star(g, fluxfn(p)).values()))
             self._agree(core["maxwell"], want, which, self.MAXWELL_RTOL * scale)
             if k:
                 continue  # the 11-dimensional FD Ricci costs about a second per point
-            ein = fd_einstein(h.matrix_fn(), fluxfn, p, self.H)
+            ein = fd_einstein(h.matrix_at, fluxfn, p, self.H)
             want = {f"({chart.names[i]},{chart.names[j]})": ein[i, j]
                     for i in range(11) for j in range(i, 11)}
             scale = max(1.0, float(np.max(np.abs(g))))

@@ -15,12 +15,15 @@ from sugra.expr import (
     Add,
     Chart,
     Const,
+    Coord,
     Div,
     EvalDomainError,
     Exp,
     ExprError,
     IntPow,
+    Neg,
     ParseError,
+    Sin,
     Sqrt,
     add,
     compile_expr,
@@ -80,6 +83,7 @@ class TestParse:
             "1..2", "x1^^2", "@", "x1 + @", "sqrt", "sqrt()", "cos)x1(",
             "1e", "1e+", "2 ** 3", "x1!", "((x1)", "x1)", "+", "-", "/x1",
             "x1 / ", "exp(x1))", "una + 1", "x1 ^ (2)", "0x1f", "1.2.3",
+            "(" * 300 + "x1" + ")" * 300,
         ]
         rng = rng_for("fuzz")
         glyphs = list("abc123+-*/^()%.$ ")
@@ -142,6 +146,13 @@ class TestEval:
             fn = sympy.lambdify(symbols, sympy.sympify(to_text(e, W5)), "math")
             for k, p in enumerate(pts):
                 assert got[k, c] == pytest.approx(fn(*p), rel=1e-12)
+        # diff against sympy's derivative of the printed expression
+        for e in exprs[:30]:
+            got = evaluate_points([diff(e, i) for i in range(5)], pts)
+            for i, x in enumerate(symbols):
+                fn = sympy.lambdify(symbols, sympy.diff(sympy.sympify(to_text(e, W5)), x), "math")
+                for k, p in enumerate(pts):
+                    assert got[k, i] == pytest.approx(fn(*p), rel=1e-10)
 
     def test_shared_nodes_are_evaluated_once(self):
         # 2^61 - 1 tree nodes but 61 distinct ones
@@ -149,6 +160,26 @@ class TestEval:
         for _ in range(60):
             e = Add((e, e))
         assert evaluate(e, (0.0, 3.0, 0.0, 0.0, 0.0)) == 3.0 * 2.0 ** 60
+        assert evaluate(diff(e, 1), (0.0,) * 5) == 2.0 ** 60
+        assert evaluate(remap_coords(e, {1: 3}), (0.0, 0.0, 0.0, 5.0, 0.0)) == 5.0 * 2.0 ** 60
+
+    def test_deep_chain_without_recursion(self):
+        # sin(-sin(-...sin(-x1)...)), 5,000 nodes deep
+        e = coord(1)
+        for _ in range(2500):
+            e = Sin(Neg(e))
+        assert to_text(e, W5) == "sin(-" * 2500 + "x1" + ")" * 2500
+        key = e.sort_key()
+        for _ in range(2500):
+            assert key[:2] == (2, "sin") and key[2][0] == 7
+            key = key[2][1]
+        assert key == Coord(1).sort_key()
+        x, dx = 0.7, 1.0  # the chain rule, one link at a time
+        for _ in range(2500):
+            x, dx = math.sin(-x), -math.cos(-x) * dx
+        assert evaluate(e, (0.0, 0.7, 0.0, 0.0, 0.0)) == pytest.approx(x, rel=1e-12)
+        assert evaluate(diff(e, 1), (0.0, 0.7, 0.0, 0.0, 0.0)) == pytest.approx(dx, rel=1e-10)
+        assert evaluate(remap_coords(e, {1: 4}), (0.0, 0.0, 0.0, 0.0, 0.7)) == pytest.approx(x, rel=1e-12)
 
     def test_wide_sum(self):
         terms = [mul(float(k), coord(k % 5)) for k in range(1, 5001)]

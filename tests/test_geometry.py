@@ -80,7 +80,7 @@ class TestChristoffel:
         H = parse("1/6 * u^2 * (x1^2+x2^2+x3^2)", W5)
         m = walker_metric(WalkerData.pp_wave(H))
         sym = christoffel(m)
-        fn = m.matrix_fn()
+        fn = m.matrix_at
         for p in random_points(rng_for("walkerfd"), 3, 5):
             gam = fd_christoffel(fn, p)
             sym_gam = np.zeros((5, 5, 5))
@@ -93,7 +93,7 @@ class TestChristoffel:
     def test_ads_against_fd_oracle(self):
         m = ads5_metric()
         sym = christoffel(m)
-        fn = m.matrix_fn()
+        fn = m.matrix_at
         for p in random_points(rng_for("adsfd"), 3, 5, lo=0.5, hi=1.4):
             gam = fd_christoffel(fn, p)
             sym_gam = np.zeros((5, 5, 5))
@@ -134,7 +134,7 @@ class TestRicci:
             want = np.zeros((5, 5))
             want[0, 0] = 3.0
             assert np.max(np.abs(R - want)) < 1e-12
-        fn = m.matrix_fn()
+        fn = m.matrix_at
         p = (0.4, 0.8, -0.3, 0.9, 0.1)
         assert np.max(np.abs(fd_ricci(fn, p) - ricci_at(m, p))) < 1e-5
 
@@ -163,7 +163,7 @@ class TestRicci:
             R = ricci_at(m, p)
             g = m.matrix_at(p)
             assert np.max(np.abs(R - (4.0 / big_l ** 2) * g)) < 1e-10
-        fn = m.matrix_fn()
+        fn = m.matrix_at
         p = (0.3, 0.7, -0.2, 0.5, 1.1)
         assert np.max(np.abs(fd_ricci(fn, p) - ricci_at(m, p))) < 1e-5
 
@@ -174,7 +174,7 @@ class TestRicci:
             R = ricci_at(m, p)
             g = m.matrix_at(p)
             assert np.max(np.abs(R + g)) < 1e-10
-        fn = m.matrix_fn()
+        fn = m.matrix_at
         assert np.max(np.abs(fd_ricci(fn, (0.2, -0.4)) - ricci_at(m, (0.2, -0.4)))) < 1e-5
 
     def test_ricci_invariant_under_overall_sign_flip(self):
@@ -334,6 +334,6 @@ class TestProductStructure:
         from sugra.catalog import build
         bg = build("kahler-theta")
         h = bg.metric()
-        fn = h.matrix_fn()
+        fn = h.matrix_at
         p = bg.sample(1, seed=9)[0]
         assert np.max(np.abs(fd_ricci(fn, p) - ricci_at(h, p))) < 1e-5
