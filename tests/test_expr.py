@@ -149,8 +149,9 @@ class TestEval:
         # diff against sympy's derivative of the printed expression
         for e in exprs[:30]:
             got = evaluate_points([diff(e, i) for i in range(5)], pts)
+            sym = sympy.sympify(to_text(e, W5))
             for i, x in enumerate(symbols):
-                fn = sympy.lambdify(symbols, sympy.diff(sympy.sympify(to_text(e, W5)), x), "math")
+                fn = sympy.lambdify(symbols, sympy.diff(sym, x), "math")
                 for k, p in enumerate(pts):
                     assert got[k, i] == pytest.approx(fn(*p), rel=1e-10)
 
