@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .expr import (
     Chart,
@@ -94,18 +94,11 @@ def _poly_in_x(e: Expr, x_idx: tuple[int, int, int], v_idx: int):
     if isinstance(e, Neg):
         return {k: neg(v) for k, v in _poly_in_x(e.arg, x_idx, v_idx).items()}
     if isinstance(e, Mul):
-        out = {(0, 0, 0): const(1.0)}
-        for f in e.factors:
-            out = _poly_product(out, _poly_in_x(f, x_idx, v_idx))
-        return out
+        return _poly_product(_poly_in_x(f, x_idx, v_idx) for f in e.factors)
     if isinstance(e, IntPow):
         if e.exponent < 0:
             raise SolverError("negative power of a transverse coordinate")
-        out = {(0, 0, 0): const(1.0)}
-        base = _poly_in_x(e.base, x_idx, v_idx)
-        for _ in range(e.exponent):
-            out = _poly_product(out, base)
-        return out
+        return _poly_product([_poly_in_x(e.base, x_idx, v_idx)] * e.exponent)
     if isinstance(e, Div):
         if depends_on(e.den, bad):
             raise SolverError("transverse coordinate in a denominator")
@@ -113,14 +106,17 @@ def _poly_in_x(e: Expr, x_idx: tuple[int, int, int], v_idx: int):
     raise SolverError(f"non-polynomial dependence on the transverse coordinates: {type(e).__name__}")
 
 
-def _poly_product(a: dict, b: dict) -> dict:
-    """Product of two :func:`_poly_in_x` decompositions."""
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-            term = mul(va, vb)
-            out[k] = add(out[k], term) if k in out else term
+def _poly_product(polys: Iterable[dict]) -> dict:
+    """Product of :func:`_poly_in_x` decompositions, taken left to right."""
+    out = {(0, 0, 0): const(1.0)}
+    for b in polys:
+        nxt: dict = {}
+        for ka, va in out.items():
+            for kb, vb in b.items():
+                k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+                term = mul(va, vb)
+                nxt[k] = add(nxt[k], term) if k in nxt else term
+        out = nxt
     return out
 
 

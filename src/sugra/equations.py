@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, diff, evaluate, evaluate_points, is_zero, to_text, _as_expr
+from .expr import EvalDomainError, Expr, evaluate, evaluate_points, gradient, is_zero, to_text, _as_expr
 from .forms import (
     FormError,
     KForm,
@@ -371,7 +371,7 @@ class _Jets:
         n = 11
         used = {i for key in flux.coeffs for i in key}
         s = sorted(i for comp in _components(h.entries, n) if used & set(comp) for i in comp)
-        dflux = [(l, key, d) for key, e in flux.items() for l in s if not is_zero(d := diff(e, l))]
+        dflux = [(l, key, d) for key, e in flux.items() for l, d in zip(s, gradient(e, s)) if not is_zero(d)]
         dvars = sorted({l for l, _, _ in dflux})
         local = {g: a for a, g in enumerate(s)}
         closed = ext_d(flux)
@@ -433,12 +433,12 @@ class _Jets:
                 continue
             pairs = {(i, j), (j, i)}
             self._put("h", e, [(ij, 1) for ij in pairs])
-            for k in range(n):
-                if is_zero(dk := diff(e, k)):
+            for k, dk in enumerate(gradient(e, range(n))):
+                if is_zero(dk):
                     continue
                 self._put("dh", dk, [((k,) + ij, 1) for ij in pairs])
-                for l in range(k, n):
-                    if not is_zero(dkl := diff(dk, l)):
+                for l, dkl in zip(range(k, n), gradient(dk, range(k, n))):
+                    if not is_zero(dkl):
                         self._put("ddh", dkl,
                                   [(kl + ij, 1) for kl in {(k, l), (l, k)} for ij in pairs])
 

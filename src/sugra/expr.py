@@ -10,12 +10,14 @@ and safe to share between threads.  They support
   each node computed once for a whole batch of points; domain errors carry
   the offending subexpression and the first point where it fails,
 * coordinate remapping, and
-* parsing from text (at most ``_MAX_NESTING`` parentheses deep) and printing.
+* parsing from text (at most ``_MAX_NESTING`` levels deep) and printing.
 
 Every operation is one walk over the distinct nodes (by identity) of its
 expressions, children first (:func:`_distinct_nodes`), applying a local rule
 of each node class to the results of its children: shared subtrees cost
-once and no operation recurses.  Sort keys are built at construction.
+once and no operation recurses.  Sort keys are nested tuples built at
+construction; comparing two recurses in C through their depth, which the
+parser's bound keeps within the interpreter's limit for parsed input.
 
 There is deliberately no general simplifier: the smart constructors only
 absorb literal zeros and ones (and fold arithmetic on literal constants),
@@ -66,6 +68,7 @@ __all__ = [
     "evaluate",
     "evaluate_points",
     "diff",
+    "gradient",
     "to_text",
     "compile_expr",
     "remap_coords",
@@ -144,6 +147,7 @@ class Expr:
     """
 
     __slots__ = ("_key",)
+    _prec = 5  # how tightly the printed form binds; see _paren
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -194,9 +198,6 @@ class Expr:
     def _children(self) -> tuple:
         return ()
 
-    def _prec(self) -> int:
-        return 5
-
     def sort_key(self):
         """Structural key that orders the terms of sums and products."""
         return self._key
@@ -236,6 +237,7 @@ class Const(Expr):
     def _rebuild(self, kids):
         return self
 
+    @property
     def _prec(self):
         return 5 if self.value >= 0 else 3
 
@@ -267,6 +269,7 @@ class Coord(Expr):
 
 class Add(Expr):
     __slots__ = ("terms",)
+    _prec = 1
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
@@ -284,9 +287,6 @@ class Add(Expr):
     def _rebuild(self, kids):
         return Add(_sorted(kids))
 
-    def _prec(self):
-        return 1
-
     def _text(self, names, t):
         parts = [t[self.terms[0]]]
         for x in self.terms[1:]:
@@ -301,6 +301,7 @@ class Add(Expr):
 
 class Mul(Expr):
     __slots__ = ("factors",)
+    _prec = 2
 
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
@@ -322,9 +323,6 @@ class Mul(Expr):
     def _rebuild(self, kids):
         return Mul(_sorted(kids))
 
-    def _prec(self):
-        return 2
-
     def _text(self, names, t):
         parts = [_paren(self.factors[0], 2, t)]
         for f in self.factors[1:]:
@@ -336,6 +334,7 @@ class Mul(Expr):
 
 class Neg(Expr):
     __slots__ = ("arg",)
+    _prec = 3
 
     def __init__(self, arg: Expr):
         self.arg = arg
@@ -350,15 +349,13 @@ class Neg(Expr):
     def _children(self):
         return (self.arg,)
 
-    def _prec(self):
-        return 3
-
     def _text(self, names, t):
         return f"-{_paren(self.arg, 4, t)}"
 
 
 class Div(Expr):
     __slots__ = ("num", "den")
+    _prec = 2
 
     def __init__(self, num: Expr, den: Expr):
         self.num = num
@@ -379,15 +376,13 @@ class Div(Expr):
     def _children(self):
         return (self.num, self.den)
 
-    def _prec(self):
-        return 2
-
     def _text(self, names, t):
         return f"{_paren(self.num, 2, t)} / {_paren(self.den, 3, t)}"
 
 
 class IntPow(Expr):
     __slots__ = ("base", "exponent")
+    _prec = 4
 
     def __init__(self, base: Expr, exponent: int):
         self.base = base
@@ -410,9 +405,6 @@ class IntPow(Expr):
 
     def _rebuild(self, kids):
         return IntPow(kids[0], self.exponent)
-
-    def _prec(self):
-        return 4
 
     def _text(self, names, t):
         return f"{_paren(self.base, 5, t)}^{self.exponent}"
@@ -615,10 +607,16 @@ def cos(e) -> Expr:
 
 def diff(e: Expr, index: int) -> Expr:
     """Exact partial derivative with respect to the chart coordinate ``index``."""
-    d: dict = {}
+    return gradient(e, (index,))[0]
+
+
+def gradient(e: Expr, indices: Iterable[int]) -> list[Expr]:
+    """``[diff(e, i) for i in indices]``, from one walk over ``e``."""
+    ds = [(i, {}) for i in indices]
     for node in _distinct_nodes([e]):
-        d[node] = node._diff(index, d)
-    return d[e]
+        for i, d in ds:
+            d[node] = node._diff(i, d)
+    return [d[e] for _, d in ds]
 
 
 def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
@@ -631,12 +629,10 @@ def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
     numpy and drops its values after their last use.  A domain error names
     the first point where any node fails, and the first node failing there.
     """
-    if not len(points):
-        return np.empty((0, len(exprs)))
     pts = np.asarray(points, dtype=float)
     index = _distinct_nodes(exprs)
-    n, failure = len(pts), None
-    while True:  # after a domain error, search the points before it for another
+    n, failure, out = len(pts), None, np.empty((0, len(exprs)))
+    while n:  # after a domain error, search the points before it for another
         try:
             out = _node_values(exprs, index, pts[:n])
             break
@@ -721,7 +717,7 @@ def to_text(e: Expr, chart: Chart) -> str:
 
 
 def _paren(e: Expr, min_prec: int, t: dict) -> str:
-    return f"({t[e]})" if e._prec() < min_prec else t[e]
+    return f"({t[e]})" if e._prec < min_prec else t[e]
 
 
 def remap_coords(e: Expr, table: dict[int, int]) -> Expr:
@@ -761,8 +757,9 @@ _TOKEN_RE = re.compile(
 
 _FUNCS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
 
-# Deepest nesting of parentheses (function calls included) that parse
-# accepts.  The parser recurses four calls per level; shipped files nest 3.
+# Deepest nesting that parse accepts: parentheses (function calls included)
+# plus the ``/`` links of a quotient chain, each of which nests the sort key
+# of everything before it.  Shipped files nest 3.
 _MAX_NESTING = 100
 
 
@@ -837,10 +834,14 @@ class _Parser:
 
     def term(self) -> Expr:
         e = self.factor()
+        depth = self.depth
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+            op = self.next()
+            if op.kind == "/":  # a quotient nests everything before it one level deeper
+                self.nest(op)
             rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            e = mul(e, rhs) if op.kind == "*" else div(e, rhs)
+        self.depth = depth
         return e
 
     def factor(self) -> Expr:
@@ -864,11 +865,16 @@ class _Parser:
             raise ParseError(f"malformed exponent {t.text or 'end of input'!r}", self.text, t.pos)
         return sign * int(t.text)
 
-    def group(self, opening: _Tok) -> Expr:
-        """The expression after ``opening`` and its closing parenthesis."""
+    def nest(self, tok: _Tok) -> None:
+        """One level deeper at ``tok``, an opening parenthesis or a ``/``."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", self.text, opening.pos)
+            raise ParseError(f"parentheses and quotients nested deeper than {_MAX_NESTING}",
+                             self.text, tok.pos)
+
+    def group(self, opening: _Tok) -> Expr:
+        """The expression after ``opening`` and its closing parenthesis."""
+        self.nest(opening)
         e = self.expr()
         self.expect(")")
         self.depth -= 1

@@ -26,9 +26,9 @@ from .expr import (
     Coord,
     Expr,
     add,
-    diff,
     div,
     evaluate_points,
+    gradient,
     is_zero,
     mul,
     neg,
@@ -218,10 +218,8 @@ def ext_d(a: KForm) -> KForm:
         return KForm(a.chart, n)
     out: dict[tuple[int, ...], Expr] = {}
     for key, val in a.coeffs.items():
-        for i in range(n):
-            if i in key:
-                continue
-            dv = diff(val, i)
+        free = [i for i in range(n) if i not in key]
+        for i, dv in zip(free, gradient(val, free)):
             if is_zero(dv):
                 continue
             pos = sum(1 for j in key if j < i)

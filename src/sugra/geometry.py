@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Chart, Expr, add, diff, evaluate, is_zero, mul, neg, _as_expr
+from .expr import Chart, Expr, add, diff, evaluate, gradient, is_zero, mul, neg, _as_expr
 from .forms import FormError, Metric, matrix_values, sym_inverse
 
 __all__ = [
@@ -71,9 +71,8 @@ def christoffel(m: Metric, block: Optional[tuple[int, ...]] = None):
         inv_local = [[inv[idx[a]][idx[b]] for b in range(nb)] for a in range(nb)]
     else:
         inv_local = _block_inverse(m, idx)
-    # dg[a][b][c] = d_{idx[a]} g_{idx[b] idx[c]}
-    dg = [[[diff(m.entries[idx[b]][idx[c]], idx[a]) for c in range(nb)]
-           for b in range(nb)] for a in range(nb)]
+    # dg[b][c][a] = d_{idx[a]} g_{idx[b] idx[c]}
+    dg = [[gradient(m.entries[b][c], idx) for c in idx] for b in idx]
     out: dict[tuple[int, int, int], Expr] = {}
     for k in range(nb):
         row = inv_local[k]
@@ -83,7 +82,7 @@ def christoffel(m: Metric, block: Optional[tuple[int, ...]] = None):
                 for l in range(nb):
                     if is_zero(row[l]):
                         continue
-                    inner = add(dg[i][j][l], dg[j][i][l], neg(dg[l][i][j]))
+                    inner = add(dg[j][l][i], dg[i][l][j], neg(dg[i][j][l]))
                     if is_zero(inner):
                         continue
                     terms.append(mul(0.5, row[l], inner))
@@ -169,7 +168,7 @@ def laplace_beltrami(m: Metric, s: Expr, block: Optional[tuple[int, ...]] = None
     else:
         inv_local = _block_inverse(m, idx)
     sym = christoffel(m, block)
-    ds = [diff(s, idx[a]) for a in range(nb)]
+    ds = gradient(s, idx)
     terms = []
     for a in range(nb):
         for b in range(nb):

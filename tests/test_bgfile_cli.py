@@ -188,12 +188,18 @@ class TestCli:
     @pytest.mark.parametrize("entry, replacement, message", [
         # leaves sqrt's domain on the half of the box where x1 < 0
         ("g(u,u) = ", "g(u,u) = sqrt(x1)", "square root of a negative value: sqrt(x1) at ("),
+        # a constant out of the domain at every point
+        ("g(u,u) = ", "g(u,u) = sqrt(-1)", "square root of a negative value: sqrt(-1.0) at ("),
         # a second positive direction: signature (2, 9) instead of (1, 10)
         ("g(x1,x1) = ", "g(x1,x1) = 1.0", "metric has 9 negative eigenvalues at ("),
         # past the parser's nesting bound (a RecursionError traceback before)
         pytest.param("g(x1,x1) = ", "g(x1,x1) = -" + "(" * 260 + "1" + ")" * 260,
-                     "{path}:9: metric entry g(x1,x1): parentheses nested deeper than 100",
+                     "{path}:9: metric entry g(x1,x1): parentheses and quotients nested deeper than 100",
                      id="nesting"),
+        # two similar quotient chains: comparing their sort keys recursed too deep
+        pytest.param("g(u,u) = ", "g(u,u) = 1 + u" + "/(1+x1^2)" * 1500 + " + v" + "/(1+x1^2)" * 1500,
+                     "{path}:7: metric entry g(u,u): parentheses and quotients nested deeper than 100",
+                     id="quotients"),
     ])
     def test_bad_background_exit_2(self, tmp_path, capsys, entry, replacement, message):
         lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()

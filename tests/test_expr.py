@@ -32,6 +32,7 @@ from sugra.expr import (
     div,
     evaluate,
     evaluate_points,
+    gradient,
     intpow,
     mul,
     parse,
@@ -83,7 +84,7 @@ class TestParse:
             "1..2", "x1^^2", "@", "x1 + @", "sqrt", "sqrt()", "cos)x1(",
             "1e", "1e+", "2 ** 3", "x1!", "((x1)", "x1)", "+", "-", "/x1",
             "x1 / ", "exp(x1))", "una + 1", "x1 ^ (2)", "0x1f", "1.2.3",
-            "(" * 300 + "x1" + ")" * 300,
+            "(" * 300 + "x1" + ")" * 300, "x1" + "/x2" * 300,
         ]
         rng = rng_for("fuzz")
         glyphs = list("abc123+-*/^()%.$ ")
@@ -99,6 +100,14 @@ class TestParse:
             except Exception as err:  # pragma: no cover - the assertion message
                 pytest.fail(f"{text!r} crashed with {type(err).__name__}: {err}")
         assert rejected >= len(corpus) - 15  # random soup occasionally parses
+
+    def test_nesting_bound(self):
+        for text in ["(" * 100 + "x1" + ")" * 100, "x1" + "/x2" * 100,
+                     "(" * 50 + "x1" + "/x2" * 50 + ")" * 50]:
+            parse(text, W5)
+            with pytest.raises(ParseError, match="nested deeper than 100"):
+                parse("(" + text + ")", W5)
+        parse(" + ".join(["x1" + "/x2" * 100] * 3), W5)  # each term nests on its own
 
     def test_roundtrip_through_text(self):
         rng = rng_for("roundtrip")
@@ -210,6 +219,10 @@ class TestEval:
     @pytest.mark.parametrize("text, message, first", [
         ("x1^-2", "zero raised to a negative power", 1),
         ("exp(exp(x1 + 7))", "non-finite value", 0),  # overflows at both points
+        # constant subtrees, out of the domain at every point
+        ("sqrt(-1)", "square root of a negative value", 0),
+        ("x1 + 1/exp(-1000)", "division by zero", 0),
+        ("sin(0)^-1", "zero raised to a negative power", 0),
     ])
     def test_other_domain_errors(self, text, message, first):
         pts = [(0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)]
@@ -244,6 +257,14 @@ class TestDiff:
         d = diff(e, 1)
         fd = central_diff(lambda t: evaluate(e, (0, t, 0, 0, 0)), 0.3, h=1e-5)
         assert abs(evaluate(d, (0, 0.3, 0, 0, 0)) - fd) <= 1e-8
+
+    def test_gradient_is_diff_per_index(self):
+        rng = rng_for("gradient")
+        for _ in range(20):
+            e = random_scalar(W5, rng)
+            got = [g.sort_key() for g in gradient(e, [4, 0, 2, 0])]
+            assert got == [diff(e, i).sort_key() for i in (4, 0, 2, 0)]
+        assert gradient(coord(1), []) == []
 
     def test_against_central_differences_random(self):
         rng = rng_for("fd")
