@@ -39,15 +39,9 @@ def fd_christoffel(matfn, point, h: float = 1e-4) -> np.ndarray:
     n = g.shape[0]
     ginv = np.linalg.inv(g)
     dg = np.array([richardson_partial(matfn, point, k, h) for k in range(n)])
-    gam = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc += ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                gam[k, i, j] = 0.5 * acc
-    return gam
+    # G^k_ij = h^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, with dg[a, b, c] = d_a g_bc
+    low = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
+    return 0.5 * np.einsum("kl,lij->kij", ginv, low)
 
 
 def fd_ricci(matfn, point, h: float = 1e-4) -> np.ndarray:
@@ -55,23 +49,18 @@ def fd_ricci(matfn, point, h: float = 1e-4) -> np.ndarray:
     using the same index convention as the symbolic path:
     Ric_ab = d_k G^k_ab - d_a G^k_kb + G^k_kl G^l_ab - G^k_al G^l_kb.
     """
-    g = np.asarray(matfn(point))
-    n = g.shape[0]
+    n = np.asarray(matfn(point)).shape[0]
 
     def gamfn(p):
         return fd_christoffel(matfn, p, h)
 
     gam = gamfn(point)
-    dgam = np.array([richardson_partial(gamfn, point, m, h) for m in range(n)])
-    ric = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            t1 = sum(dgam[k][k, a, b] for k in range(n))
-            t2 = sum(dgam[a][k, k, b] for k in range(n))
-            t3 = sum(gam[k, k, l] * gam[l, a, b] for k in range(n) for l in range(n))
-            t4 = sum(gam[k, a, l] * gam[l, k, b] for k in range(n) for l in range(n))
-            ric[a, b] = t1 - t2 + t3 - t4
-    return ric
+    dgam = np.array([richardson_partial(gamfn, point, m, h) for m in range(n)])  # d_m G^k_ab
+    t1 = np.einsum("kkab->ab", dgam)
+    t2 = np.einsum("akkb->ab", dgam)
+    t3 = np.einsum("kkl,lab->ab", gam, gam)
+    t4 = np.einsum("kal,lkb->ab", gam, gam)
+    return t1 - t2 + t3 - t4
 
 
 def _parity(seq) -> int:
@@ -133,13 +122,19 @@ def fd_maxwell(matfn, fluxfn, point, h: float = 1e-4) -> dict:
     return out
 
 
+def flux_contractions(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """``<e_a . F, e_b . F>`` and ``|F|^2`` of a 4-form array ``f`` at one
+    point, by direct numpy contraction with the inverse of the metric ``g``."""
+    ginv = np.linalg.inv(g)
+    f_up3 = np.einsum("ajkl,jJ,kK,lL->aJKL", f, ginv, ginv, ginv, optimize=True)
+    inner = np.einsum("ajkl,bjkl->ab", f, f_up3) / 6.0
+    norm = np.einsum("ijkl,iI,Ijkl->", f, ginv, f_up3) / 24.0
+    return inner, norm
+
+
 def fd_einstein(matfn, fluxfn, point, h: float = 1e-4) -> np.ndarray:
     """``Ric_ab + (1/2) <e_a . F, e_b . F> - (1/6) g_ab |F|^2`` at ``point``:
     :func:`fd_ricci` plus a numpy contraction of the flux values."""
     g = np.asarray(matfn(point))
-    ginv = np.linalg.inv(g)
-    f = fluxfn(point)
-    f_up3 = np.einsum("ajkl,jJ,kK,lL->aJKL", f, ginv, ginv, ginv, optimize=True)
-    inner = np.einsum("ajkl,bjkl->ab", f, f_up3) / 6.0
-    norm = np.einsum("ijkl,iI,Ijkl->", f, ginv, f_up3) / 24.0
+    inner, norm = flux_contractions(g, fluxfn(point))
     return fd_ricci(matfn, point, h) + 0.5 * inner - g * norm / 6.0

@@ -1,10 +1,12 @@
 """Flux assembly, norms, residual operators, reduced-case diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import flat_metric, random_form, random_points, random_scalar, rng_for
-from oracles import fd_einstein, fd_maxwell, flux_tensor, numeric_star
+from oracles import fd_einstein, fd_maxwell, flux_contractions, flux_tensor, numeric_star
 
 import sugra.equations
 import sugra.forms
@@ -44,6 +46,7 @@ from sugra.equations import (
     trace_check,
     verify,
     _Jets,
+    _flux_terms,
     _ricci,
 )
 from sugra.catalog import build, catalog_ids
@@ -310,6 +313,13 @@ def tri6_background() -> Background:
                       FluxSpec(theta=theta, psi=const(1.0)), ads.box)
 
 
+def zero_flux_background() -> Background:
+    """gamma-delta-ppwave's curved product with no flux, so the jet core
+    has no flux coordinates at all (m = 0)."""
+    bg = build("gamma-delta-ppwave")
+    return Background(bg.product, FluxSpec(), bg.box)
+
+
 def core_components(bg, points) -> list[dict[str, dict[str, float]]]:
     """Per point, each family's residual components from the jet core, by name."""
     jets = _Jets(bg)
@@ -330,9 +340,9 @@ class TestJetCore:
     """The batched jet core against the symbolic layer and against
     finite-difference oracles that see only metric and flux values."""
 
-    @pytest.mark.parametrize("ident", catalog_ids())
+    @pytest.mark.parametrize("ident", catalog_ids() + ["zero-flux"])
     def test_matches_symbolic_layer(self, ident):
-        bg = build(ident)
+        bg = zero_flux_background() if ident == "zero-flux" else build(ident)
         h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
         ric = ricci(h)
         maxwell = ext_d(hodge(phi, h)) - wedge(phi, phi).scale(0.5)
@@ -382,6 +392,30 @@ class TestJetCore:
         ric, _ = _ricci(np.linalg.inv(h), dh, ddh)
         want = np.array([[[evaluate(e, p) for e in row] for row in ricci(m)] for p in pts])
         assert np.max(np.abs(ric - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    def test_flux_algebra_on_dense_data(self):
+        """The batched flux contractions against one-point numpy contractions
+        on a dense Lorentzian metric and a dense random 4-form, where no
+        term vanishes by block structure."""
+        m, z = 7, 3
+        rng = rng_for("denseflux")
+        h = []
+        for _ in range(z):
+            a = rng.uniform(-0.3, 0.3, size=(m, m))
+            g = np.diag([2.0] + [-2.0] * (m - 1)) + a + a.T
+            assert np.all(g != 0.0) and np.sum(np.linalg.eigvalsh(g) < 0.0) == m - 1
+            h.append(g)
+        h = np.array(h)
+        keys = list(itertools.combinations(range(m), 4))
+        f = np.array([flux_tensor({k: float(rng.uniform(-1.0, 1.0)) for k in keys}, m)
+                      for _ in range(z)])
+        inner, norm, _ = _flux_terms(f, np.zeros((z, 0) + (m,) * 4), np.array([], dtype=int),
+                                     np.linalg.inv(h), np.zeros((z, m, m, m)), np.zeros((z, m)))
+        for k in range(z):
+            want_inner, want_norm = flux_contractions(h[k], f[k])
+            scale = max(1.0, float(np.max(np.abs(want_inner))))
+            assert np.max(np.abs(inner[k] - want_inner)) < 1e-12 * scale
+            assert abs(norm[k] - want_norm) < 1e-12 * max(1.0, abs(want_norm))
 
     # Central differences with step H lose about eps/H (first derivatives,
     # relative to the size of *F) and eps/H^2 (the nested second derivatives
@@ -445,6 +479,48 @@ class TestSamplePlans:
         pts = sample_points(box, 50, 1, predicate=lambda p: p[0] < 0.0)
         assert len(pts) == 50
         assert all(p[0] >= 0.0 for p in pts)
+
+    @staticmethod
+    def _point_at_a_time(box, count, seed, predicate):
+        """Reference plan: one draw per call, the predicate after each."""
+        rng = np.random.default_rng(seed)
+        lows = np.array([lo for lo, _ in box])
+        highs = np.array([hi for _, hi in box])
+        pts, attempts = [], 0
+        while len(pts) < count:
+            draw = rng.uniform(lows, highs)
+            attempts += 1
+            if attempts > 1000 * count:
+                raise sugra.forms.FormError("sample box appears to be mostly inside the singular set")
+            p = tuple(float(v) for v in draw)
+            if predicate is None or not predicate(p):
+                pts.append(p)
+        return pts
+
+    @pytest.mark.parametrize("count, threshold", [(1500, None), (300, 0.0), (40, 0.9), (3, 2.0)])
+    def test_matches_point_at_a_time_loop(self, count, threshold):
+        """Same points and the same predicate calls, in the same order, as the
+        reference loop; threshold 2.0 rejects every point (the error case)."""
+        box = [(-1.0, 1.0)] * 5 + [(0.5, 2.5)] * 6
+        results = []
+        for draw in (sample_points, self._point_at_a_time):
+            calls = []
+
+            def predicate(p):
+                calls.append(p)
+                return p[0] < threshold
+
+            try:
+                out = draw(box, count, 7, None if threshold is None else predicate)
+            except sugra.forms.FormError as err:
+                out = str(err)
+            results.append((out, calls))
+        assert results[0] == results[1]
+        if threshold == 2.0:
+            assert results[0][0] == "sample box appears to be mostly inside the singular set"
+            assert len(results[0][1]) == 1000 * count
+        else:
+            assert len(results[0][0]) == count
 
     @pytest.mark.parametrize("count, seed, message", [
         (0, 42, "sample count must be positive"),
