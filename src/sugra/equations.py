@@ -26,8 +26,10 @@ Maxwell equation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -305,73 +307,205 @@ def _row(equation: str, block: str, a: np.ndarray, points, names: list[str]) -> 
                        points[point], names[comp])
 
 
-#: Points per numpy batch.  The metric jet holds 11^4 floats per point, so
-#: larger batches raise peak memory (3.5 MB at 16) for a few percent at most.
-_BATCH = 8
+#: Working memory of one batch of points, in bytes: the plan's tape and the
+#: terms of its largest contraction set the points per batch.
+_BATCH_BYTES = 1 << 20
 
 
-def _ricci(hinv: np.ndarray, dh: np.ndarray, ddh: np.ndarray):
-    """Ricci tensors (``geometry`` module convention) of a batch of metric
-    jets ``dh[z,k,i,j] = d_k h_ij``, ``ddh[z,k,l,i,j] = d_k d_l h_ij``, and
-    the traces ``G^k_kb = d_b log sqrt|h|``, by batched matmuls over views
-    (the jets are symmetric in ``k, l`` and in ``i, j``)."""
-    z, n = hinv.shape[:2]
-    hrow = hinv.reshape(z, 1, n * n)
-    dd = ddh.reshape(z, n * n, n * n)
-    dhinv = -hinv[:, None] @ dh @ hinv[:, None]  # d_k h^ij = -h^ia d_k h_ab h^bj
-    # Christoffel symbols G_lij = (d_i h_lj + d_j h_li - d_l h_ij)/2 and G^k_ij.
-    gam_low = 0.5 * (dh.transpose(0, 2, 1, 3) + dh.transpose(0, 2, 3, 1) - dh)
-    gam = (hinv @ gam_low.reshape(z, n, n * n)).reshape(z, n, n, n)
-    tau = 0.5 * (dh.reshape(z, n, n * n) @ hrow.transpose(0, 2, 1))[:, :, 0]
-    # Ric_ab = d_k G^k_ab - d_a G^k_kb + G^k_kl G^l_ab - G^k_al G^l_kb, where
-    # d_k G^k_ab = d_k h^kl G_lab + h^kl (d_k d_a h_lb + d_k d_b h_la - d_k d_l h_ab)/2
-    # and d_a G^k_kb = (d_a h^kl d_b h_kl + h^kl d_a d_b h_kl)/2.
-    x = (hrow[:, None] @ ddh.reshape(z, n, n * n, n))[:, :, 0]  # h^kl d_a d_k h_lb
-    y = (hrow @ dd).reshape(z, n, n)                             # h^kl d_k d_l h_ab
-    w = (dd @ hrow.transpose(0, 2, 1)).reshape(z, n, n)          # h^kl d_a d_b h_kl
-    gg = np.ascontiguousarray(gam.transpose(0, 2, 1, 3))         # gg[z,a,k,l] = G^k_al
-    ric = ((np.trace(dhinv, axis1=1, axis2=2)[:, None] @ gam_low.reshape(z, n, n * n)
-            + tau[:, None] @ gam.reshape(z, n, n * n)).reshape(z, n, n)
-           + 0.5 * (x + x.transpose(0, 2, 1) - y)
-           - 0.5 * (dhinv.reshape(z, n, n * n) @ dh.reshape(z, n, n * n).transpose(0, 2, 1) + w)
-           - gg.reshape(z, n, n * n) @ gg.reshape(z, n * n, n))
-    return ric, tau
+def _pick(pos):
+    """``key -> tuple(key[p] for p in pos)``."""
+    if len(pos) == 1:
+        return lambda k, p=pos[0]: (k[p],)
+    return itemgetter(*pos) if pos else lambda k: ()
 
 
-def _up(t: np.ndarray, hinv: np.ndarray) -> np.ndarray:
-    """``out[z,D,...] = h^Dd t[z,...,d]``: the last index raised and moved first."""
-    r = t.reshape(t.shape[0], int(np.prod(t.shape[1:-1])), t.shape[-1]) @ hinv
-    return np.moveaxis(r.reshape(t.shape), -1, 1)
+def _join(spec: str, a: dict, b: dict, coef: float = 1.0) -> list:
+    """Terms ``(out, c, col_a, col_b)`` of the einsum-style product ``spec``
+    of two sparse tensors ``{index: (column, sign)}``; every letter is in the
+    output or in both operands."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    on_a = _pick([sa.index(c) for c in sa if c in sb])
+    on_b = _pick([sb.index(c) for c in sa if c in sb])
+    make = _pick([(sa + sb).index(c) for c in out])
+    groups: dict = {}
+    for kb, vb in b.items():
+        groups.setdefault(on_b(kb), []).append((kb, vb))
+    return [(make(ka + kb), coef * s * t, ca, cb)
+            for ka, (ca, s) in a.items() for kb, (cb, t) in groups.get(on_a(ka), ())]
 
 
-def _flux_terms(f, df, dvars, hinv, dh, tau):
-    """For a batch of flux jets ``f[z,a,b,c,d] = F_abcd``,
-    ``df[z,l,a,b,c,d] = d_l F_abcd`` (for the coordinates ``dvars`` only)
-    and metric data on the same coordinates: ``<i_i F, i_j F>``, ``|F|^2``
-    and ``div^bcd = d_l(sqrt|h| F^lbcd) / sqrt|h|``, by batched matmuls
-    with explicit shapes (m = 0 and empty ``dvars`` work)."""
-    z, m = hinv.shape[:2]
-    f2 = _up(_up(f, hinv), hinv)            # f2[z,c,d,a,b] = F_ab^cd = F^cd_ab
-    g = _up(f2, hinv)                       # g[z,b,c,d,a] = F_a^bcd
-    inner = f.reshape(z, m, m ** 3) @ g.reshape(z, m ** 3, m) / 6.0  # <i_i F, i_j F>
-    norm = (hinv.reshape(z, 1, m * m) @ inner.reshape(z, m * m, 1))[:, 0, 0] / 4.0
-    # d_l F^lbcd by the product rule (d_l h^ab = -h^ax d_l h_xy h^yb in each slot) is
-    # h^la d_l F_a^bcd + v_y F^ybcd - hp^bcd + hp^cbd - hp^dbc with v_y = tau_y - h^lx d_l h_xy,
-    # hp^bcd = h^bx d_l h_xy F^lycd: all raise one lowered 3-tensor (hp: d_l h_yx F^ly_cd).
-    v = tau - (hinv.reshape(z, 1, m * m) @ dh.reshape(z, m * m, m))[:, 0]
-    low = (hinv[:, dvars].reshape(z, 1, -1) @ df.reshape(z, len(dvars) * m, m ** 3)
-           + (v[:, None] @ hinv) @ f.reshape(z, m, m ** 3)).reshape(z, m, m, m)
-    hp = (dh.reshape(z, m * m, m).transpose(0, 2, 1) @ f2.reshape(z, m * m, m * m)
-          ).reshape(z, m, m, m)
-    low += hp.transpose(0, 2, 1, 3) - hp.transpose(0, 2, 3, 1) - hp
-    div = _up(_up(_up(low, hinv), hinv), hinv)
-    return inner, norm, div
+@functools.cache
+def _moves(length: int, sym: tuple) -> list:
+    """``(getter, sign)`` for each reordering of a key of ``length`` slots
+    that the symmetry ``sym`` allows: slots ``lo..hi-1`` of each ``(lo, hi,
+    sign)`` are symmetric (sign 1) or antisymmetric (sign -1)."""
+    moves = [(tuple(range(length)), 1.0)]
+    for lo, hi, sign in sym:
+        moves = [(pos[:lo] + tuple(pos[lo + t] for t in perm) + pos[hi:],
+                  s * (perm_sign(perm) if sign < 0 else 1.0))
+                 for pos, s in moves for perm in itertools.permutations(range(hi - lo))]
+    return [(_pick(pos), s) for pos, s in moves]
+
+
+def _orbit(key: tuple, sym: tuple) -> dict:
+    """``{key': sign}`` over the reorderings of ``key`` that ``sym`` allows."""
+    return {get(key): s for get, s in _moves(len(key), sym)}
+
+
+class _Contractions:
+    """The residual families from the values of jet entries, planned once.
+
+    Each batch fills a tape with one column per quantity, stored as a row
+    of values over the points: the entry values, the constants 1 and 0,
+    ``h^-1`` and ``sqrt|det h|`` (per connected block of h), then each
+    structurally nonzero component of each intermediate tensor.  Each stage of the plan is one
+    gather-multiply-``np.add.reduceat`` over its terms ``c * a * b``.  Only
+    the canonical components of a (partly) symmetric tensor are computed;
+    the others alias them with a sign.  ``jets`` maps the names ``h, dh,
+    ddh, F, dF, closed, ff`` to ``{index: (value column, sign)}``, with
+    ``dh[k,i,j] = d_k h_ij`` and ``ddh[k,l,i,j] = d_k d_l h_ij``; Maxwell
+    column c is ``s_A d_l(sqrt|h| F^lB)`` for ``B = stars[mkeys[c]]``, if
+    any, minus ``ff``.
+    """
+
+    def __init__(self, jets: dict, width: int, n: int, signature, blocks, mkeys, stars):
+        self.signature = signature
+        self.one, self.zero = width, width + 1
+        self.ncols, self.ops, self.terms = width + 2, [], 0
+        hinv, self.blocks = {}, []
+        for k in sorted({len(b) for b in blocks}):
+            same = [b for b in blocks if len(b) == k]
+            dst = self._alloc(len(same) * k * k).reshape(len(same), k, k)
+            for b, cols in zip(same, dst):
+                hinv.update(((i, j), (cols[x, y], 1.0)) for x, i in enumerate(b) for y, j in enumerate(b))
+            self.blocks.append((np.array([[[jets["h"].get((i, j), (self.zero,))[0] for j in b] for i in b]
+                                          for b in same]), dst))
+        self.sqrt_det = self._alloc(1)[0]
+        h, dh, ddh, f, df = (jets[k] for k in ("h", "dh", "ddh", "F", "dF"))
+        one = {(): (self.one, 1.0)}
+        sym, anti3 = (0, 2, 1), (0, 3, -1)
+        # G^k_ij = h^kl (d_i h_lj + d_j h_li - d_l h_ij)/2, m[a,k,d] = h^kc d_a h_cd,
+        # v_y = tau_y - u_y with tau_y = G^k_ky = h^ij d_y h_ij/2, u_y = h^lx d_l h_xy,
+        # and F raised one slot at a time from the last: r1 = F_abc^d, r2 = F_ab^cd.
+        gam, m, v, r1 = self._stage(
+            (_join("kl,ilj->kij", hinv, dh, 0.5) + _join("kl,jli->kij", hinv, dh, 0.5)
+             + _join("kl,lij->kij", hinv, dh, -0.5), ((1, 3, 1),)),
+            (_join("kc,acd->akd", hinv, dh), ()),
+            (_join("ij,yij->y", hinv, dh, 0.5) + _join("lx,lxy->y", hinv, dh, -1.0), ()),
+            (_join("Dd,abcd->abcD", hinv, f), (anti3,)))
+        # Ric_ab = d_k G^k_ab - d_a G^k_kb + G^k_kl G^l_ab - G^k_al G^l_kb, where
+        # d_k G^k_ab = -u_l G^l_ab + h^kl (d_k d_a h_lb + d_k d_b h_la - d_k d_l h_ab)/2
+        # and d_a G^k_kb = (-m[a,k,d] m[b,d,k] + h^kl d_a d_b h_kl)/2.
+        ric, r2 = self._stage(
+            (_join("kl,kalb->ab", hinv, ddh, 0.5) + _join("kl,kbla->ab", hinv, ddh, 0.5)
+             + _join("kl,klab->ab", hinv, ddh, -0.5) + _join("kl,abkl->ab", hinv, ddh, -0.5)
+             + _join("l,lab->ab", v, gam) + _join("akd,bdk->ab", m, m, 0.5)
+             + _join("kal,lkb->ab", gam, gam, -1.0), (sym,)),
+            (_join("Cc,abcD->abCD", hinv, r1), ((0, 2, -1), (2, 4, -1))))
+        # <i_i F, i_j F> = F_ia^bc F_bcj^a / 6, |F|^2 = F_ab^cd F_cd^ab / 24, and
+        # d_l F^lbcd + tau_l F^lbcd = h^bx h^cy h^dw low_xyw by the product rule
+        # (d_l h^ab = -h^ax d_l h_xy h^yb in each slot): low_xyw = h^la d_l F_axyw
+        # + v_s F^s_xyw - q_x;yw + q_y;xw - q_w;xy with q_r;cd = d_l h_rs F_cd^ls.
+        inner, norm, low = self._stage(
+            (_join("iaBC,BCja->ij", r2, r1, 1 / 6), (sym,)),
+            (_join("abcd,cdab->", r2, r2, 1 / 24), ()),
+            (_join("la,laxyw->xyw", hinv, df) + _join("s,xyws->xyw", v, r1, -1.0)
+             + _join("lrs,cdls->rcd", dh, r2, -1.0) + _join("lrs,bdls->brd", dh, r2)
+             + _join("lrs,bcls->bcr", dh, r2, -1.0), (anti3,)))
+        ein, trace, up = self._stage(
+            (_join("ab,->ab", ric, one) + _join("ab,->ab", inner, one, 0.5)
+             + _join("ab,->ab", h, norm, -1 / 6), (sym,)),
+            (_join("ab,ab->", hinv, ric) + _join(",->", norm, one, -TRACE_IDENTITY_SIGN / 6), ()),
+            (_join("Ww,xyw->xyW", hinv, low), ((0, 2, -1),)))
+        up, = self._stage((_join("Yy,xyW->xYW", hinv, up), ((1, 3, -1),)))
+        div, = self._stage((_join("Xx,xYW->XYW", hinv, up), (anti3,)))
+        maxwell, = self._stage((
+            [((c,), -perm_sign(stars[key] + key) * div[stars[key]][1], self.sqrt_det, div[stars[key]][0])
+             for c, key in enumerate(mkeys) if stars.get(key) in div]
+            + _join("c,->c", jets["ff"], one, -1.0), ()))
+        cols = lambda t, keys: np.array([t.get(k, (self.zero,))[0] for k in keys], dtype=int)
+        self.outputs = {
+            "closedness": cols(jets["closed"], [(c,) for c in range(max(len(jets["closed"]), 1))]),
+            "maxwell": cols(maxwell, [(c,) for c in range(max(len(mkeys), 1))]),
+            "einstein": cols(ein, [(i, j) for i in range(n) for j in range(i, n)]),
+            "trace": cols(trace, [()]),
+        }
+        self.batch = max(1, _BATCH_BYTES // (8 * (self.ncols + 2 * self.terms)))
+
+    def _alloc(self, count: int) -> np.ndarray:
+        self.ncols += count
+        return np.arange(self.ncols - count, self.ncols)
+
+    def _stage(self, *groups) -> list[dict]:
+        """Plan one contraction.  Each group ``(terms, sym)`` becomes a tensor
+        whose canonical output keys get new tape rows, in order of first
+        appearance; its other keys alias them through ``sym``."""
+        parts, tensors = [], []
+        for terms, sym in groups:
+            cols, tensor = {}, {}
+            for out in dict.fromkeys(t[0] for t in terms):
+                if out in cols:
+                    continue
+                orbit = _orbit(out, sym)
+                first = min(orbit)  # increasing in every group of slots
+                cols.update(dict.fromkeys(orbit, -1))
+                if all(len(set(first[lo:hi])) == hi - lo for lo, hi, sign in sym if sign < 0):
+                    cols[first] = self.ncols
+                    tensor.update((k, (self.ncols, t * orbit[first])) for k, t in orbit.items())
+                    self.ncols += 1
+            tensors.append(tensor)
+            parts += [(cols[out], c, ca, cb) for out, c, ca, cb in terms if cols[out] >= 0]
+        if parts:
+            parts.sort(key=itemgetter(0))
+            col, coef, ia, ib = (np.array(x) for x in zip(*parts))
+            starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+            self.ops.append((ia, ib, coef[:, None], starts, col[0], col[-1] + 1))
+            self.terms = max(self.terms, len(parts))
+        return tensors
+
+    def _metric(self, tape: np.ndarray, points) -> None:
+        """``h^-1`` and ``sqrt|det h|`` into the tape, per connected block of h
+        (reciprocals of 1x1 blocks, stacks of equal-sized ones), after
+        checking the signature on the blocks' eigenvalues."""
+        z = len(points)
+        blocks = [(tape[src].transpose(3, 0, 1, 2), dst) for src, dst in self.blocks]
+        check_signature_values(np.concatenate([b.reshape(z, -1) if b.shape[-1] == 1 else
+                                               np.linalg.eigvalsh(b).reshape(z, -1) for b, _ in blocks],
+                                              axis=1), self.signature, points)
+        det = np.ones(z)
+        for b, dst in blocks:
+            single = b.shape[-1] == 1
+            tape[dst] = (1.0 / b if single else np.linalg.inv(b)).transpose(1, 2, 3, 0)
+            det = det * np.prod(b[..., 0, 0] if single else np.linalg.det(b), axis=1)
+        tape[self.sqrt_det] = np.sqrt(np.abs(det))
+
+    def residuals(self, points, values: np.ndarray) -> dict[str, np.ndarray]:
+        """The residual components of each family at a batch of points, as
+        arrays of shape ``(len(points), components)``, from the values of
+        the jet entries there (one row per point)."""
+        tape = np.empty((self.ncols, len(points)))
+        tape[:self.one] = values.T
+        tape[self.one], tape[self.zero] = 1.0, 0.0
+        self._metric(tape, points)
+        for ia, ib, coef, starts, lo, hi in self.ops:
+            p = tape[ia]
+            p *= tape[ib]
+            p *= coef
+            tape[lo:hi] = np.add.reduceat(p, starts, axis=0)
+        out = {name: tape[cols].T for name, cols in self.outputs.items()}
+        for name, a in out.items():
+            bad = ~np.isfinite(a).all(axis=1)
+            if bad.any():
+                raise FormError(f"non-finite {name} residual at {points[int(np.argmax(bad))]}")
+        return out
 
 
 class _Jets:
     """The jets of one background: :meth:`values` evaluates their entries
-    over a plan, and :meth:`residuals` derives the four residual families
-    from them, a batch of points at a time, with numpy algebra.
+    over a plan, and ``residuals`` (of :class:`_Contractions`) derives the
+    four residual families from them, a batch of points at a time, by
+    contractions planned once over the structurally nonzero entries.
 
     Only symbolically nonzero entries are kept: the metric jet ``h_ij,
     d_k h_ij, d_k d_l h_ij`` on all 11 coordinates, the flux jet ``F_K,
@@ -380,6 +514,8 @@ class _Jets:
     where F depends on it), and the metric-free dF and F^F/2 whole.  Maxwell
     components are the 8-forms A whose complementary 3-set B lies in S, with
     ``(d*F)_A = s_A d_l(sqrt|h| F^lB)`` for a fixed sign s_A, and those of F^F.
+    A batch holds as many points as a fixed memory budget allows for the
+    plan's tape and its largest stage (``_BATCH_BYTES``): ``core.batch``.
     """
 
     def __init__(self, bg: Background):
@@ -387,62 +523,36 @@ class _Jets:
         flux = bg.flux_form()
         n = 11
         used = {i for key in flux.coeffs for i in key}
-        s = sorted(i for comp in _components(h.entries, n) if used & set(comp) for i in comp)
-        dflux = [(l, key, d) for key, e in flux.items() for l, d in zip(s, gradient(e, s)) if not is_zero(d)]
-        dvars = sorted({l for l, _, _ in dflux})
-        local = {g: a for a, g in enumerate(s)}
+        blocks = _components(h.entries, n)
+        s = sorted(i for comp in blocks if used & set(comp) for i in comp)
         closed = ext_d(flux)
         ff = wedge(flux, flux).scale(0.5)
         stars = {tuple(sorted(set(range(n)) - set(b))): b for b in itertools.combinations(s, 3)}
         mkeys = sorted(set(stars) | set(ff.coeffs))
-        m = len(s)
 
         self.chart = bg.chart
-        self.signature = h.signature
-        self.s = np.array(s, dtype=int)
-        self.dvars = np.array([local[l] for l in dvars], dtype=int)
         self.exprs: list[Expr] = []
-        # A family without components gets one identically zero column.
-        self.tables = {name: (shape, [], [], []) for name, shape in (
-            ("h", (n, n)), ("dh", (n,) * 3), ("ddh", (n,) * 4), ("F", (m,) * 4),
-            ("dF", (len(dvars),) + (m,) * 4), ("closed", (max(len(closed.coeffs), 1),)),
-            ("ff", (max(len(mkeys), 1),)))}
+        self.jets: dict[str, dict] = {k: {} for k in ("h", "dh", "ddh", "F", "dF", "closed", "ff")}
         self._put_metric_jet(h)
-
-        def perms(key):
-            return [(tuple(local[key[t]] for t in perm), perm_sign(perm))
-                    for perm in itertools.permutations(range(4))]
-
         for key, e in flux.items():
-            self._put("F", e, perms(key))
-        for l, key, d in dflux:
-            self._put("dF", d, [((dvars.index(l),) + idx, sign) for idx, sign in perms(key)])
+            perms = _orbit(key, ((0, 4, -1),))
+            self._put("F", e, perms)
+            for l, d in zip(s, gradient(e, s)):
+                if not is_zero(d):
+                    self._put("dF", d, {(l,) + k: sign for k, sign in perms.items()})
         for c, e in enumerate(closed.coeffs.values()):
-            self._put("closed", e, [((c,), 1)])
+            self._put("closed", e, {(c,): 1.0})
         for c, key in enumerate(mkeys):
             if key in ff.coeffs:
-                self._put("ff", ff.coeffs[key], [((c,), 1)])
-        self.tables = {k: (shape, np.array(src, int), np.array(dst, int), np.array(sign, float))
-                       for k, (shape, src, dst, sign) in self.tables.items()}
+                self._put("ff", ff.coeffs[key], {(c,): 1.0})
+        self.core = _Contractions(self.jets, len(self.exprs), n, h.signature, blocks, mkeys, stars)
+        self.residuals = self.core.residuals
+        self.rows = self._layout(closed, mkeys)
 
-        # star[c, B] = s_A for the Maxwell column c of A = complement of B
-        self.star = np.zeros((max(len(mkeys), 1), m ** 3))
-        for c, key in enumerate(mkeys):
-            if key in stars:
-                b = np.ravel_multi_index([local[i] for i in stars[key]], (m,) * 3)
-                self.star[c, b] = -perm_sign(stars[key] + key)
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        self.upper = tuple(np.array(ix) for ix in zip(*upper))
-        self.rows = self._layout(closed, mkeys, upper)
-
-    def _put(self, table: str, expr: Expr, slots) -> None:
-        """Add ``expr`` to the entries; its value, times each sign,
-        goes to every index of ``table`` in ``slots``."""
-        shape, src, dst, sign = self.tables[table]
-        for index, s in slots:
-            src.append(len(self.exprs))
-            dst.append(np.ravel_multi_index(index, shape))
-            sign.append(s)
+    def _put(self, table: str, expr: Expr, slots: dict) -> None:
+        """Add ``expr`` to the entries; its value, times the sign, is the
+        component of ``table`` at each index of ``slots``."""
+        self.jets[table].update((index, (len(self.exprs), sign)) for index, sign in slots.items())
         self.exprs.append(expr)
 
     def _put_metric_jet(self, h: Metric) -> None:
@@ -451,19 +561,19 @@ class _Jets:
             if is_zero(e := h.entries[i][j]):
                 continue
             pairs = {(i, j), (j, i)}
-            self._put("h", e, [(ij, 1) for ij in pairs])
+            self._put("h", e, dict.fromkeys(pairs, 1.0))
             for k, dk in enumerate(gradient(e, range(n))):
                 if is_zero(dk):
                     continue
-                self._put("dh", dk, [((k,) + ij, 1) for ij in pairs])
+                self._put("dh", dk, {(k,) + ij: 1.0 for ij in pairs})
                 for l, dkl in zip(range(k, n), gradient(dk, range(k, n))):
                     if not is_zero(dkl):
-                        self._put("ddh", dkl,
-                                  [(kl + ij, 1) for kl in {(k, l), (l, k)} for ij in pairs])
+                        self._put("ddh", dkl, {kl + ij: 1.0 for kl in {(k, l), (l, k)} for ij in pairs})
 
-    def _layout(self, closed: KForm, mkeys, upper) -> list[tuple]:
+    def _layout(self, closed: KForm, mkeys) -> list[tuple]:
         """``(equation, block, columns, names)`` of each report row, in report
         order; ``columns`` index the family's residual array."""
+        upper = [(i, j) for i in range(11) for j in range(i, 11)]
         def names(keys):
             return ["^".join(self.chart.names[i] for i in key) for key in keys]
 
@@ -493,47 +603,14 @@ class _Jets:
             raise EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
                                   err.expr, err.point) from None
 
-    def residuals(self, points, values: np.ndarray) -> dict[str, np.ndarray]:
-        """The residual components of each family at a batch of points, as
-        arrays of shape ``(len(points), components)``, from the rows of
-        :meth:`values` at those points."""
-        t = {}
-        for name, (shape, src, dst, sign) in self.tables.items():
-            dense = np.zeros((len(points), int(np.prod(shape))))
-            dense[:, dst] = values[:, src] * sign
-            t[name] = dense.reshape((len(points),) + shape)
-        h = t["h"]
-        check_signature_values(h, self.signature, points)
-        hinv = np.linalg.inv(h)
-        ric, tau = _ricci(hinv, t["dh"], t["ddh"])
-        s = self.s
-        inner, norm, div = _flux_terms(t["F"], t["dF"], self.dvars, hinv[:, s][:, :, s],
-                                       t["dh"][:, s][:, :, s][:, :, :, s], tau[:, s])
-        sqrt_det = np.sqrt(np.abs(np.linalg.det(h)))[:, None]
-        maxwell = sqrt_det * (div.reshape(len(points), -1) @ self.star.T) - t["ff"]
-        einstein = ric - h * (norm / 6.0)[:, None, None]
-        einstein[:, s[:, None], s] += 0.5 * inner
-        out = {
-            "closedness": t["closed"],
-            "maxwell": maxwell,
-            "einstein": einstein[(slice(None),) + self.upper],
-            "trace": (np.einsum("zij,zij->z", hinv, ric) - TRACE_IDENTITY_SIGN * norm / 6.0)[:, None],
-        }
-        for name, values in out.items():
-            bad = ~np.isfinite(values).all(axis=1)
-            if bad.any():
-                raise FormError(f"non-finite {name} residual at {points[int(np.argmax(bad))]}")
-        return out
-
-
 def _residual_rows(bg: Background, points, equations) -> list[ResidualRow]:
     """Rows of the given residual families over the plan, evaluated a batch
     of points at a time."""
     jets = _Jets(bg)
     points = [tuple(p) for p in points]
     values = jets.values(points)
-    batches = [jets.residuals(points[i:i + _BATCH], values[i:i + _BATCH])
-               for i in range(0, len(points), _BATCH)]
+    size = jets.core.batch
+    batches = [jets.residuals(points[i:i + size], values[i:i + size]) for i in range(0, len(points), size)]
     rows = []
     for equation, block, columns, names in jets.rows:
         if equation in equations:

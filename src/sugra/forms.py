@@ -331,7 +331,8 @@ class Metric:
     def check_signature(self, points: Iterable[Sequence[float]]) -> None:
         """Verify invertibility and the declared count of negative eigenvalues."""
         points = list(points)
-        check_signature_values(matrix_values(self.entries, points), self.signature, points)
+        check_signature_values(np.linalg.eigvalsh(matrix_values(self.entries, points)),
+                               self.signature, points)
 
     def __repr__(self):
         return f"<Metric {self.signature} on {self.chart.names}>"
@@ -347,11 +348,10 @@ def matrix_values(entries, points) -> np.ndarray:
     return out.reshape(-1, n, n)
 
 
-def check_signature_values(values: np.ndarray, signature: tuple[int, int], points) -> None:
-    """Check a stack of metric values (one ``(n, n)`` matrix per point) for
-    invertibility and the declared count ``q`` of negative eigenvalues;
+def check_signature_values(vals: np.ndarray, signature: tuple[int, int], points) -> None:
+    """Check the eigenvalues of a metric at each point (one row per point)
+    for invertibility and the declared count ``q`` of negative eigenvalues;
     raise at the first point that fails."""
-    vals = np.linalg.eigvalsh(values)
     degenerate = np.any(np.abs(vals) < 1e-12, axis=1)
     negs = np.sum(vals < 0.0, axis=1)
     for pt, deg, neg in zip(points, degenerate, negs):

@@ -1,6 +1,7 @@
 """Flux assembly, norms, residual operators, reduced-case diagnostics."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,13 +46,15 @@ from sugra.equations import (
     sample_points,
     trace_check,
     verify,
+    _Contractions,
     _Jets,
-    _flux_terms,
-    _ricci,
+    _residual_rows,
 )
+from sugra.bgfile import parse_background_text
 from sugra.catalog import build, catalog_ids
 
 W5 = WALKER_CHART
+SHIPPED = Path(__file__).resolve().parent.parent / "src" / "sugra" / "backgrounds"
 R6 = Chart(("y1", "y2", "y3", "y4", "y5", "y6"))
 
 
@@ -370,8 +373,23 @@ class TestJetCore:
             a, b = core.get(name, 0.0), want.get(name, 0.0)
             assert abs(a - b) <= rtol * max(1.0, abs(b)), (label, name, a, b)
 
+    @staticmethod
+    def _dense_core(arrays: dict, signature):
+        """A plan in which every index of every table given is its own entry
+        (fully dense patterns, one connected metric block), and the values of
+        those entries, one row per point."""
+        jets = {k: {} for k in ("h", "dh", "ddh", "F", "dF", "closed", "ff")}
+        cols = []
+        for name, a in arrays.items():
+            for index in np.ndindex(a.shape[1:]):
+                jets[name][index] = (len(cols), 1.0)
+                cols.append(a[(slice(None),) + index])
+        n = arrays["h"].shape[1]
+        core = _Contractions(jets, len(cols), n, signature, [tuple(range(n))], [], {})
+        return core, np.array(cols).T
+
     def test_ricci_algebra_on_dense_metric(self):
-        """The batched Ricci contraction against symbolic ricci() on a dense
+        """The planned Ricci contraction against symbolic ricci() on a dense
         3-metric, where no term vanishes by block structure."""
         chart = Chart(("a", "b", "c"))
         rng = rng_for("denseric")
@@ -389,14 +407,20 @@ class TestJetCore:
                        for p in pts])
         ddh = np.array([[[[[evaluate(diff(diff(m.entries[i][j], k), l), p) for j in r] for i in r]
                           for l in r] for k in r] for p in pts])
-        ric, _ = _ricci(np.linalg.inv(h), dh, ddh)
+        core, values = self._dense_core({"h": h, "dh": dh, "ddh": ddh}, (1, 2))
+        ein = core.residuals(pts, values)["einstein"]  # no flux: the Ricci tensor
+        ric = np.zeros((3, 3, 3))
+        for c, (i, j) in enumerate((i, j) for i in r for j in r if i <= j):
+            ric[:, i, j] = ric[:, j, i] = ein[:, c]
         want = np.array([[[evaluate(e, p) for e in row] for row in ricci(m)] for p in pts])
         assert np.max(np.abs(ric - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_flux_algebra_on_dense_data(self):
-        """The batched flux contractions against one-point numpy contractions
+        """The planned flux contractions against one-point numpy contractions
         on a dense Lorentzian metric and a dense random 4-form, where no
-        term vanishes by block structure."""
+        term vanishes by block structure.  With a constant metric the
+        Einstein residual is ``<i_i F, i_j F>/2 - h_ij |F|^2/6`` and the trace
+        residual ``-s |F|^2/6``."""
         m, z = 7, 3
         rng = rng_for("denseflux")
         h = []
@@ -409,12 +433,16 @@ class TestJetCore:
         keys = list(itertools.combinations(range(m), 4))
         f = np.array([flux_tensor({k: float(rng.uniform(-1.0, 1.0)) for k in keys}, m)
                       for _ in range(z)])
-        inner, norm, _ = _flux_terms(f, np.zeros((z, 0) + (m,) * 4), np.array([], dtype=int),
-                                     np.linalg.inv(h), np.zeros((z, m, m, m)), np.zeros((z, m)))
+        core, values = self._dense_core({"h": h, "F": f}, (1, m - 1))
+        res = core.residuals([(float(k),) for k in range(z)], values)
+        norm = -6.0 * res["trace"][:, 0] / TRACE_IDENTITY_SIGN
+        upper = [(i, j) for i in range(m) for j in range(i, m)]
         for k in range(z):
             want_inner, want_norm = flux_contractions(h[k], f[k])
+            inner = np.array([2.0 * (e + h[k][ij] * norm[k] / 6.0)
+                              for e, ij in zip(res["einstein"][k], upper)])
             scale = max(1.0, float(np.max(np.abs(want_inner))))
-            assert np.max(np.abs(inner[k] - want_inner)) < 1e-12 * scale
+            assert np.max(np.abs(inner - np.array([want_inner[ij] for ij in upper]))) < 1e-12 * scale
             assert abs(norm[k] - want_norm) < 1e-12 * max(1.0, abs(want_norm))
 
     # Central differences with step H lose about eps/H (first derivatives,
@@ -451,6 +479,47 @@ class TestJetCore:
             # non-vacuous: residuals well above the tolerances
             assert max(abs(v) for v in core["einstein"].values()) > 1.0
             assert max(abs(v) for v in core["maxwell"].values()) > 1e-3
+
+    @pytest.mark.parametrize("which", ["tri6", "kahler-theta", "gamma-delta-ppwave", "zero-flux"])
+    def test_batch_invariance(self, which):
+        """One batch of a whole plan gives the residual arrays of the same
+        plan computed a point at a time."""
+        bg = {"tri6": tri6_background, "zero-flux": zero_flux_background}.get(
+            which, lambda: build(which))()
+        jets = _Jets(bg)
+        pts = bg.sample(40, seed=3)
+        values = jets.values(pts)
+        whole = jets.residuals(pts, values)
+        single = [jets.residuals(pts[k:k + 1], values[k:k + 1]) for k in range(len(pts))]
+        for name, a in whole.items():
+            b = np.concatenate([r[name] for r in single])
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))), which
+
+    @pytest.mark.parametrize("entry, replacement, coord, good, bad", [
+        # a 1x1 block turns positive (wrong count), later also degenerate
+        ("g(y1,y1) = ", "g(y1,y1) = y1", 5, -0.5, (0.5, 0.0)),
+        # the (u,v) block degenerates: det = -v^2
+        ("g(u,v) = ", "g(u,v) = v", 4, 0.5, (0.0, 0.0)),
+    ])
+    def test_signature_checked_per_block_in_plan_order(self, entry, replacement, coord, good, bad):
+        """The per-block signature check names the first failing point of
+        the plan, in a later batch, with the message of the dense check."""
+        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
+        bg = parse_background_text("\n".join(replacement if ln.startswith(entry) else ln
+                                              for ln in lines) + "\n")
+        size = _Jets(bg).core.batch
+        pts = [list(p) for p in sample_points(bg.box, size + 20, 7)]
+        for p in pts:
+            p[coord] = good
+        pts[size + 3][coord], pts[size + 11][coord] = bad
+        pts = [tuple(p) for p in pts]
+        with pytest.raises(sugra.forms.FormError) as want:
+            bg.metric().check_signature(pts)
+        assert f"{pts[size + 3]}" in str(want.value)
+        with pytest.raises(sugra.forms.FormError) as got:
+            _residual_rows(bg, pts, ("einstein",))
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     def test_verify_needs_no_symbolic_curvature(self, monkeypatch):
         bgs = [build("kahler-theta"), tri6_background()]
