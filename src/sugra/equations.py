@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, le, lt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -181,29 +182,26 @@ def sample_points(box, count: int, seed: int,
     """Seeded uniform draws from the box, skipping predicate-flagged points.
 
     The predicate returns True for points to avoid (too close to a declared
-    singular set).  Draw order is fixed by the seed, so results are
-    deterministic for a given (box, count, seed, predicate).  ``count`` must
-    be positive and ``seed`` non-negative.
+    singular set).  Coordinates are drawn one after another as ``lo + (hi -
+    lo) * random()`` from ``random.Random(seed)``, whose sequence Python
+    keeps the same across versions, so a plan depends only on (box, count,
+    seed, predicate).  At most ``1000 * count`` points are drawn.  ``count``
+    must be positive and ``seed`` non-negative.
     """
     if count < 1:
         raise FormError(f"sample count must be positive, got {count}")
     if seed < 0:
         raise FormError(f"sample seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
+    draw = random.Random(seed).random
+    ranges = [(lo, hi - lo) for lo, hi in box]
     pts: list[tuple[float, ...]] = []
-    attempts = 0
-    while len(pts) < count:
-        # Blocks of draws equal single draws, and never exceed the points missing.
-        for draw in rng.uniform(lows, highs, size=(count - len(pts), len(lows))).tolist():
-            attempts += 1
-            if attempts > 1000 * count:
-                raise FormError("sample box appears to be mostly inside the singular set")
-            p = tuple(draw)
-            if predicate is None or not predicate(p):
-                pts.append(p)
-    return pts
+    for _ in range(1000 * count):
+        p = tuple([lo + width * draw() for lo, width in ranges])
+        if predicate is None or not predicate(p):
+            pts.append(p)
+            if len(pts) == count:
+                return pts
+    raise FormError("sample box appears to be mostly inside the singular set")
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +295,6 @@ class VerificationResult:
         raise KeyError((equation, block))
 
 
-def _row(equation: str, block: str, a: np.ndarray, points, names: list[str]) -> ResidualRow:
-    """Summarize ``a[point, component] = |residual|``: the max (the first in
-    point-major order among equal ones) and the mean over all entries."""
-    if not a.size:
-        return ResidualRow(equation, block, 0.0, 0.0, (), "(none)")
-    point, comp = divmod(int(np.argmax(a)), a.shape[1])
-    return ResidualRow(equation, block, float(a[point, comp]), float(a.mean()),
-                       points[point], names[comp])
-
-
 #: Working memory of one batch of points, in bytes: the plan's tape and the
 #: terms of its largest contraction set the points per batch.
 _BATCH_BYTES = 1 << 20
@@ -319,12 +307,31 @@ def _pick(pos):
     return itemgetter(*pos) if pos else lambda k: ()
 
 
-def _join(spec: str, a: dict, b: dict, coef: float = 1.0) -> list:
+def _increasing(t: dict, letters: str, group: list, less) -> dict:
+    """The entries of ``t`` (index ``letters``) whose indices at the
+    ``group`` of letters increase under ``less``."""
+    pos = [letters.index(c) for c in group]
+    for p, q in zip(pos, pos[1:]):
+        t = {k: v for k, v in t.items() if less(k[p], k[q])}
+    return t
+
+
+def _join(spec: str, a: dict, b: dict, coef: float = 1.0, sym: tuple = ()) -> list:
     """Terms ``(out, c, col_a, col_b)`` of the einsum-style product ``spec``
     of two sparse tensors ``{index: (column, sign)}``; every letter is in the
-    output or in both operands."""
+    output or in both operands.  Only entries whose indices increase
+    (strictly, if antisymmetric) on the slots they fill of each group of
+    ``sym`` (see :func:`_moves`) join: the others give only outputs that
+    :meth:`_Contractions._stage` drops.  Callers pass ``sym`` only where the
+    operand that fills a group's slots is itself (anti)symmetric in them;
+    the stage's plan, its columns and the order of its terms are then those
+    without the filter (the tests check this on every catalog id)."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
+    for lo, hi, sign in sym:
+        less = lt if sign < 0 else le
+        a = _increasing(a, sa, [c for c in out[lo:hi] if c in sa], less)
+        b = _increasing(b, sb, [c for c in out[lo:hi] if c in sb], less)
     on_a = _pick([sa.index(c) for c in sa if c in sb])
     on_b = _pick([sb.index(c) for c in sa if c in sb])
     make = _pick([(sa + sb).index(c) for c in out])
@@ -385,24 +392,26 @@ class _Contractions:
         h, dh, ddh, f, df = (jets[k] for k in ("h", "dh", "ddh", "F", "dF"))
         one = {(): (self.one, 1.0)}
         sym, anti3 = (0, 2, 1), (0, 3, -1)
+        chris, pairs = ((1, 3, 1),), ((0, 2, -1), (2, 4, -1))
         # G^k_ij = h^kl (d_i h_lj + d_j h_li - d_l h_ij)/2, m[a,k,d] = h^kc d_a h_cd,
         # v_y = tau_y - u_y with tau_y = G^k_ky = h^ij d_y h_ij/2, u_y = h^lx d_l h_xy,
         # and F raised one slot at a time from the last: r1 = F_abc^d, r2 = F_ab^cd.
         gam, m, v, r1 = self._stage(
             (_join("kl,ilj->kij", hinv, dh, 0.5) + _join("kl,jli->kij", hinv, dh, 0.5)
-             + _join("kl,lij->kij", hinv, dh, -0.5), ((1, 3, 1),)),
+             + _join("kl,lij->kij", hinv, dh, -0.5, sym=chris), chris),
             (_join("kc,acd->akd", hinv, dh), ()),
             (_join("ij,yij->y", hinv, dh, 0.5) + _join("lx,lxy->y", hinv, dh, -1.0), ()),
-            (_join("Dd,abcd->abcD", hinv, f), (anti3,)))
+            (_join("Dd,abcd->abcD", hinv, f, sym=(anti3,)), (anti3,)))
         # Ric_ab = d_k G^k_ab - d_a G^k_kb + G^k_kl G^l_ab - G^k_al G^l_kb, where
         # d_k G^k_ab = -u_l G^l_ab + h^kl (d_k d_a h_lb + d_k d_b h_la - d_k d_l h_ab)/2
         # and d_a G^k_kb = (-m[a,k,d] m[b,d,k] + h^kl d_a d_b h_kl)/2.
         ric, r2 = self._stage(
             (_join("kl,kalb->ab", hinv, ddh, 0.5) + _join("kl,kbla->ab", hinv, ddh, 0.5)
-             + _join("kl,klab->ab", hinv, ddh, -0.5) + _join("kl,abkl->ab", hinv, ddh, -0.5)
-             + _join("l,lab->ab", v, gam) + _join("akd,bdk->ab", m, m, 0.5)
+             + _join("kl,klab->ab", hinv, ddh, -0.5, sym=(sym,))
+             + _join("kl,abkl->ab", hinv, ddh, -0.5, sym=(sym,))
+             + _join("l,lab->ab", v, gam, sym=(sym,)) + _join("akd,bdk->ab", m, m, 0.5)
              + _join("kal,lkb->ab", gam, gam, -1.0), (sym,)),
-            (_join("Cc,abcD->abCD", hinv, r1), ((0, 2, -1), (2, 4, -1))))
+            (_join("Cc,abcD->abCD", hinv, r1, sym=pairs), pairs))
         # <i_i F, i_j F> = F_ia^bc F_bcj^a / 6, |F|^2 = F_ab^cd F_cd^ab / 24, and
         # d_l F^lbcd + tau_l F^lbcd = h^bx h^cy h^dw low_xyw by the product rule
         # (d_l h^ab = -h^ax d_l h_xy h^yb in each slot): low_xyw = h^la d_l F_axyw
@@ -410,16 +419,18 @@ class _Contractions:
         inner, norm, low = self._stage(
             (_join("iaBC,BCja->ij", r2, r1, 1 / 6), (sym,)),
             (_join("abcd,cdab->", r2, r2, 1 / 24), ()),
-            (_join("la,laxyw->xyw", hinv, df) + _join("s,xyws->xyw", v, r1, -1.0)
-             + _join("lrs,cdls->rcd", dh, r2, -1.0) + _join("lrs,bdls->brd", dh, r2)
-             + _join("lrs,bcls->bcr", dh, r2, -1.0), (anti3,)))
+            (_join("la,laxyw->xyw", hinv, df, sym=(anti3,))
+             + _join("s,xyws->xyw", v, r1, -1.0, sym=(anti3,))
+             + _join("lrs,cdls->rcd", dh, r2, -1.0, sym=(anti3,))
+             + _join("lrs,bdls->brd", dh, r2, sym=(anti3,))
+             + _join("lrs,bcls->bcr", dh, r2, -1.0, sym=(anti3,)), (anti3,)))
         ein, trace, up = self._stage(
-            (_join("ab,->ab", ric, one) + _join("ab,->ab", inner, one, 0.5)
-             + _join("ab,->ab", h, norm, -1 / 6), (sym,)),
+            (_join("ab,->ab", ric, one, sym=(sym,)) + _join("ab,->ab", inner, one, 0.5, sym=(sym,))
+             + _join("ab,->ab", h, norm, -1 / 6, sym=(sym,)), (sym,)),
             (_join("ab,ab->", hinv, ric) + _join(",->", norm, one, -TRACE_IDENTITY_SIGN / 6), ()),
-            (_join("Ww,xyw->xyW", hinv, low), ((0, 2, -1),)))
+            (_join("Ww,xyw->xyW", hinv, low, sym=((0, 2, -1),)), ((0, 2, -1),)))
         up, = self._stage((_join("Yy,xyW->xYW", hinv, up), ((1, 3, -1),)))
-        div, = self._stage((_join("Xx,xYW->XYW", hinv, up), (anti3,)))
+        div, = self._stage((_join("Xx,xYW->XYW", hinv, up, sym=(anti3,)), (anti3,)))
         maxwell, = self._stage((
             [((c,), -perm_sign(stars[key] + key) * div[stars[key]][1], self.sqrt_det, div[stars[key]][0])
              for c, key in enumerate(mkeys) if stars.get(key) in div]
@@ -603,20 +614,32 @@ class _Jets:
             raise EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
                                   err.expr, err.point) from None
 
+
 def _residual_rows(bg: Background, points, equations) -> list[ResidualRow]:
-    """Rows of the given residual families over the plan, evaluated a batch
-    of points at a time."""
+    """Rows of the given residual families over the plan.  Each batch of
+    points is reduced as it comes out of the core: per row, the first
+    maximum of ``|value|`` in point-then-component order (``argmax`` in a
+    batch, a strict ``>`` across batches) and the sum of ``|value|``."""
     jets = _Jets(bg)
     points = [tuple(p) for p in points]
     values = jets.values(points)
+    layout = [row for row in jets.rows if row[0] in equations]
+    worst = [(-1.0, 0, 0)] * len(layout)  # (max, point, component); -1 is below any |value|
+    sums = [0.0] * len(layout)
     size = jets.core.batch
-    batches = [jets.residuals(points[i:i + size], values[i:i + size]) for i in range(0, len(points), size)]
-    rows = []
-    for equation, block, columns, names in jets.rows:
-        if equation in equations:
-            a = np.abs(np.concatenate([b[equation][:, columns] for b in batches] or [[]]))
-            rows.append(_row(equation, block, a, points, names))
-    return rows
+    for start in range(0, len(points), size):
+        out = jets.residuals(points[start:start + size], values[start:start + size])
+        for r, (equation, _, columns, _) in enumerate(layout):
+            if columns:
+                a = np.abs(out[equation][:, columns])
+                point, comp = divmod(int(np.argmax(a)), a.shape[1])
+                if a[point, comp] > worst[r][0]:
+                    worst[r] = (float(a[point, comp]), start + point, comp)
+                sums[r] += float(a.sum())
+    return [ResidualRow(equation, block, top, total / (len(points) * len(columns)),
+                        points[point], names[comp]) if columns and points
+            else ResidualRow(equation, block, 0.0, 0.0, (), "(none)")
+            for (equation, block, columns, names), (top, point, comp), total in zip(layout, worst, sums)]
 
 
 def closedness_residual(bg: Background, points) -> list[ResidualRow]:

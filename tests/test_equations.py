@@ -1,6 +1,9 @@
 """Flux assembly, norms, residual operators, reduced-case diagnostics."""
 
 import itertools
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +326,31 @@ def zero_flux_background() -> Background:
     return Background(bg.product, FluxSpec(), bg.box)
 
 
+def background(which: str) -> Background:
+    return {"tri6": tri6_background, "zero-flux": zero_flux_background}.get(
+        which, lambda: build(which))()
+
+
+def whole_plan_rows(jets, points, size, equations) -> list[tuple]:
+    """Rows as ``(equation, block, max, mean, worst point, worst component)``
+    from the residuals of all batches at once: concatenate, ``abs``,
+    ``argmax``, ``mean``."""
+    values = jets.values(points)
+    batches = [jets.residuals(points[i:i + size], values[i:i + size])
+               for i in range(0, len(points), size)]
+    rows = []
+    for equation, block, columns, names in jets.rows:
+        if equation not in equations:
+            continue
+        a = np.abs(np.concatenate([b[equation][:, columns] for b in batches]))
+        if not a.size:
+            rows.append((equation, block, 0.0, 0.0, (), "(none)"))
+            continue
+        point, comp = divmod(int(np.argmax(a)), a.shape[1])
+        rows.append((equation, block, float(a[point, comp]), float(a.mean()), points[point], names[comp]))
+    return rows
+
+
 def core_components(bg, points) -> list[dict[str, dict[str, float]]]:
     """Per point, each family's residual components from the jet core, by name."""
     jets = _Jets(bg)
@@ -484,8 +512,7 @@ class TestJetCore:
     def test_batch_invariance(self, which):
         """One batch of a whole plan gives the residual arrays of the same
         plan computed a point at a time."""
-        bg = {"tri6": tri6_background, "zero-flux": zero_flux_background}.get(
-            which, lambda: build(which))()
+        bg = background(which)
         jets = _Jets(bg)
         pts = bg.sample(40, seed=3)
         values = jets.values(pts)
@@ -495,6 +522,63 @@ class TestJetCore:
             b = np.concatenate([r[name] for r in single])
             assert a.shape == b.shape
             assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))), which
+
+    @pytest.mark.parametrize("which", ["kahler-theta", "tri6", "gamma-delta-ppwave", "zero-flux"])
+    def test_streamed_rows_equal_whole_plan_reduction(self, which, monkeypatch):
+        """Rows reduced batch by batch equal one reduction of all batches'
+        residuals, including ties across batches: the second half of the
+        plan repeats the first's jet values exactly at other points."""
+        bg = background(which)
+        core = _Jets(bg).core
+        monkeypatch.setattr(sugra.equations, "_BATCH_BYTES", 4 * 8 * (core.ncols + 2 * core.terms))
+        jets = _Jets(bg)
+        size = jets.core.batch
+        assert size == 4
+        first = bg.sample(3 * size, seed=5)
+        values = jets.values(first)
+        for c in range(11):  # a coordinate no jet entry depends on
+            second = [p[:c] + (q[c],) + p[c + 1:] for p, q in zip(first, first[::-1])]
+            if np.array_equal(jets.values(second), values):
+                break
+        else:
+            pytest.fail(f"{which} has no coordinate that its jets ignore")
+        plan = first + second
+        families = ("closedness", "maxwell", "einstein", "trace")
+        got = _residual_rows(bg, plan, families)
+        want = whole_plan_rows(jets, plan, size, families)
+        assert [(r.equation, r.block) for r in got] == [w[:2] for w in want]
+        for r, (_, _, top, mean, point, name) in zip(got, want):
+            assert (r.max_abs, r.worst_point, r.worst_component) == (top, point, name)
+            assert abs(r.mean_abs - mean) <= 1e-15 * mean
+        ties = [r for r in got if r.max_abs > 0.0]
+        assert ties and all(r.worst_point in first for r in ties)
+        if which == "zero-flux":
+            names = {r.worst_component for r in got}
+            assert {"(identically zero)", "(none)"} <= names
+
+    @pytest.mark.parametrize("which", catalog_ids() + ["tri6", "zero-flux"])
+    def test_operand_filters_keep_the_plan(self, which, monkeypatch):
+        """Filtering join operands by slot order builds fewer terms but keeps
+        every stage's terms, their order and their columns."""
+        bg = background(which)
+        join, built = sugra.equations._join, []
+
+        def counted(spec, a, b, coef=1.0, sym=()):
+            built.append(len(terms := join(spec, a, b, coef, sym)))
+            return terms
+
+        monkeypatch.setattr(sugra.equations, "_join", counted)
+        filtered = _Jets(bg).core
+        fewer = sum(built)
+        monkeypatch.setattr(sugra.equations, "_join",
+                            lambda spec, a, b, coef=1.0, sym=(): counted(spec, a, b, coef))
+        built.clear()
+        plain = _Jets(bg).core
+        assert fewer < sum(built)
+        assert (filtered.ncols, filtered.terms, filtered.batch) == (plain.ncols, plain.terms, plain.batch)
+        assert len(filtered.ops) == len(plain.ops)
+        for got, want in zip(filtered.ops, plain.ops):
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     @pytest.mark.parametrize("entry, replacement, coord, good, bad", [
         # a 1x1 block turns positive (wrong count), later also degenerate
@@ -551,19 +635,17 @@ class TestSamplePlans:
 
     @staticmethod
     def _point_at_a_time(box, count, seed, predicate):
-        """Reference plan: one draw per call, the predicate after each."""
-        rng = np.random.default_rng(seed)
-        lows = np.array([lo for lo, _ in box])
-        highs = np.array([hi for _, hi in box])
+        """Reference plan: one point per call, its coordinates drawn in turn
+        from ``random.Random(seed)``, the predicate after each point."""
+        rng = random.Random(seed)
         pts, attempts = [], 0
         while len(pts) < count:
-            draw = rng.uniform(lows, highs)
+            draw = tuple(lo + (hi - lo) * rng.random() for lo, hi in box)
             attempts += 1
             if attempts > 1000 * count:
                 raise sugra.forms.FormError("sample box appears to be mostly inside the singular set")
-            p = tuple(float(v) for v in draw)
-            if predicate is None or not predicate(p):
-                pts.append(p)
+            if predicate is None or not predicate(draw):
+                pts.append(draw)
         return pts
 
     @pytest.mark.parametrize("count, threshold", [(1500, None), (300, 0.0), (40, 0.9), (3, 2.0)])
@@ -590,6 +672,30 @@ class TestSamplePlans:
             assert len(results[0][1]) == 1000 * count
         else:
             assert len(results[0][0]) == count
+
+    def test_first_point_is_pinned(self):
+        """The generator is part of the contract: plans must not move when
+        numpy or the code around the draws changes."""
+        box = [(-1.0, 1.0)] * 5 + [(0.5, 2.5)] * 6
+        assert sample_points(box, 1, 42)[0] == (
+            0.2788535969157675, -0.9499784895546661, -0.4499413632617615, -0.5535785237023545,
+            0.4729424283280248, 1.8533989748458226, 2.284359135409691, 0.6738776652588323,
+            1.3438436393705409, 0.5595944388761407, 0.9372759496072067)
+
+    def test_verify_and_diagnose_leave_numpy_random_unloaded(self):
+        code = ("import contextlib, io, sys\n"
+                "from sugra import cli\n"
+                "from sugra.catalog import build\n"
+                "from sugra.equations import diagnose_reduced_case\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(['verify', 'alpha-ppwave', '--points', '3'])\n"
+                "bg = build('kahler-theta')\n"
+                "diagnose_reduced_case(bg.flux, bg.product, count=3)\n"
+                "print(code, 'numpy.random' in sys.modules)\n")
+        src = str(Path(sugra.equations.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": src}, check=True, timeout=60).stdout.split()
+        assert out == ["0", "False"]
 
     @pytest.mark.parametrize("count, seed, message", [
         (0, 42, "sample count must be positive"),
