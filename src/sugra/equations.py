@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter, le, lt
 from typing import Callable, Optional, Sequence
@@ -83,6 +84,16 @@ __all__ = [
 TRACE_IDENTITY_SIGN = -1.0
 
 
+#: Each flux piece: (the dimension of its factor, its degree, the term of
+#: the flux it belongs to).
+_PIECES = {
+    "alpha": (5, 4, "alpha"), "beta": (5, 3, "beta"), "gamma": (5, 2, "gamma"),
+    "varpi": (5, 1, "varpi"), "psi": (5, 0, "theta"),
+    "phi": (6, 0, "alpha"), "nu": (6, 1, "beta"), "delta": (6, 2, "gamma"),
+    "eps": (6, 3, "varpi"), "theta": (6, 4, "theta"),
+}
+
+
 @dataclass(frozen=True)
 class FluxSpec:
     """Block-decomposable pieces of the flux 4-form; any piece may be None.
@@ -104,29 +115,20 @@ class FluxSpec:
     theta: Optional[KForm] = None
 
     def __post_init__(self):
-        for name, deg in (("alpha", 4), ("beta", 3), ("gamma", 2), ("varpi", 1),
-                          ("nu", 1), ("delta", 2), ("eps", 3), ("theta", 4)):
+        for name, (_, deg, _) in _PIECES.items():
             f = getattr(self, name)
-            if f is not None and f.degree != deg:
+            if deg and f is not None and f.degree != deg:
                 raise FormError(f"{name} must be a {deg}-form, got degree {f.degree}")
 
-    def _present(self, name: str) -> bool:
-        v = getattr(self, name)
-        if v is None:
-            return False
-        if isinstance(v, KForm):
-            return not v.is_zero
-        return not is_zero(v)
-
     def pair_flags(self) -> dict[str, bool]:
-        """Which of the five decomposable terms are actually present."""
-        return {
-            "alpha": self._present("alpha"),
-            "beta": self._present("beta") and self._present("nu"),
-            "gamma": self._present("gamma") and self._present("delta"),
-            "varpi": self._present("varpi") and self._present("eps"),
-            "theta": self._present("theta"),
-        }
+        """Which of the five decomposable terms are actually present: both
+        of a term's pieces are nonzero, an omitted scalar phi or psi
+        standing for 1."""
+        flags = dict.fromkeys(("alpha", "beta", "gamma", "varpi", "theta"), True)
+        for name, (_, deg, term) in _PIECES.items():
+            v = getattr(self, name)
+            flags[term] &= deg == 0 if v is None else not (v.is_zero if deg else is_zero(v))
+        return flags
 
 
 class Background:
@@ -141,16 +143,12 @@ class Background:
         chart = product.chart
         if len(box) != 11:
             raise FormError(f"sample box needs 11 coordinate ranges, got {len(box)}")
-        lch = product.lorentz.chart.names
-        rch = product.riemann.chart.names
-        for name in ("alpha", "beta", "gamma", "varpi"):
-            f = getattr(flux, name)
-            if f is not None and f.chart.names != lch:
-                raise FormError(f"flux piece {name} must live on the Lorentzian chart {lch}")
-        for name in ("nu", "delta", "eps", "theta"):
-            f = getattr(flux, name)
-            if f is not None and f.chart.names != rch:
-                raise FormError(f"flux piece {name} must live on the Riemannian chart {rch}")
+        charts = {5: ("Lorentzian", product.lorentz.chart.names),
+                  6: ("Riemannian", product.riemann.chart.names)}
+        for name, (dim, deg, _) in _PIECES.items():
+            f, (kind, names) = getattr(flux, name), charts[dim]
+            if deg and f is not None and f.chart.names != names:
+                raise FormError(f"flux piece {name} must live on the {kind} chart {names}")
         self.product = product
         self.flux = flux
         self.box = tuple((float(lo), float(hi)) for lo, hi in box)
@@ -208,22 +206,25 @@ def sample_points(box, count: int, seed: int,
 # Flux assembly and norms.
 # ---------------------------------------------------------------------------
 
+#: The three wedge terms: (Lorentzian piece, Riemannian piece).
+_PAIRS = (("beta", "nu"), ("gamma", "delta"), ("varpi", "eps"))
+
+
 def assemble_flux(fs: FluxSpec, ps: ProductStructure) -> KForm:
     """The flux as a single 4-form on the 11-chart (linear in every piece)."""
     chart = ps.chart
+    flags = fs.pair_flags()
     total = zero_form(chart, 4)
-    if fs._present("alpha"):
+    if flags["alpha"]:
         a = embed_form(fs.alpha, chart, 0)
         if fs.phi is not None:
             a = a.scale(embed_scalar(fs.phi, 5))
         total = total + a
-    if fs._present("beta") and fs._present("nu"):
-        total = total + wedge(embed_form(fs.beta, chart, 0), embed_form(fs.nu, chart, 5))
-    if fs._present("gamma") and fs._present("delta"):
-        total = total + wedge(embed_form(fs.gamma, chart, 0), embed_form(fs.delta, chart, 5))
-    if fs._present("varpi") and fs._present("eps"):
-        total = total + wedge(embed_form(fs.varpi, chart, 0), embed_form(fs.eps, chart, 5))
-    if fs._present("theta"):
+    for lo, hi in _PAIRS:
+        if flags[lo]:
+            total = total + wedge(embed_form(getattr(fs, lo), chart, 0),
+                                  embed_form(getattr(fs, hi), chart, 5))
+    if flags["theta"]:
         t = embed_form(fs.theta, chart, 5)
         if fs.psi is not None:
             t = t.scale(embed_scalar(fs.psi, 0))
@@ -249,17 +250,16 @@ def flux_norm_sq_pieces(fs: FluxSpec, ps: ProductStructure, point) -> float:
     p5 = tuple(point[:5])
     p6 = tuple(point[5:])
     gl, gr = ps.lorentz, ps.riemann
+    flags = fs.pair_flags()
     total = 0.0
-    if fs._present("alpha"):
+    if flags["alpha"]:
         phi2 = evaluate(fs.phi, p6) ** 2 if fs.phi is not None else 1.0
         total += phi2 * form_inner(fs.alpha, fs.alpha, gl, p5)
-    if fs._present("beta") and fs._present("nu"):
-        total += form_inner(fs.beta, fs.beta, gl, p5) * form_inner(fs.nu, fs.nu, gr, p6)
-    if fs._present("gamma") and fs._present("delta"):
-        total += form_inner(fs.gamma, fs.gamma, gl, p5) * form_inner(fs.delta, fs.delta, gr, p6)
-    if fs._present("varpi") and fs._present("eps"):
-        total += form_inner(fs.varpi, fs.varpi, gl, p5) * form_inner(fs.eps, fs.eps, gr, p6)
-    if fs._present("theta"):
+    for lo, hi in _PAIRS:
+        if flags[lo]:
+            a, b = getattr(fs, lo), getattr(fs, hi)
+            total += form_inner(a, a, gl, p5) * form_inner(b, b, gr, p6)
+    if flags["theta"]:
         psi2 = evaluate(fs.psi, p5) ** 2 if fs.psi is not None else 1.0
         total += psi2 * form_inner(fs.theta, fs.theta, gr, p6)
     return total
@@ -680,38 +680,49 @@ def verify(bg: Background, count: int = 100, seed: int = 42,
 # ---------------------------------------------------------------------------
 # Reduced-case diagnostics.
 #
-# When three or four of the five flux terms vanish, the closedness and
-# Maxwell equations collapse to small systems on the factors.  The nine
-# sparsity patterns and their systems (kappa, lambda are real constants,
-# s5/s6 are the factor Hodge stars):
-#
-#   (1) phi*alpha            : phi const;  d alpha = d s5 alpha = 0
-#   (2) beta^nu              : d beta = d s5 beta = 0;  d nu = d s6 nu = 0
-#   (3) gamma^delta          : d gamma = d delta = d s6 delta = 0 and
-#                              d s5 gamma ^ s6 delta = (1/2) g^g^d^d; if
-#                              g^g != 0 this splits as d s5 gamma = k g^g,
-#                              k s6 delta = (1/2) d^d
-#   (4) varpi^eps            : all four closed and coclosed
-#   (5) psi*theta            : psi const;  d theta = d s6 theta = 0
-#   (6) phi*alpha + beta^nu  : d alpha = d s5 beta = d nu = 0;
-#                              d phi = k nu;  d beta = -k alpha;
-#                              d s6 nu = l s6 phi;  d s5 alpha = -l s5 beta
-#   (7) varpi^eps + psi*theta: d theta = d varpi = d s6 eps = 0;
-#                              d psi = k varpi;  d eps = k theta;
-#                              d s5 varpi = l s5 psi;  d s6 theta = l s6 eps
-#   (8) phi*alpha + psi*theta: inconsistent unless one term vanishes
-#   (9) beta^nu + varpi^eps  : d of all four = 0;
-#                              d s6 nu = d s5 beta = d s5 varpi = 0;
-#                              s5 varpi ^ d s6 eps = beta^varpi^eps^nu; if
-#                              eps^nu != 0: d s6 eps = k eps^nu,
-#                              k s5 varpi = beta ^ varpi
-#
-# A flux whose Lorentzian pieces all share a common coordinate 1-form
-# factor (and psi*theta = 0) instead satisfies the homogeneous system in
-# which every right-hand side above vanishes ("product-factor" shape).
+# With one or two of the five flux terms present, the closedness and Maxwell
+# equations collapse to small systems on the factors (``_PATTERNS``), with
+# real constants kappa and lambda (k and l); *5 and *6 are the factor Hodge
+# stars.  Pattern 8 (phi*alpha + psi*theta) has no solution unless one term
+# vanishes.  Lorentzian pieces that share a coordinate 1-form factor (with
+# psi*theta = 0) satisfy the homogeneous system ``_PRODUCT_FACTOR``; any
+# other flux gets the jet core's full closedness and Maxwell rows.
 # ---------------------------------------------------------------------------
 
 _FIT_ZERO_THRESHOLD = 1e-10
+
+#: Sorted present terms -> (case, rows, split).  A row is the left side of
+#: ``row = 0`` (see :func:`_row_terms`).  A constant is fitted at the first
+#: row that uses it: the row's other term ~ c * (the term c multiplies).
+#: ``split = (test, if_zero, otherwise)`` appends rows by whether the form
+#: ``test`` vanishes: pattern 3's ``d(*5 gamma)^(*6 delta) = (1/2) g^g^d^d``
+#: and pattern 9's ``(*5 varpi)^d(*6 eps) = beta^varpi^eps^nu`` split in two.
+_PATTERNS = {
+    ("alpha",): ("1", ["d(phi)", "d(alpha)", "d(*5 alpha)"], None),
+    ("beta",): ("2", ["d(beta)", "d(*5 beta)", "d(nu)", "d(*6 nu)"], None),
+    ("gamma",): ("3", ["d(gamma)", "d(delta)", "d(*6 delta)"], (
+        "gamma^gamma", ["d(*5 gamma)"], ["d(*5 gamma) - k*gamma^gamma", "k*(*6 delta) - delta^delta/2"])),
+    ("varpi",): ("4", ["d(varpi)", "d(*5 varpi)", "d(eps)", "d(*6 eps)"], None),
+    ("theta",): ("5", ["d(psi)", "d(theta)", "d(*6 theta)"], None),
+    ("alpha", "beta"): ("6", ["d(alpha)", "d(*5 beta)", "d(nu)", "d(phi) - k*nu", "d(beta) + k*alpha",
+                              "d(*6 nu) - l*(*6 phi)", "d(*5 alpha) + l*(*5 beta)"], None),
+    ("theta", "varpi"): ("7", ["d(theta)", "d(varpi)", "d(*6 eps)", "d(psi) - k*varpi", "d(eps) - k*theta",
+                               "d(*5 varpi) - l*(*5 psi)", "d(*6 theta) - l*(*6 eps)"], None),
+    ("beta", "varpi"): ("9", ["d(beta)", "d(nu)", "d(varpi)", "d(eps)", "d(*6 nu)", "d(*5 beta)",
+                              "d(*5 varpi)"], (
+        "eps^nu", ["d(*6 eps)"], ["d(*6 eps) - k*eps^nu", "k*(*5 varpi) - beta^varpi"])),
+}
+
+#: The Maxwell rows of the "product-factor" shape (on the 11-chart).
+_PRODUCT_FACTOR = ["d(*5 alpha)^(*6 phi) + (*5 beta)^d(*6 nu)",
+                   "d(*5 beta)^(*6 nu) - (*5 gamma)^d(*6 delta)",
+                   "d(*5 gamma)^(*6 delta) + (*5 varpi)^d(*6 eps)",
+                   "d(*5 varpi)^(*6 eps)"]
+
+#: Labels of the full closedness and Maxwell rows on the 11-chart.
+_FULL_ROWS = {"closedness": "closedness: d(F) = 0", "maxwell": "maxwell: d(*F) - F^F/2 = 0"}
+
+_TOKEN = re.compile(r"\*[56]|\w+|\S")
 
 
 @dataclass
@@ -748,8 +759,62 @@ def _fit_ratio(num_form: KForm, den_form: KForm, pts) -> float:
     return 0.0 if abs(c) < _FIT_ZERO_THRESHOLD else c
 
 
-def _scale(form: KForm, c: float) -> KForm:
-    return form.scale(_as_expr(c))
+def _row_terms(text: str, pieces: dict, ps: ProductStructure) -> list[tuple[str, str, KForm]]:
+    """The terms ``(sign, constant, form)`` of a row ``t1 +- t2 ...``.
+
+    A term is ``[c*]w[/n]``: an optional fitted constant c (``k`` or ``l``;
+    ``""`` if none) times a wedge w of atoms joined by ``^`` or ``*``, over
+    an integer n.  An atom is a piece, ``d(row)``, ``(row)``, or ``*5`` /
+    ``*6`` (the factor's Hodge star) of an atom.  Forms on different
+    factors are wedged on the 11-chart.
+    """
+    tokens = [""] + _TOKEN.findall(text)[::-1]
+    stars = {"*5": ps.lorentz, "*6": ps.riemann}
+
+    def atom() -> KForm:
+        tok = tokens.pop()
+        if tok in stars:
+            return hodge(atom(), stars[tok])
+        if tok == "d":
+            return ext_d(atom())
+        if tok == "(":
+            form = _combine(terms(), {})
+            tokens.pop()  # ")"
+            return form
+        return pieces[tok]
+
+    def term() -> tuple[str, KForm]:
+        c = ""
+        if tokens[-1] in ("k", "l"):
+            c, _ = tokens.pop(), tokens.pop()  # "k", "*"
+        form = atom()
+        while tokens[-1] in ("^", "*"):
+            tokens.pop()
+            a, b = form, atom()
+            if a.chart.names != b.chart.names:
+                a, b = (embed_form(f, ps.chart, 0 if f.chart.dim == 5 else 5) for f in (a, b))
+            form = wedge(a, b)
+        if tokens[-1] == "/":
+            tokens.pop()
+            form = form.scale(1 / int(tokens.pop()))
+        return c, form
+
+    def terms() -> list:
+        out = [("+", *term())]
+        while tokens[-1] in ("+", "-"):
+            out.append((tokens.pop(), *term()))
+        return out
+
+    return terms()
+
+
+def _combine(terms, consts: dict) -> KForm:
+    """The form of a row's terms, given the values of its constants."""
+    total = None
+    for sign, c, form in terms:
+        form = form.scale(consts[c]) if c else form
+        total = form if total is None else total + form if sign == "+" else total - form
+    return total
 
 
 def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
@@ -760,180 +825,77 @@ def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
     the residuals of that pattern's closedness/Maxwell system, fitting the
     constants kappa and lambda where the pattern demands proportionality.
 
-    Falls back to "general" (full typed Maxwell residuals on the product)
-    when no pattern applies.  Fitted constants below 1e-10 are declared
-    zero and the stricter sub-system is checked.
+    Falls back to "general" (the jet core's closedness and Maxwell rows on
+    the product, as in :func:`verify`) when no pattern applies.  Fitted
+    constants below 1e-10 are declared zero and the stricter sub-system is
+    checked.  The box (default ``[-1, 1]^11``) and the points must be 11
+    wide.
     """
+    bg = Background(ps, fs, [(-1.0, 1.0)] * 11 if box is None else box)
     if points is None:
-        if box is None:
-            box = [(-1.0, 1.0)] * 11
-        points = sample_points(box, count, seed)
-    p5s = [tuple(p[:5]) for p in points]
-    p6s = [tuple(p[5:]) for p in points]
-    gl, gr = ps.lorentz, ps.riemann
-    ch5, ch6 = gl.chart, gr.chart
+        points = sample_points(bg.box, count, seed)
+    points = [tuple(p) for p in points]
+    if widths := {len(p) for p in points} - {11}:
+        raise FormError(f"sample points need 11 coordinates, got {min(widths)}")
     flags = fs.pair_flags()
-    present = frozenset(name for name, on in flags.items() if on)
+    present = tuple(sorted(t for t, on in flags.items() if on))
+    charts = {5: ps.lorentz.chart, 6: ps.riemann.chart}
 
-    zero5 = lambda k: zero_form(ch5, k)
-    zero6 = lambda k: zero_form(ch6, k)
-    alpha = fs.alpha if flags["alpha"] else zero5(4)
-    beta = fs.beta if flags["beta"] else zero5(3)
-    nu = fs.nu if flags["beta"] else zero6(1)
-    gamma = fs.gamma if flags["gamma"] else zero5(2)
-    delta = fs.delta if flags["gamma"] else zero6(2)
-    varpi = fs.varpi if flags["varpi"] else zero5(1)
-    eps = fs.eps if flags["varpi"] else zero6(3)
-    theta = fs.theta if flags["theta"] else zero6(4)
-    phi_e = fs.phi if fs.phi is not None else _as_expr(1.0)
-    psi_e = fs.psi if fs.psi is not None else _as_expr(1.0)
-    phi0 = KForm(ch6, 0, {(): phi_e})
-    psi0 = KForm(ch5, 0, {(): psi_e})
+    def piece(name, dim, deg, term) -> KForm:
+        """The piece as a form, zero if its term is absent; scalars as 0-forms."""
+        if not flags[term]:
+            return zero_form(charts[dim], deg)
+        v = getattr(fs, name)
+        return v if deg else KForm(charts[dim], 0, {(): 1.0 if v is None else v})
 
-    s5 = lambda f: hodge(f, gl)
-    s6 = lambda f: hodge(f, gr)
-
+    pieces = {name: piece(name, *spec) for name, spec in _PIECES.items()}
+    sample = {5: [p[:5] for p in points], 6: [p[5:] for p in points], 11: points}
+    consts: dict[str, float] = {}
     rows: list[tuple[str, float, float]] = []
 
-    def put(label: str, form: KForm, pts):
-        mx, mean = _form_stats(form, pts)
-        rows.append((label, mx, mean))
+    def stats(form: KForm) -> tuple[float, float]:
+        return _form_stats(form, sample[form.chart.dim])
 
-    kappa = None
-    lam = None
-    consistent = True
-    note = ""
+    def put(text: str) -> None:
+        terms = _row_terms(text, pieces, ps)
+        for _, c, form in terms:
+            if c and c not in consts:
+                other = next(f for _, d, f in terms if d != c)
+                consts[c] = _fit_ratio(other, form, sample[form.chart.dim])
+        rows.append((f"{text} = 0", *stats(_combine(terms, consts))))
 
-    if present == {"alpha"}:
-        case = "1"
-        put("d(phi) = 0", ext_d(phi0), p6s)
-        put("d(alpha) = 0", ext_d(alpha), p5s)
-        put("d(*5 alpha) = 0", ext_d(s5(alpha)), p5s)
-    elif present == {"beta"}:
-        case = "2"
-        put("d(beta) = 0", ext_d(beta), p5s)
-        put("d(*5 beta) = 0", ext_d(s5(beta)), p5s)
-        put("d(nu) = 0", ext_d(nu), p6s)
-        put("d(*6 nu) = 0", ext_d(s6(nu)), p6s)
-    elif present == {"gamma"}:
-        case = "3"
-        put("d(gamma) = 0", ext_d(gamma), p5s)
-        put("d(delta) = 0", ext_d(delta), p6s)
-        put("d(*6 delta) = 0", ext_d(s6(delta)), p6s)
-        gg = wedge(gamma, gamma)
-        if _form_stats(gg, p5s)[0] < _FIT_ZERO_THRESHOLD:
-            put("d(*5 gamma) = 0", ext_d(s5(gamma)), p5s)
-        else:
-            kappa = _fit_ratio(ext_d(s5(gamma)), gg, p5s)
-            put("d(*5 gamma) - k*gamma^gamma = 0", ext_d(s5(gamma)) - _scale(gg, kappa), p5s)
-            dd = wedge(delta, delta).scale(0.5)
-            put("k*(*6 delta) - delta^delta/2 = 0", _scale(s6(delta), kappa) - dd, p6s)
-    elif present == {"varpi"}:
-        case = "4"
-        put("d(varpi) = 0", ext_d(varpi), p5s)
-        put("d(*5 varpi) = 0", ext_d(s5(varpi)), p5s)
-        put("d(eps) = 0", ext_d(eps), p6s)
-        put("d(*6 eps) = 0", ext_d(s6(eps)), p6s)
-    elif present == {"theta"}:
-        case = "5"
-        put("d(psi) = 0", ext_d(psi0), p5s)
-        put("d(theta) = 0", ext_d(theta), p6s)
-        put("d(*6 theta) = 0", ext_d(s6(theta)), p6s)
-    elif present == {"alpha", "beta"}:
-        case = "6"
-        put("d(alpha) = 0", ext_d(alpha), p5s)
-        put("d(*5 beta) = 0", ext_d(s5(beta)), p5s)
-        put("d(nu) = 0", ext_d(nu), p6s)
-        kappa = _fit_ratio(ext_d(phi0), nu, p6s)
-        put("d(phi) - k*nu = 0", ext_d(phi0) - _scale(nu, kappa), p6s)
-        put("d(beta) + k*alpha = 0", ext_d(beta) + _scale(alpha, kappa), p5s)
-        lam = _fit_ratio(ext_d(s6(nu)), s6(phi0), p6s)
-        put("d(*6 nu) - l*(*6 phi) = 0", ext_d(s6(nu)) - _scale(s6(phi0), lam), p6s)
-        put("d(*5 alpha) + l*(*5 beta) = 0", ext_d(s5(alpha)) + _scale(s5(beta), lam), p5s)
-    elif present == {"varpi", "theta"}:
-        case = "7"
-        put("d(theta) = 0", ext_d(theta), p6s)
-        put("d(varpi) = 0", ext_d(varpi), p5s)
-        put("d(*6 eps) = 0", ext_d(s6(eps)), p6s)
-        kappa = _fit_ratio(ext_d(psi0), varpi, p5s)
-        put("d(psi) - k*varpi = 0", ext_d(psi0) - _scale(varpi, kappa), p5s)
-        put("d(eps) - k*theta = 0", ext_d(eps) - _scale(theta, kappa), p6s)
-        lam = _fit_ratio(ext_d(s5(varpi)), s5(psi0), p5s)
-        put("d(*5 varpi) - l*(*5 psi) = 0", ext_d(s5(varpi)) - _scale(s5(psi0), lam), p5s)
-        put("d(*6 theta) - l*(*6 eps) = 0", ext_d(s6(theta)) - _scale(s6(eps), lam), p6s)
-    elif present == {"alpha", "theta"}:
-        case = "8"
-        a_mag = max(_form_stats(alpha, p5s)[0], 0.0)
-        t_mag = max(_form_stats(theta, p6s)[0], 0.0)
-        smaller = min(a_mag, t_mag)
-        rows.append(("min(|phi*alpha|, |psi*theta|) = 0", smaller, smaller))
+    consistent, note = True, ""
+    if present in _PATTERNS:
+        case, texts, split = _PATTERNS[present]
+        if split:
+            test, if_zero, otherwise = split
+            small = stats(_combine(_row_terms(test, pieces, ps), {}))[0] < _FIT_ZERO_THRESHOLD
+            texts = texts + (if_zero if small else otherwise)
+        for text in texts:
+            put(text)
+    elif present == ("alpha", "theta"):
+        case, terms = "8", ("phi*alpha", "psi*theta")
+        smaller = min(stats(_combine(_row_terms(t, pieces, ps), {}))[0] for t in terms)
+        rows.append((f"min(|{terms[0]}|, |{terms[1]}|) = 0", smaller, smaller))
         if smaller > _FIT_ZERO_THRESHOLD:
             consistent = False
             note = "both terms are nonzero; this pattern admits no solution unless one vanishes"
-    elif present == {"beta", "varpi"}:
-        case = "9"
-        put("d(beta) = 0", ext_d(beta), p5s)
-        put("d(nu) = 0", ext_d(nu), p6s)
-        put("d(varpi) = 0", ext_d(varpi), p5s)
-        put("d(eps) = 0", ext_d(eps), p6s)
-        put("d(*6 nu) = 0", ext_d(s6(nu)), p6s)
-        put("d(*5 beta) = 0", ext_d(s5(beta)), p5s)
-        put("d(*5 varpi) = 0", ext_d(s5(varpi)), p5s)
-        en = wedge(eps, nu)
-        if _form_stats(en, p6s)[0] < _FIT_ZERO_THRESHOLD:
-            put("d(*6 eps) = 0", ext_d(s6(eps)), p6s)
-        else:
-            kappa = _fit_ratio(ext_d(s6(eps)), en, p6s)
-            put("d(*6 eps) - k*eps^nu = 0", ext_d(s6(eps)) - _scale(en, kappa), p6s)
-            bw = wedge(beta, varpi)
-            put("k*(*5 varpi) - beta^varpi = 0", _scale(s5(varpi), kappa) - bw, p5s)
     else:
-        case, extra_note = _common_factor_or_general(fs, ps, flags, present)
-        chart = ps.chart
-        pts11 = [tuple(p) for p in points]
-        if case == "product-factor":
-            e5 = lambda f: embed_form(f, chart, 0)
-            e6 = lambda f: embed_form(f, chart, 5)
-            put("closedness: d(F) = 0", ext_d(assemble_flux(fs, ps)), pts11)
-            put("d(*5 alpha)^(*6 phi) + (*5 beta)^d(*6 nu) = 0",
-                wedge(e5(ext_d(s5(alpha))), e6(s6(phi0 if flags["alpha"] else zero6(0))))
-                + wedge(e5(s5(beta)), e6(ext_d(s6(nu)))), pts11)
-            put("d(*5 beta)^(*6 nu) - (*5 gamma)^d(*6 delta) = 0",
-                wedge(e5(ext_d(s5(beta))), e6(s6(nu)))
-                - wedge(e5(s5(gamma)), e6(ext_d(s6(delta)))), pts11)
-            put("d(*5 gamma)^(*6 delta) + (*5 varpi)^d(*6 eps) = 0",
-                wedge(e5(ext_d(s5(gamma))), e6(s6(delta)))
-                + wedge(e5(s5(varpi)), e6(ext_d(s6(eps)))), pts11)
-            put("d(*5 varpi)^(*6 eps) = 0", wedge(e5(ext_d(s5(varpi))), e6(s6(eps))), pts11)
+        # The product-factor shape: no psi*theta, and at least two Lorentzian
+        # pieces, all with a coordinate 1-form factor in every component.
+        shared = [set.intersection(*map(set, pieces[t].coeffs))
+                  for t in ("alpha", "beta", "gamma", "varpi") if flags[t]]
+        common = set.intersection(*shared) if len(shared) > 1 and not flags["theta"] else set()
+        if common:
+            case = "product-factor"
+            note = f"Lorentzian pieces share the coordinate factor d{ps.lorentz.chart.names[min(common)]}"
+            rows.append((_FULL_ROWS["closedness"], *stats(ext_d(bg.flux_form()))))
+            for text in _PRODUCT_FACTOR:
+                put(text)
         else:
-            phi11 = assemble_flux(fs, ps)
-            h = product_metric(ps)
-            put("closedness: d(F) = 0", ext_d(phi11), pts11)
-            put("maxwell: d(*F) - F^F/2 = 0",
-                ext_d(hodge(phi11, h)) - wedge(phi11, phi11).scale(0.5), pts11)
-        note = extra_note
+            case = "general"
+            rows += [(_FULL_ROWS[r.equation], r.max_abs, r.mean_abs)
+                     for r in _residual_rows(bg, points, _FULL_ROWS) if r.block == "all"]
 
-    return ReducedCaseDiagnosis(case=case, kappa=kappa, lam=lam, rows=rows,
+    return ReducedCaseDiagnosis(case=case, kappa=consts.get("k"), lam=consts.get("l"), rows=rows,
                                 consistent=consistent, note=note)
-
-
-def _common_factor_or_general(fs: FluxSpec, ps: ProductStructure, flags, present):
-    """Detect the shared-coordinate-factor shape among the Lorentzian pieces."""
-    if flags["theta"] or not present:
-        return "general", ""
-    tilde = [fs.alpha if flags["alpha"] else None,
-             fs.beta if flags["beta"] else None,
-             fs.gamma if flags["gamma"] else None,
-             fs.varpi if flags["varpi"] else None]
-    tilde = [f for f in tilde if f is not None]
-    if len(tilde) < 2:
-        return "general", ""
-    common = None
-    for f in tilde:
-        keys_indices = [set(k) for k in f.coeffs.keys()]
-        shared = set.intersection(*keys_indices) if keys_indices else set()
-        common = shared if common is None else (common & shared)
-    if common:
-        name = ps.lorentz.chart.names[min(common)]
-        return "product-factor", f"Lorentzian pieces share the coordinate factor d{name}"
-    return "general", ""

@@ -161,9 +161,6 @@ class KForm:
         values = evaluate_points(list(self.coeffs.values()), [point])[0]
         return dict(zip(self.coeffs, values.tolist()))
 
-    def max_abs_at(self, point) -> float:
-        return max(map(abs, self.evaluate(point).values()), default=0.0)
-
     def key_name(self, key: tuple[int, ...]) -> str:
         return "^".join(self.chart.names[i] for i in key) if key else "1"
 

@@ -15,7 +15,7 @@ from oracles import fd_einstein, fd_maxwell, flux_contractions, flux_tensor, num
 import sugra.equations
 import sugra.forms
 import sugra.geometry
-from sugra.expr import Chart, add, const, coord, diff, evaluate, mul, parse, sin
+from sugra.expr import Chart, add, const, coord, diff, evaluate, evaluate_points, mul, parse, sin
 from sugra.forms import (
     KForm,
     Metric,
@@ -778,6 +778,84 @@ class TestDiagnostics:
                       theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")))
         d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
         assert d.case == "general"
+
+    def test_general_fallback_matches_symbolic_oracle(self):
+        """The general rows come from the jet core; their maxima are those
+        of ``ext_d(F)`` and ``ext_d(hodge(F, h)) - F^F/2`` built
+        symbolically on the 11-chart."""
+        bg = build("kahler-theta")
+        lorentz, riemann = bg.product.lorentz.chart, bg.product.riemann.chart
+        fs = FluxSpec(beta=monomial_form(lorentz, 1.0, ("t", "x1", "x2")),
+                      nu=coordinate_form(riemann, "y1"), psi=bg.flux.psi, theta=bg.flux.theta)
+        pts = bg.sample(20, seed=7)
+        d = diagnose_reduced_case(fs, bg.product, points=pts)
+        f = assemble_flux(fs, bg.product)
+        oracle = [ext_d(f), ext_d(hodge(f, bg.metric())) - wedge(f, f).scale(0.5)]
+        assert d.case == "general"
+        assert [label for label, _, _ in d.rows] == ["closedness: d(F) = 0",
+                                                     "maxwell: d(*F) - F^F/2 = 0"]
+        for (label, mx, _), form in zip(d.rows, oracle):
+            want = float(np.abs(evaluate_points(list(form.coeffs.values()), pts)).max())
+            assert mx == pytest.approx(want, rel=1e-12, abs=1e-13), label
+        assert d.rows[1][1] > 1.0
+
+    def test_varpi_theta_pattern(self):
+        """Pattern 7 with d psi = 2 varpi and d eps = 2 theta; *5 du is
+        closed, so the Maxwell-side constant is 0."""
+        fs = FluxSpec(varpi=coordinate_form(W5, "u"), psi=parse("2*u", W5),
+                      eps=monomial_form(R6, parse("y1", R6), ("y2", "y3", "y4")),
+                      theta=monomial_form(R6, 0.5, ("y1", "y2", "y3", "y4")))
+        d = diagnose_reduced_case(fs, build("alpha-ppwave").product,
+                                  points=sample_points([(-1, 1)] * 11, 10, 1))
+        assert (d.case, d.kappa, d.lam) == ("7", 2.0, 0.0)
+        assert d.rows == [(label, 0.0, 0.0) for label in (
+            "d(theta) = 0", "d(varpi) = 0", "d(*6 eps) = 0", "d(psi) - k*varpi = 0",
+            "d(eps) - k*theta = 0", "d(*5 varpi) - l*(*5 psi) = 0",
+            "d(*6 theta) - l*(*6 eps) = 0")]
+
+    def test_gamma_delta_pattern_splits_on_gamma_wedge_gamma(self):
+        """gamma^gamma != 0 takes the fitted branch of pattern 3: on flat
+        factors d(*5 gamma) = 0 fits k = 0, and delta^delta/2 =
+        dy1^dy2^dy3^dy4 is left over."""
+        fs = FluxSpec(gamma=monomial_form(W5, 1.0, ("u", "x1")) + monomial_form(W5, 1.0, ("x2", "x3")),
+                      delta=monomial_form(R6, 1.0, ("y1", "y2")) + monomial_form(R6, 1.0, ("y3", "y4")))
+        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        by_label = {label: mx for label, mx, _ in d.rows}
+        assert (d.case, d.kappa, d.lam) == ("3", 0.0, None)
+        assert "d(*5 gamma) = 0" not in by_label
+        assert by_label["d(*5 gamma) - k*gamma^gamma = 0"] == 0.0
+        assert by_label["k*(*6 delta) - delta^delta/2 = 0"] == 1.0
+
+    @pytest.mark.parametrize("scalar", ["phi", "psi"])
+    def test_literal_zero_scalar_drops_its_term(self, scalar):
+        """``phi = 0`` removes phi*alpha from the flux, so only psi*theta is
+        left (and the other way round): a single-term pattern, not 8."""
+        fs = FluxSpec(alpha=monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")),
+                      theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")),
+                      **{scalar: const(0.0)})
+        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        assert d.case == {"phi": "5", "psi": "1"}[scalar]
+        assert d.consistent and d.max_residual() == 0.0
+
+    def test_alpha_theta_pattern_measures_the_scaled_terms(self):
+        """Pattern 8's row is ``min(|phi*alpha|, |psi*theta|)``: a tiny phi
+        makes the flux nearly pure psi*theta, which is consistent."""
+        fs = FluxSpec(alpha=monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")), phi=const(1e-13),
+                      theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")))
+        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        assert d.case == "8"
+        assert d.rows == [("min(|phi*alpha|, |psi*theta|) = 0", 1e-13, 1e-13)]
+        assert d.consistent
+
+    @pytest.mark.parametrize("box, points, message", [
+        ([(-1.0, 1.0)] * 10, None, "sample box needs 11 coordinate ranges, got 10"),
+        ([(-1.0, 1.0)] * 12, None, "sample box needs 11 coordinate ranges, got 12"),
+        (None, [(0.5,) * 13] * 3, "sample points need 11 coordinates, got 13"),
+    ])
+    def test_sample_width_must_be_eleven(self, box, points, message):
+        bg = build("beta-nu-ppwave")
+        with pytest.raises(sugra.forms.FormError, match=message):
+            diagnose_reduced_case(bg.flux, bg.product, box=box, points=points)
 
     def test_kappa_fit_threshold_declares_zero(self):
         bg = build("alphabeta-poly")
