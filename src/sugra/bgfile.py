@@ -24,7 +24,9 @@ A background file has five bracketed sections::
     ...
     tol = 1e-8               # optional default tolerance
 
-``#`` starts a comment; whitespace and blank lines are insignificant.  The
+``#`` starts a comment; whitespace and blank lines are insignificant.  Only
+flux form pieces may repeat their key; a key repeated anywhere else is an
+error.  The
 ``^`` in a flux line separates the coefficient expression from the wedge
 monomial (the split is at the last ``^`` whose tail is a pure coordinate
 list, so exponents inside the coefficient are fine).  Using a coordinate of
@@ -39,9 +41,9 @@ from pathlib import Path
 from typing import Optional
 
 from .expr import Chart, Expr, ParseError, is_zero, parse, to_text
-from .forms import KForm, Metric, monomial_form
+from .forms import Metric, monomial_form
 from .geometry import ProductStructure
-from .equations import Background, FluxSpec
+from .equations import _PIECES, Background, FluxSpec
 
 __all__ = ["BgFileError", "BlockViolationError", "parse_background_file",
            "parse_background_text", "render_background"]
@@ -62,9 +64,6 @@ class BlockViolationError(BgFileError):
 
 
 _SECTIONS = ("chart", "metric.lorentz", "metric.riemann", "flux", "sample")
-_LORENTZ_PIECES = {"alpha": 4, "beta": 3, "gamma": 2, "varpi": 1}
-_RIEMANN_PIECES = {"nu": 1, "delta": 2, "eps": 3, "theta": 4}
-_SCALARS = ("phi", "psi")
 _METRIC_RE = re.compile(r"g\(\s*(\w+)\s*,\s*(\w+)\s*\)$")
 _WEDGE_TAIL_RE = re.compile(r"\^\s*([A-Za-z_]\w*(?:\s+[A-Za-z_]\w*)*)\s*$")
 
@@ -93,8 +92,7 @@ def parse_background_file(path) -> Background:
 
 def parse_background_text(text: str, path: str = "") -> Background:
     section: Optional[str] = None
-    chart_l: Optional[Chart] = None
-    chart_r: Optional[Chart] = None
+    charts: dict[str, Chart] = {}
     metric_lines: dict[str, list[tuple[str, str, str, int]]] = {
         "metric.lorentz": [], "metric.riemann": []}
     flux_lines: list[tuple[str, str, int]] = []
@@ -121,16 +119,14 @@ def parse_background_text(text: str, path: str = "") -> Background:
         key, value = (s.strip() for s in line.split("=", 1))
         if section == "chart":
             names = tuple(value.split())
-            if key == "lorentz":
-                if len(names) != 5:
-                    raise BgFileError("lorentz chart needs 5 coordinates", lineno, path)
-                chart_l = Chart(names)
-            elif key == "riemann":
-                if len(names) != 6:
-                    raise BgFileError("riemann chart needs 6 coordinates", lineno, path)
-                chart_r = Chart(names)
-            else:
+            size = {"lorentz": 5, "riemann": 6}.get(key)
+            if size is None:
                 raise BgFileError(f"unknown chart key {key!r}", lineno, path)
+            if len(names) != size:
+                raise BgFileError(f"{key} chart needs {size} coordinates", lineno, path)
+            if key in charts:
+                raise BgFileError(f"duplicate {key} chart", lineno, path)
+            charts[key] = Chart(names)
         elif section in ("metric.lorentz", "metric.riemann"):
             m = _METRIC_RE.match(key)
             if not m:
@@ -143,6 +139,7 @@ def parse_background_text(text: str, path: str = "") -> Background:
 
     if not any_content:
         raise BgFileError("empty background file", 0, path)
+    chart_l, chart_r = charts.get("lorentz"), charts.get("riemann")
     if chart_l is None or chart_r is None:
         raise BgFileError("missing [chart] section with lorentz and riemann lines", 0, path)
     overlap = set(chart_l.names) & set(chart_r.names)
@@ -174,22 +171,19 @@ def parse_background_text(text: str, path: str = "") -> Background:
     gl = build_metric("metric.lorentz", chart_l, chart_r)
     gr = build_metric("metric.riemann", chart_r, chart_l)
 
-    pieces: dict[str, KForm] = {}
-    scalars: dict[str, Expr] = {}
+    blocks = {5: (chart_l, chart_r), 6: (chart_r, chart_l)}
+    pieces: dict = {}
     for key, value, lineno in flux_lines:
-        if key in _SCALARS:
-            own, other = (chart_r, chart_l) if key == "phi" else (chart_l, chart_r)
-            e = _parse_block_expr(value, own, other, lineno, path, f"flux scalar {key}")
-            if key in scalars:
-                raise BgFileError(f"duplicate scalar {key!r}", lineno, path)
-            scalars[key] = e
-            continue
-        if key in _LORENTZ_PIECES:
-            own, other, deg = chart_l, chart_r, _LORENTZ_PIECES[key]
-        elif key in _RIEMANN_PIECES:
-            own, other, deg = chart_r, chart_l, _RIEMANN_PIECES[key]
-        else:
+        if key not in _PIECES:
             raise BgFileError(f"unknown flux piece {key!r}", lineno, path)
+        dim, deg, _ = _PIECES[key]
+        own, other = blocks[dim]
+        if not deg:
+            e = _parse_block_expr(value, own, other, lineno, path, f"flux scalar {key}")
+            if key in pieces:
+                raise BgFileError(f"duplicate scalar {key!r}", lineno, path)
+            pieces[key] = e
+            continue
         m = _WEDGE_TAIL_RE.search(value)
         if m is None:
             raise BgFileError(
@@ -220,12 +214,15 @@ def parse_background_text(text: str, path: str = "") -> Background:
     for key, value, lineno in sample_lines:
         if key == "tol":
             try:
-                tol = float(value)
+                t = float(value)
             except ValueError:
                 raise BgFileError(f"bad tolerance {value!r}", lineno, path) from None
-            if not (math.isfinite(tol) and tol > 0.0):
+            if not (math.isfinite(t) and t > 0.0):
                 raise BgFileError(f"tolerance must be finite and positive, got {value!r}",
                                   lineno, path)
+            if tol is not None:
+                raise BgFileError("duplicate tolerance", lineno, path)
+            tol = t
             continue
         parts = value.split()
         if len(parts) != 2:
@@ -241,6 +238,8 @@ def parse_background_text(text: str, path: str = "") -> Background:
             raise BgFileError(f"empty sample range for {key!r}", lineno, path)
         if key not in chart_l.names and key not in chart_r.names:
             raise BgFileError(f"sample range for unknown coordinate {key!r}", lineno, path)
+        if key in box_map:
+            raise BgFileError(f"duplicate sample range for {key!r}", lineno, path)
         box_map[key] = (lo, hi)
 
     all_names = chart_l.names + chart_r.names
@@ -248,13 +247,8 @@ def parse_background_text(text: str, path: str = "") -> Background:
     if missing:
         raise BgFileError(f"missing sample ranges for {missing}", 0, path)
 
-    flux = FluxSpec(
-        alpha=pieces.get("alpha"), beta=pieces.get("beta"), gamma=pieces.get("gamma"),
-        varpi=pieces.get("varpi"), psi=scalars.get("psi"), phi=scalars.get("phi"),
-        nu=pieces.get("nu"), delta=pieces.get("delta"), eps=pieces.get("eps"),
-        theta=pieces.get("theta"))
     ps = ProductStructure(gl, gr)
-    return Background(ps, flux, [box_map[n] for n in all_names],
+    return Background(ps, FluxSpec(**pieces), [box_map[n] for n in all_names],
                       ident=Path(path).stem if path else "",
                       provenance=f"background file {path}" if path else "background file",
                       tolerance=tol)
@@ -287,16 +281,15 @@ def render_background(bg: Background, header: str = "") -> str:
 
     lines.append("")
     lines.append("[flux]")
-    fs = bg.flux
-    for key, chart in (("phi", gr.chart), ("psi", gl.chart)):
-        e = getattr(fs, key)
-        if e is not None:
-            lines.append(f"{key} = {to_text(e, chart)}")
-    for key, chart in (("alpha", gl.chart), ("beta", gl.chart), ("gamma", gl.chart),
-                       ("varpi", gl.chart), ("nu", gr.chart), ("delta", gr.chart),
-                       ("eps", gr.chart), ("theta", gr.chart)):
-        f = getattr(fs, key)
-        if f is None or f.is_zero:
+    charts = {5: gl.chart, 6: gr.chart}
+    # The scalars, then the Lorentzian form pieces, then the Riemannian ones.
+    for key in sorted(_PIECES, key=lambda k: _PIECES[k][0] if _PIECES[k][1] else 0):
+        dim, deg, _ = _PIECES[key]
+        f, chart = getattr(bg.flux, key), charts[dim]
+        if f is None:
+            continue
+        if not deg:
+            lines.append(f"{key} = {to_text(f, chart)}")
             continue
         for idx, coeff in sorted(f.coeffs.items()):
             names = " ".join(chart.names[i] for i in idx)

@@ -26,6 +26,7 @@ variable and by --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from pathlib import Path
 from . import __version__
 from .bgfile import BgFileError, parse_background_file
 from .catalog import CatalogError, catalog_ids, get_entry, build
-from .equations import Background, FluxSpec, VerificationResult, verify
+from .equations import _PIECES, Background, VerificationResult, verify
 from .expr import ExprError
 from .forms import FormError
 
@@ -54,13 +55,10 @@ def _parse_perturb(spec: str) -> tuple[str, float]:
 
 
 def _scale_flux(bg: Background, factor: float) -> Background:
-    """Uniformly rescale every flux piece (perturbation for file targets)."""
+    """Uniformly rescale every flux form piece (perturbation for file targets)."""
     fs = bg.flux
-    scaled = {}
-    for name in ("alpha", "beta", "gamma", "varpi", "nu", "delta", "eps", "theta"):
-        f = getattr(fs, name)
-        scaled[name] = None if f is None else f.scale(factor)
-    new = FluxSpec(psi=fs.psi, phi=fs.phi, **scaled)
+    forms = {name: getattr(fs, name) for name, (_, deg, _) in _PIECES.items() if deg}
+    new = dataclasses.replace(fs, **{name: f.scale(factor) for name, f in forms.items() if f is not None})
     return Background(bg.product, new, bg.box, bg.ident, bg.provenance, bg.predicate,
                       bg.tolerance)
 

@@ -31,19 +31,18 @@ import itertools
 import random
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter, le, lt
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, evaluate, evaluate_points, gradient, is_zero, to_text, _as_expr
+from .expr import EvalDomainError, Expr, evaluate_points, gradient, is_zero, to_text, _as_expr
 from .forms import (
     FormError,
     KForm,
     Metric,
     check_signature_values,
     embed_form,
-    embed_scalar,
     ext_d,
     form_inner,
     hodge,
@@ -84,13 +83,14 @@ __all__ = [
 TRACE_IDENTITY_SIGN = -1.0
 
 
-#: Each flux piece: (the dimension of its factor, its degree, the term of
-#: the flux it belongs to).
+#: The flux ``phi*alpha + beta^nu + gamma^delta + varpi^eps + psi*theta``,
+#: piece by piece in that order: (the dimension of the piece's factor, its
+#: degree, the term of the flux it belongs to).  Each term wedges a
+#: Lorentzian piece with a Riemannian one, of degrees summing to 4.
 _PIECES = {
-    "alpha": (5, 4, "alpha"), "beta": (5, 3, "beta"), "gamma": (5, 2, "gamma"),
-    "varpi": (5, 1, "varpi"), "psi": (5, 0, "theta"),
-    "phi": (6, 0, "alpha"), "nu": (6, 1, "beta"), "delta": (6, 2, "gamma"),
-    "eps": (6, 3, "varpi"), "theta": (6, 4, "theta"),
+    "phi": (6, 0, "alpha"), "alpha": (5, 4, "alpha"), "beta": (5, 3, "beta"), "nu": (6, 1, "beta"),
+    "gamma": (5, 2, "gamma"), "delta": (6, 2, "gamma"), "varpi": (5, 1, "varpi"), "eps": (6, 3, "varpi"),
+    "psi": (5, 0, "theta"), "theta": (6, 4, "theta"),
 }
 
 
@@ -120,15 +120,20 @@ class FluxSpec:
             if deg and f is not None and f.degree != deg:
                 raise FormError(f"{name} must be a {deg}-form, got degree {f.degree}")
 
-    def pair_flags(self) -> dict[str, bool]:
-        """Which of the five decomposable terms are actually present: both
-        of a term's pieces are nonzero, an omitted scalar phi or psi
-        standing for 1."""
-        flags = dict.fromkeys(("alpha", "beta", "gamma", "varpi", "theta"), True)
-        for name, (_, deg, term) in _PIECES.items():
+    def terms(self, ps: ProductStructure) -> list[tuple[str, KForm, KForm]]:
+        """The terms of the flux whose two pieces are both nonzero, in flux
+        order, as ``(term, Lorentzian form, Riemannian form)``.  A scalar
+        phi or psi is a 0-form on its factor's chart; omitted, it stands
+        for 1."""
+        charts = {5: ps.lorentz.chart, 6: ps.riemann.chart}
+        pairs: dict[str, dict] = {}
+        for name, (dim, deg, term) in _PIECES.items():
             v = getattr(self, name)
-            flags[term] &= deg == 0 if v is None else not (v.is_zero if deg else is_zero(v))
-        return flags
+            if not deg:
+                v = KForm(charts[dim], 0, {(): 1.0 if v is None else v})
+            pairs.setdefault(term, {})[dim] = v
+        return [(term, p[5], p[6]) for term, p in pairs.items()
+                if all(f is not None and not f.is_zero for f in p.values())]
 
 
 class Background:
@@ -206,29 +211,12 @@ def sample_points(box, count: int, seed: int,
 # Flux assembly and norms.
 # ---------------------------------------------------------------------------
 
-#: The three wedge terms: (Lorentzian piece, Riemannian piece).
-_PAIRS = (("beta", "nu"), ("gamma", "delta"), ("varpi", "eps"))
-
-
 def assemble_flux(fs: FluxSpec, ps: ProductStructure) -> KForm:
     """The flux as a single 4-form on the 11-chart (linear in every piece)."""
     chart = ps.chart
-    flags = fs.pair_flags()
     total = zero_form(chart, 4)
-    if flags["alpha"]:
-        a = embed_form(fs.alpha, chart, 0)
-        if fs.phi is not None:
-            a = a.scale(embed_scalar(fs.phi, 5))
-        total = total + a
-    for lo, hi in _PAIRS:
-        if flags[lo]:
-            total = total + wedge(embed_form(getattr(fs, lo), chart, 0),
-                                  embed_form(getattr(fs, hi), chart, 5))
-    if flags["theta"]:
-        t = embed_form(fs.theta, chart, 5)
-        if fs.psi is not None:
-            t = t.scale(embed_scalar(fs.psi, 0))
-        total = total + t
+    for _, lo, hi in fs.terms(ps):
+        total = total + wedge(embed_form(lo, chart, 0), embed_form(hi, chart, 5))
     return total
 
 
@@ -247,22 +235,9 @@ def flux_norm_sq_pieces(fs: FluxSpec, ps: ProductStructure, point) -> float:
 
     with each factor norm taken in its own block metric.
     """
-    p5 = tuple(point[:5])
-    p6 = tuple(point[5:])
-    gl, gr = ps.lorentz, ps.riemann
-    flags = fs.pair_flags()
-    total = 0.0
-    if flags["alpha"]:
-        phi2 = evaluate(fs.phi, p6) ** 2 if fs.phi is not None else 1.0
-        total += phi2 * form_inner(fs.alpha, fs.alpha, gl, p5)
-    for lo, hi in _PAIRS:
-        if flags[lo]:
-            a, b = getattr(fs, lo), getattr(fs, hi)
-            total += form_inner(a, a, gl, p5) * form_inner(b, b, gr, p6)
-    if flags["theta"]:
-        psi2 = evaluate(fs.psi, p5) ** 2 if fs.psi is not None else 1.0
-        total += psi2 * form_inner(fs.theta, fs.theta, gr, p6)
-    return total
+    p5, p6 = tuple(point[:5]), tuple(point[5:])
+    return sum((form_inner(lo, lo, ps.lorentz, p5) * form_inner(hi, hi, ps.riemann, p6)
+                for _, lo, hi in fs.terms(ps)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,31 +282,12 @@ def _pick(pos):
     return itemgetter(*pos) if pos else lambda k: ()
 
 
-def _increasing(t: dict, letters: str, group: list, less) -> dict:
-    """The entries of ``t`` (index ``letters``) whose indices at the
-    ``group`` of letters increase under ``less``."""
-    pos = [letters.index(c) for c in group]
-    for p, q in zip(pos, pos[1:]):
-        t = {k: v for k, v in t.items() if less(k[p], k[q])}
-    return t
-
-
-def _join(spec: str, a: dict, b: dict, coef: float = 1.0, sym: tuple = ()) -> list:
+def _join(spec: str, a: dict, b: dict, coef: float = 1.0) -> list:
     """Terms ``(out, c, col_a, col_b)`` of the einsum-style product ``spec``
     of two sparse tensors ``{index: (column, sign)}``; every letter is in the
-    output or in both operands.  Only entries whose indices increase
-    (strictly, if antisymmetric) on the slots they fill of each group of
-    ``sym`` (see :func:`_moves`) join: the others give only outputs that
-    :meth:`_Contractions._stage` drops.  Callers pass ``sym`` only where the
-    operand that fills a group's slots is itself (anti)symmetric in them;
-    the stage's plan, its columns and the order of its terms are then those
-    without the filter (the tests check this on every catalog id)."""
+    output or in both operands."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    for lo, hi, sign in sym:
-        less = lt if sign < 0 else le
-        a = _increasing(a, sa, [c for c in out[lo:hi] if c in sa], less)
-        b = _increasing(b, sb, [c for c in out[lo:hi] if c in sb], less)
     on_a = _pick([sa.index(c) for c in sa if c in sb])
     on_b = _pick([sb.index(c) for c in sa if c in sb])
     make = _pick([(sa + sb).index(c) for c in out])
@@ -398,20 +354,20 @@ class _Contractions:
         # and F raised one slot at a time from the last: r1 = F_abc^d, r2 = F_ab^cd.
         gam, m, v, r1 = self._stage(
             (_join("kl,ilj->kij", hinv, dh, 0.5) + _join("kl,jli->kij", hinv, dh, 0.5)
-             + _join("kl,lij->kij", hinv, dh, -0.5, sym=chris), chris),
+             + _join("kl,lij->kij", hinv, dh, -0.5), chris),
             (_join("kc,acd->akd", hinv, dh), ()),
             (_join("ij,yij->y", hinv, dh, 0.5) + _join("lx,lxy->y", hinv, dh, -1.0), ()),
-            (_join("Dd,abcd->abcD", hinv, f, sym=(anti3,)), (anti3,)))
+            (_join("Dd,abcd->abcD", hinv, f), (anti3,)))
         # Ric_ab = d_k G^k_ab - d_a G^k_kb + G^k_kl G^l_ab - G^k_al G^l_kb, where
         # d_k G^k_ab = -u_l G^l_ab + h^kl (d_k d_a h_lb + d_k d_b h_la - d_k d_l h_ab)/2
         # and d_a G^k_kb = (-m[a,k,d] m[b,d,k] + h^kl d_a d_b h_kl)/2.
         ric, r2 = self._stage(
             (_join("kl,kalb->ab", hinv, ddh, 0.5) + _join("kl,kbla->ab", hinv, ddh, 0.5)
-             + _join("kl,klab->ab", hinv, ddh, -0.5, sym=(sym,))
-             + _join("kl,abkl->ab", hinv, ddh, -0.5, sym=(sym,))
-             + _join("l,lab->ab", v, gam, sym=(sym,)) + _join("akd,bdk->ab", m, m, 0.5)
+             + _join("kl,klab->ab", hinv, ddh, -0.5)
+             + _join("kl,abkl->ab", hinv, ddh, -0.5)
+             + _join("l,lab->ab", v, gam) + _join("akd,bdk->ab", m, m, 0.5)
              + _join("kal,lkb->ab", gam, gam, -1.0), (sym,)),
-            (_join("Cc,abcD->abCD", hinv, r1, sym=pairs), pairs))
+            (_join("Cc,abcD->abCD", hinv, r1), pairs))
         # <i_i F, i_j F> = F_ia^bc F_bcj^a / 6, |F|^2 = F_ab^cd F_cd^ab / 24, and
         # d_l F^lbcd + tau_l F^lbcd = h^bx h^cy h^dw low_xyw by the product rule
         # (d_l h^ab = -h^ax d_l h_xy h^yb in each slot): low_xyw = h^la d_l F_axyw
@@ -419,18 +375,18 @@ class _Contractions:
         inner, norm, low = self._stage(
             (_join("iaBC,BCja->ij", r2, r1, 1 / 6), (sym,)),
             (_join("abcd,cdab->", r2, r2, 1 / 24), ()),
-            (_join("la,laxyw->xyw", hinv, df, sym=(anti3,))
-             + _join("s,xyws->xyw", v, r1, -1.0, sym=(anti3,))
-             + _join("lrs,cdls->rcd", dh, r2, -1.0, sym=(anti3,))
-             + _join("lrs,bdls->brd", dh, r2, sym=(anti3,))
-             + _join("lrs,bcls->bcr", dh, r2, -1.0, sym=(anti3,)), (anti3,)))
+            (_join("la,laxyw->xyw", hinv, df)
+             + _join("s,xyws->xyw", v, r1, -1.0)
+             + _join("lrs,cdls->rcd", dh, r2, -1.0)
+             + _join("lrs,bdls->brd", dh, r2)
+             + _join("lrs,bcls->bcr", dh, r2, -1.0), (anti3,)))
         ein, trace, up = self._stage(
-            (_join("ab,->ab", ric, one, sym=(sym,)) + _join("ab,->ab", inner, one, 0.5, sym=(sym,))
-             + _join("ab,->ab", h, norm, -1 / 6, sym=(sym,)), (sym,)),
+            (_join("ab,->ab", ric, one) + _join("ab,->ab", inner, one, 0.5)
+             + _join("ab,->ab", h, norm, -1 / 6), (sym,)),
             (_join("ab,ab->", hinv, ric) + _join(",->", norm, one, -TRACE_IDENTITY_SIGN / 6), ()),
-            (_join("Ww,xyw->xyW", hinv, low, sym=((0, 2, -1),)), ((0, 2, -1),)))
+            (_join("Ww,xyw->xyW", hinv, low), ((0, 2, -1),)))
         up, = self._stage((_join("Yy,xyW->xYW", hinv, up), ((1, 3, -1),)))
-        div, = self._stage((_join("Xx,xYW->XYW", hinv, up, sym=(anti3,)), (anti3,)))
+        div, = self._stage((_join("Xx,xYW->XYW", hinv, up), (anti3,)))
         maxwell, = self._stage((
             [((c,), -perm_sign(stars[key] + key) * div[stars[key]][1], self.sqrt_det, div[stars[key]][0])
              for c, key in enumerate(mkeys) if stars.get(key) in div]
@@ -837,18 +793,12 @@ def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
     points = [tuple(p) for p in points]
     if widths := {len(p) for p in points} - {11}:
         raise FormError(f"sample points need 11 coordinates, got {min(widths)}")
-    flags = fs.pair_flags()
-    present = tuple(sorted(t for t, on in flags.items() if on))
+    pairs = {term: (lo, hi) for term, lo, hi in fs.terms(ps)}
+    present = tuple(sorted(pairs))
     charts = {5: ps.lorentz.chart, 6: ps.riemann.chart}
-
-    def piece(name, dim, deg, term) -> KForm:
-        """The piece as a form, zero if its term is absent; scalars as 0-forms."""
-        if not flags[term]:
-            return zero_form(charts[dim], deg)
-        v = getattr(fs, name)
-        return v if deg else KForm(charts[dim], 0, {(): 1.0 if v is None else v})
-
-    pieces = {name: piece(name, *spec) for name, spec in _PIECES.items()}
+    # Each piece as a form, zero if its term is absent.
+    pieces = {name: pairs[term][dim == 6] if term in pairs else zero_form(charts[dim], deg)
+              for name, (dim, deg, term) in _PIECES.items()}
     sample = {5: [p[:5] for p in points], 6: [p[5:] for p in points], 11: points}
     consts: dict[str, float] = {}
     rows: list[tuple[str, float, float]] = []
@@ -883,9 +833,8 @@ def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
     else:
         # The product-factor shape: no psi*theta, and at least two Lorentzian
         # pieces, all with a coordinate 1-form factor in every component.
-        shared = [set.intersection(*map(set, pieces[t].coeffs))
-                  for t in ("alpha", "beta", "gamma", "varpi") if flags[t]]
-        common = set.intersection(*shared) if len(shared) > 1 and not flags["theta"] else set()
+        shared = [set.intersection(*map(set, lo.coeffs)) for term, (lo, _) in pairs.items() if term != "theta"]
+        common = set.intersection(*shared) if len(shared) > 1 and "theta" not in pairs else set()
         if common:
             case = "product-factor"
             note = f"Lorentzian pieces share the coordinate factor d{ps.lorentz.chart.names[min(common)]}"

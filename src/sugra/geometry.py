@@ -286,14 +286,6 @@ class ProductStructure:
     def chart(self) -> Chart:
         return Chart(self.lorentz.chart.names + self.riemann.chart.names)
 
-    @property
-    def lorentz_indices(self) -> tuple[int, ...]:
-        return tuple(range(5))
-
-    @property
-    def riemann_indices(self) -> tuple[int, ...]:
-        return tuple(range(5, 11))
-
 
 @lru_cache(maxsize=None)
 def product_metric(ps: ProductStructure) -> Metric:

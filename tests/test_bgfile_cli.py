@@ -12,9 +12,10 @@ from sugra.bgfile import (
     parse_background_text,
     render_background,
 )
-from sugra.catalog import build, catalog_ids
-from sugra.cli import main
+from sugra.catalog import build, catalog_ids, get_entry
+from sugra.cli import _resolve_target, main
 from sugra.equations import verify
+from sugra.expr import to_text
 
 SHIPPED = Path(__file__).resolve().parent.parent / "src" / "sugra" / "backgrounds"
 
@@ -78,6 +79,13 @@ class TestParser:
             for a, b in zip(rf.rows, rb.rows):
                 assert abs(a.max_abs - b.max_abs) <= 1e-12, (ident, a.equation, a.block)
                 assert abs(a.mean_abs - b.mean_abs) <= 1e-12
+
+    @pytest.mark.parametrize("ident", catalog_ids())
+    def test_shipped_files_are_rendered_builders(self, ident):
+        """Each shipped file is the rendered builder, byte for byte (this pins
+        the order of its lines)."""
+        text = render_background(build(ident), header=f"{ident}: {get_entry(ident).summary}")
+        assert (SHIPPED / f"{ident}.bg").read_text() == text
 
     def test_render_parse_round_trip(self):
         bg = build("alphabeta-trig")
@@ -200,6 +208,13 @@ class TestCli:
         pytest.param("g(u,u) = ", "g(u,u) = 1 + u" + "/(1+x1^2)" * 1500 + " + v" + "/(1+x1^2)" * 1500,
                      "{path}:7: metric entry g(u,u): parentheses and quotients nested deeper than 100",
                      id="quotients"),
+        # a repeated line is an error at that line, not an override of the first
+        pytest.param("tol = ", "tol = 1e-08\ntol = 10.0", "{path}:38: duplicate tolerance",
+                     id="duplicate-tol"),
+        pytest.param("u = ", "u = 0.5 1.5\nu = -1 1", "{path}:27: duplicate sample range for 'u'",
+                     id="duplicate-range"),
+        pytest.param("lorentz = ", "lorentz = u x1 x2 x3 v\nlorentz = u x1 x2 x3 v",
+                     "{path}:4: duplicate lorentz chart", id="duplicate-chart"),
     ])
     def test_bad_background_exit_2(self, tmp_path, capsys, entry, replacement, message):
         lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
@@ -283,6 +298,33 @@ class TestCli:
         code = main(["verify", str(src), "--points", "20", "--perturb", "flux:1.1"])
         capsys.readouterr()
         assert code == 1
+
+    def test_unit_flux_perturbation_changes_nothing(self, capsys):
+        src = str(SHIPPED / "kahler-theta.bg")
+        assert main(["verify", src, "--points", "20", "--json"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["verify", src, "--points", "20", "--json", "--perturb", "flux:1.0"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_flux_perturbation_scales_the_form_pieces(self):
+        """``flux:2`` doubles every form piece and leaves the scalars alone."""
+        path = SHIPPED / "kahler-theta.bg"
+        bg = parse_background_file(path)
+        scaled = _resolve_target(str(path), {"flux": 2.0})
+        assert bg.flux.psi is not None and bg.flux.theta is not None
+        chart = bg.product.lorentz.chart
+        assert to_text(scaled.flux.psi, chart) == to_text(bg.flux.psi, chart)
+        assert scaled.flux.phi is bg.flux.phi is None
+        points = bg.sample(5, seed=3)
+        for name in ("alpha", "beta", "gamma", "varpi", "nu", "delta", "eps", "theta"):
+            f, g = getattr(bg.flux, name), getattr(scaled.flux, name)
+            if f is None:
+                assert g is None, name
+                continue
+            for p in points:
+                q = p[:5] if f.chart.dim == 5 else p[5:]
+                want = {k: 2.0 * v for k, v in f.evaluate(q).items()}
+                assert g.evaluate(q) == pytest.approx(want, rel=1e-15), name
 
     def test_file_tolerance_used_when_flag_absent(self, tmp_path, capsys):
         loose = (SHIPPED / "alphabeta-poly.bg").read_text().replace(

@@ -556,30 +556,6 @@ class TestJetCore:
             names = {r.worst_component for r in got}
             assert {"(identically zero)", "(none)"} <= names
 
-    @pytest.mark.parametrize("which", catalog_ids() + ["tri6", "zero-flux"])
-    def test_operand_filters_keep_the_plan(self, which, monkeypatch):
-        """Filtering join operands by slot order builds fewer terms but keeps
-        every stage's terms, their order and their columns."""
-        bg = background(which)
-        join, built = sugra.equations._join, []
-
-        def counted(spec, a, b, coef=1.0, sym=()):
-            built.append(len(terms := join(spec, a, b, coef, sym)))
-            return terms
-
-        monkeypatch.setattr(sugra.equations, "_join", counted)
-        filtered = _Jets(bg).core
-        fewer = sum(built)
-        monkeypatch.setattr(sugra.equations, "_join",
-                            lambda spec, a, b, coef=1.0, sym=(): counted(spec, a, b, coef))
-        built.clear()
-        plain = _Jets(bg).core
-        assert fewer < sum(built)
-        assert (filtered.ncols, filtered.terms, filtered.batch) == (plain.ncols, plain.terms, plain.batch)
-        assert len(filtered.ops) == len(plain.ops)
-        for got, want in zip(filtered.ops, plain.ops):
-            assert all(np.array_equal(x, y) for x, y in zip(got, want))
-
     @pytest.mark.parametrize("entry, replacement, coord, good, bad", [
         # a 1x1 block turns positive (wrong count), later also degenerate
         ("g(y1,y1) = ", "g(y1,y1) = y1", 5, -0.5, (0.5, 0.0)),
