@@ -256,7 +256,8 @@ def parse_background_text(text: str, path: str = "") -> Background:
 
 def render_background(bg: Background, header: str = "") -> str:
     """Serialize a background to the file format (used to ship the catalog
-    entries as files; re-parsing reproduces the same residual tables)."""
+    entries as files; re-parsing reproduces the same residual tables).  The
+    ``tol`` line is the background's own tolerance, 1e-08 if it has none."""
     gl = bg.product.lorentz
     gr = bg.product.riemann
     lines: list[str] = []
@@ -300,5 +301,5 @@ def render_background(bg: Background, header: str = "") -> str:
     all_names = gl.chart.names + gr.chart.names
     for name, (lo, hi) in zip(all_names, bg.box):
         lines.append(f"{name} = {lo!r} {hi!r}")
-    lines.append("tol = 1e-08")
+    lines.append(f"tol = {1e-8 if bg.tolerance is None else bg.tolerance!r}")
     return "\n".join(lines) + "\n"

@@ -32,11 +32,11 @@ import random
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, evaluate_points, gradient, is_zero, to_text, _as_expr
+from .expr import EvalDomainError, Expr, evaluate_points, gradient, is_zero, to_text, _as_expr, _Plan
 from .forms import (
     FormError,
     KForm,
@@ -64,6 +64,7 @@ __all__ = [
     "flux_norm_sq",
     "flux_norm_sq_pieces",
     "sample_points",
+    "draw_points",
     "closedness_residual",
     "maxwell_residual",
     "einstein_residual",
@@ -170,6 +171,10 @@ class Background:
         return assemble_flux(self.flux, self.product)
 
     def sample(self, count: int, seed: int) -> list[tuple[float, ...]]:
+        return list(self.draws(count, seed))
+
+    def draws(self, count: int, seed: int) -> Iterator[tuple[float, ...]]:
+        """The points of :meth:`sample`, drawn as they are taken."""
         preds = [p for p in (self.predicate, self.metric().singular) if p is not None]
         if not preds:
             pred = None
@@ -177,34 +182,48 @@ class Background:
             pred = preds[0]
         else:
             pred = lambda pt: any(f(pt) for f in preds)
-        return sample_points(self.box, count, seed, pred)
+        return draw_points(self.box, count, seed, pred)
 
 
 def sample_points(box, count: int, seed: int,
                   predicate: Optional[Callable] = None) -> list[tuple[float, ...]]:
-    """Seeded uniform draws from the box, skipping predicate-flagged points.
+    """Seeded uniform draws from the box, skipping predicate-flagged points:
+    the whole plan of :func:`draw_points`."""
+    return list(draw_points(box, count, seed, predicate))
+
+
+def draw_points(box, count: int, seed: int,
+                predicate: Optional[Callable] = None) -> Iterator[tuple[float, ...]]:
+    """The ``count`` points of a seeded plan, drawn one by one as they are
+    taken.
 
     The predicate returns True for points to avoid (too close to a declared
     singular set).  Coordinates are drawn one after another as ``lo + (hi -
     lo) * random()`` from ``random.Random(seed)``, whose sequence Python
     keeps the same across versions, so a plan depends only on (box, count,
     seed, predicate).  At most ``1000 * count`` points are drawn.  ``count``
-    must be positive and ``seed`` non-negative.
+    must be positive and ``seed`` non-negative; both are checked here, before
+    any point is drawn.
     """
     if count < 1:
         raise FormError(f"sample count must be positive, got {count}")
     if seed < 0:
         raise FormError(f"sample seed must be non-negative, got {seed}")
-    draw = random.Random(seed).random
-    ranges = [(lo, hi - lo) for lo, hi in box]
-    pts: list[tuple[float, ...]] = []
-    for _ in range(1000 * count):
-        p = tuple([lo + width * draw() for lo, width in ranges])
-        if predicate is None or not predicate(p):
-            pts.append(p)
-            if len(pts) == count:
-                return pts
-    raise FormError("sample box appears to be mostly inside the singular set")
+
+    def draws():
+        draw = random.Random(seed).random
+        ranges = [(lo, hi - lo) for lo, hi in box]
+        kept = 0
+        for _ in range(1000 * count):
+            p = tuple([lo + width * draw() for lo, width in ranges])
+            if predicate is None or not predicate(p):
+                yield p
+                kept += 1
+                if kept == count:
+                    return
+        raise FormError("sample box appears to be mostly inside the singular set")
+
+    return draws()
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +452,44 @@ class _Contractions:
 
     def _metric(self, tape: np.ndarray, points) -> None:
         """``h^-1`` and ``sqrt|det h|`` into the tape, per connected block of h
-        (reciprocals of 1x1 blocks, stacks of equal-sized ones), after
-        checking the signature on the blocks' eigenvalues."""
+        (stacks of equal-sized blocks), after checking the signature on the
+        blocks' eigenvalues.  Blocks of size 1 and 2 are solved in closed
+        form: a 1x1 block is its eigenvalue and its reciprocal is its
+        inverse; ``[[a, b], [b, d]]`` has ``det = a*d - b*b``, the adjugate
+        over det as inverse, and the eigenvalues ``m + sign(m) hypot((a-d)/2,
+        b)`` (``m = (a+d)/2``, the one of larger size) and det over that one.
+        Larger blocks go to LAPACK."""
         z = len(points)
-        blocks = [(tape[src].transpose(3, 0, 1, 2), dst) for src, dst in self.blocks]
-        check_signature_values(np.concatenate([b.reshape(z, -1) if b.shape[-1] == 1 else
-                                               np.linalg.eigvalsh(b).reshape(z, -1) for b, _ in blocks],
-                                              axis=1), self.signature, points)
+        eigs, solved = [], []
+        for src, dst in self.blocks:
+            k, v = len(src[0]), tape[src]  # v: (blocks, k, k, points)
+            if k == 1:
+                v = v[:, 0, 0]
+                eigs.append(v)
+            elif k == 2:
+                a, b, d = v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]
+                v = (a, b, d, a * d - b * b)
+                half = (a + d) / 2
+                large = half + np.copysign(np.hypot((a - d) / 2, b), half)
+                eigs += [large, np.divide(v[3], large, out=np.zeros_like(large), where=large != 0.0)]
+            else:
+                v = v.transpose(3, 0, 1, 2)
+                eigs.append(np.linalg.eigvalsh(v).reshape(z, -1).T)
+            solved.append((k, v, dst))
+        check_signature_values(np.concatenate(eigs).T, self.signature, points)
         det = np.ones(z)
-        for b, dst in blocks:
-            single = b.shape[-1] == 1
-            tape[dst] = (1.0 / b if single else np.linalg.inv(b)).transpose(1, 2, 3, 0)
-            det = det * np.prod(b[..., 0, 0] if single else np.linalg.det(b), axis=1)
+        for k, v, dst in solved:
+            if k == 1:
+                block = v
+                tape[dst[:, 0, 0]] = 1.0 / v
+            elif k == 2:
+                a, b, d, block = v
+                tape[dst[:, 0, 0]], tape[dst[:, 1, 1]] = d / block, a / block
+                tape[dst[:, 0, 1]] = tape[dst[:, 1, 0]] = -b / block
+            else:
+                tape[dst] = np.linalg.inv(v).transpose(1, 2, 3, 0)
+                block = np.linalg.det(v).T
+            det = det * np.prod(block, axis=0)
         tape[self.sqrt_det] = np.sqrt(np.abs(det))
 
     def residuals(self, points, values: np.ndarray) -> dict[str, np.ndarray]:
@@ -470,9 +515,10 @@ class _Contractions:
 
 class _Jets:
     """The jets of one background: :meth:`values` evaluates their entries
-    over a plan, and ``residuals`` (of :class:`_Contractions`) derives the
-    four residual families from them, a batch of points at a time, by
-    contractions planned once over the structurally nonzero entries.
+    at a batch of points, and ``residuals`` (of :class:`_Contractions`)
+    derives the four residual families from those values, by contractions
+    planned once over the structurally nonzero entries; :meth:`evaluate`
+    does both.
 
     Only symbolically nonzero entries are kept: the metric jet ``h_ij,
     d_k h_ij, d_k d_l h_ij`` on all 11 coordinates, the flux jet ``F_K,
@@ -512,6 +558,7 @@ class _Jets:
         for c, key in enumerate(mkeys):
             if key in ff.coeffs:
                 self._put("ff", ff.coeffs[key], {(c,): 1.0})
+        self.plan = _Plan(self.exprs)
         self.core = _Contractions(self.jets, len(self.exprs), n, h.signature, blocks, mkeys, stars)
         self.residuals = self.core.residuals
         self.rows = self._layout(closed, mkeys)
@@ -565,36 +612,54 @@ class _Jets:
         """Every entry at every point, shape ``(len(points), entries)``; a
         domain error names its subexpression in the background's chart."""
         try:
-            return evaluate_points(self.exprs, points)
+            return self.plan.values(points)
         except EvalDomainError as err:
             raise EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
                                   err.expr, err.point) from None
 
+    def evaluate(self, points: list) -> dict[str, np.ndarray]:
+        """The residual families at a batch of points from the values there.
+        Of a domain error and a signature failure, the one at the earlier
+        point is raised."""
+        try:
+            values = self.values(points)
+        except EvalDomainError as err:
+            head = points[:next((k for k, p in enumerate(points) if p == err.point), 0)]
+            if head:  # the points before the domain error evaluate
+                self.residuals(head, self.values(head))
+            raise
+        return self.residuals(points, values)
 
-def _residual_rows(bg: Background, points, equations) -> list[ResidualRow]:
-    """Rows of the given residual families over the plan.  Each batch of
-    points is reduced as it comes out of the core: per row, the first
-    maximum of ``|value|`` in point-then-component order (``argmax`` in a
-    batch, a strict ``>`` across batches) and the sum of ``|value|``."""
+
+def _residual_rows(bg: Background, points: Iterable, equations) -> list[ResidualRow]:
+    """Rows of the given residual families over the points, which are taken,
+    evaluated, contracted and reduced one batch (``core.batch`` points) at a
+    time, so memory does not grow with the plan.  Per row, the reduction
+    keeps the first maximum of ``|value|`` in point-then-component order
+    (``argmax`` in a batch, a strict ``>`` across batches) and the sum of
+    ``|value|``."""
     jets = _Jets(bg)
-    points = [tuple(p) for p in points]
-    values = jets.values(points)
     layout = [row for row in jets.rows if row[0] in equations]
-    worst = [(-1.0, 0, 0)] * len(layout)  # (max, point, component); -1 is below any |value|
+    worst = [(-1.0, (), 0)] * len(layout)  # (max, point, component); -1 is below any |value|
     sums = [0.0] * len(layout)
-    size = jets.core.batch
-    for start in range(0, len(points), size):
-        out = jets.residuals(points[start:start + size], values[start:start + size])
+
+    def reduce(batch: list) -> None:
+        out = jets.evaluate(batch)
         for r, (equation, _, columns, _) in enumerate(layout):
             if columns:
                 a = np.abs(out[equation][:, columns])
                 point, comp = divmod(int(np.argmax(a)), a.shape[1])
                 if a[point, comp] > worst[r][0]:
-                    worst[r] = (float(a[point, comp]), start + point, comp)
+                    worst[r] = (float(a[point, comp]), batch[point], comp)
                 sums[r] += float(a.sum())
-    return [ResidualRow(equation, block, top, total / (len(points) * len(columns)),
-                        points[point], names[comp]) if columns and points
-            else ResidualRow(equation, block, 0.0, 0.0, (), "(none)")
+
+    points, count = iter(points), 0
+    while batch := [tuple(p) for p in itertools.islice(points, jets.core.batch)]:
+        reduce(batch)
+        count += len(batch)
+        del batch  # so that one batch of points is held at a time
+    return [ResidualRow(equation, block, top, total / (count * len(columns)), point, names[comp])
+            if columns and count else ResidualRow(equation, block, 0.0, 0.0, (), "(none)")
             for (equation, block, columns, names), (top, point, comp), total in zip(layout, worst, sums)]
 
 
@@ -628,7 +693,7 @@ def verify(bg: Background, count: int = 100, seed: int = 42,
     """Run all four residual families over a fresh seeded plan."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise FormError(f"tolerance must be finite and positive, got {tol!r}")
-    rows = _residual_rows(bg, bg.sample(count, seed),
+    rows = _residual_rows(bg, bg.draws(count, seed),
                           ("closedness", "maxwell", "einstein", "trace"))
     return VerificationResult(rows=rows, tolerance=tol)
 

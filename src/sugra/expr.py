@@ -7,7 +7,8 @@ and safe to share between threads.  They support
 
 * exact symbolic differentiation, closed under the node set above,
 * double-precision evaluation with one evaluator, :func:`evaluate_points`,
-  each node computed once for a whole batch of points; domain errors carry
+  each node computed once for a whole batch of points; its walk is laid out
+  once as a plan that can be run batch after batch; domain errors carry
   the offending subexpression and the first point where it fails,
 * coordinate remapping, and
 * parsing from text (at most ``_MAX_NESTING`` levels deep) and printing.
@@ -622,65 +623,84 @@ def gradient(e: Expr, indices: Iterable[int]) -> list[Expr]:
 def evaluate_points(exprs: Sequence[Expr], points) -> np.ndarray:
     """Values of every expression at every point, as an array of shape
     ``(len(points), len(exprs))``; ``points`` holds one float per chart
-    coordinate each.
-
-    Walks the distinct nodes of ``exprs`` (distinct by identity, so shared
-    subtrees cost once) children first, computes each for all points with
-    numpy and drops its values after their last use.  A domain error names
-    the first point where any node fails, and the first node failing there.
+    coordinate each.  The :class:`_Plan` of ``exprs``, run once.
     """
-    pts = np.asarray(points, dtype=float)
-    index = _distinct_nodes(exprs)
-    n, failure, out = len(pts), None, np.empty((0, len(exprs)))
-    while n:  # after a domain error, search the points before it for another
-        try:
-            out = _node_values(exprs, index, pts[:n])
-            break
-        except _OutOfDomain as err:
-            failure = err.args
-            n = failure[1]
-    bad = ~np.isfinite(out)
-    if np.count_nonzero(bad):
-        first = int(np.argmax(bad.any(axis=1)))
-        raise EvalDomainError("non-finite value", exprs[int(np.argmax(bad[first]))],
-                              tuple(pts[first].tolist()))
-    if failure is not None:
-        message, first, node = failure
-        raise EvalDomainError(message, node, tuple(pts[first].tolist()))
-    return out
+    return _Plan(exprs).values(points)
 
 
-def _node_values(exprs: Sequence[Expr], index: dict[Expr, int], pts: np.ndarray) -> np.ndarray:
-    """The walk of :func:`evaluate_points` over the nodes in ``index``; the
-    first failing node raises ``_OutOfDomain(message, first bad point, node)``."""
-    uses = [0] * len(index)  # parents not yet computed, per node
-    for node in index:
-        for c in node._children():
-            uses[index[c]] += 1
-    cols: dict[int, list[int]] = {}
-    for c, e in enumerate(exprs):
-        cols.setdefault(index[e], []).append(c)
-    out = np.empty((len(pts), len(exprs)))
-    vals: list = [None] * len(index)
-    with np.errstate(all="ignore"):
-        try:
-            for i, node in enumerate(index):
-                kids = [index[c] for c in node._children()]
-                v = vals[i] = node._np(pts, *[vals[k] for k in kids])
-                for c in cols.get(i, ()):
-                    out[:, c] = v
-                for k in kids:
-                    uses[k] -= 1
-                    if not uses[k]:
-                        vals[k] = None
-                if not uses[i]:
-                    vals[i] = None
-        except _OutOfDomain as err:
-            raise _OutOfDomain(*err.args, node) from None
-        except IndexError:
-            raise ExprError(f"points of length {pts.shape[1]} have no coordinate "
-                            f"{node.index}") from None
-    return out
+class _Plan:
+    """The walk of :func:`evaluate_points` over ``exprs``, laid out once and
+    run on any number of batches of points.  The distinct nodes of
+    ``exprs`` (distinct by identity, so shared subtrees cost once), children
+    first, are the slots of the walk: constants are filled in up front, and
+    every other node is a step ``(slot, node, child slots)``.  A node's
+    values are dropped after the step of its last use (``last``), and
+    ``cols`` maps a slot to the output columns it fills."""
+
+    def __init__(self, exprs: Sequence[Expr]):
+        index = _distinct_nodes(exprs)
+        self.exprs = list(exprs)
+        self.consts = [node.value if isinstance(node, Const) else None for node in index]
+        self.steps = [(i, node, tuple([index[c] for c in node._children()]))
+                      for node, i in index.items() if not isinstance(node, Const)]
+        self.last = list(range(len(index)))
+        for i, _, kids in self.steps:
+            for k in kids:
+                self.last[k] = i
+        self.cols: dict[int, list[int]] = {}
+        for c, e in enumerate(self.exprs):
+            self.cols.setdefault(index[e], []).append(c)
+
+    def values(self, points) -> np.ndarray:
+        """Every expression at every point, shape ``(len(points),
+        len(exprs))``.  Each node is computed for all points with numpy and
+        its values dropped after their last use.  A domain error names the
+        first point where any node fails, and the first node failing there.
+        """
+        pts = np.asarray(points, dtype=float)
+        n, failure, out = len(pts), None, np.empty((0, len(self.exprs)))
+        while n:  # after a domain error, search the points before it for another
+            try:
+                out = self._run(pts[:n])
+                break
+            except _OutOfDomain as err:
+                failure = err.args
+                n = failure[1]
+        bad = ~np.isfinite(out)
+        if np.count_nonzero(bad):
+            first = int(np.argmax(bad.any(axis=1)))
+            raise EvalDomainError("non-finite value", self.exprs[int(np.argmax(bad[first]))],
+                                  tuple(pts[first].tolist()))
+        if failure is not None:
+            message, first, node = failure
+            raise EvalDomainError(message, node, tuple(pts[first].tolist()))
+        return out
+
+    def _run(self, pts: np.ndarray) -> np.ndarray:
+        """One walk at the rows of ``pts``; the first failing node raises
+        ``_OutOfDomain(message, first bad point, node)``."""
+        out = np.empty((len(pts), len(self.exprs)))
+        vals, last, cols = self.consts[:], self.last, self.cols
+        for i, c in cols.items():
+            if vals[i] is not None:
+                out[:, c] = vals[i]
+        with np.errstate(all="ignore"):
+            try:
+                for i, node, kids in self.steps:
+                    v = node._np(pts, *[vals[k] for k in kids])
+                    for c in cols.get(i, ()):
+                        out[:, c] = v
+                    if last[i] != i:
+                        vals[i] = v
+                    for k in kids:
+                        if last[k] == i:
+                            vals[k] = None
+            except _OutOfDomain as err:
+                raise _OutOfDomain(*err.args, node) from None
+            except IndexError:
+                raise ExprError(f"points of length {pts.shape[1]} have no coordinate "
+                                f"{node.index}") from None
+        return out
 
 
 def _distinct_nodes(exprs: Sequence[Expr]) -> dict[Expr, int]:

@@ -87,6 +87,14 @@ class TestParser:
         text = render_background(build(ident), header=f"{ident}: {get_entry(ident).summary}")
         assert (SHIPPED / f"{ident}.bg").read_text() == text
 
+    def test_render_keeps_the_file_tolerance(self):
+        text = (SHIPPED / "alpha-ppwave.bg").read_text().replace("tol = 1e-08", "tol = 0.001")
+        bg = parse_background_text(text, "tol.bg")
+        assert bg.tolerance == 0.001
+        rendered = render_background(bg, header="tol")
+        assert "tol = 0.001" in rendered.splitlines()
+        assert parse_background_text(rendered, "tol.bg").tolerance == 0.001
+
     def test_render_parse_round_trip(self):
         bg = build("alphabeta-trig")
         text = render_background(bg, header="round trip")

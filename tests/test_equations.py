@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from oracles import fd_einstein, fd_maxwell, flux_contractions, flux_tensor, num
 import sugra.equations
 import sugra.forms
 import sugra.geometry
-from sugra.expr import Chart, add, const, coord, diff, evaluate, evaluate_points, mul, parse, sin
+from sugra.expr import (Chart, EvalDomainError, add, const, coord, diff, evaluate, evaluate_points,
+                        mul, parse, sin)
 from sugra.forms import (
     KForm,
     Metric,
+    check_signature_values,
     coordinate_form,
     ext_d,
     form_inner,
@@ -592,6 +595,137 @@ class TestJetCore:
             monkeypatch.setattr(module, name, unavailable)
         for bg in bgs:
             assert len(verify(bg, count=20, seed=42).rows) == 10
+
+
+class TestStreamedPlans:
+    """``verify`` draws, evaluates, contracts and reduces one batch at a time."""
+
+    def test_memory_does_not_grow_with_the_plan(self):
+        bg = build("kahler-theta")
+        verify(bg, count=5, seed=1)  # caches filled outside the measurement
+        peaks = []
+        for count in (1500, 6000):
+            tracemalloc.start()
+            try:
+                verify(bg, count=count, seed=11)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_one_batch_in_flight(self, monkeypatch):
+        """Points drawn but not yet contracted never exceed ``core.batch``,
+        and the jet values are never evaluated for more than one batch."""
+        bg = build("kahler-theta")
+        size = _Jets(bg).core.batch
+        drawn, contracted, evaluated = [0], [0], []
+        draws, residuals, values = Background.draws, _Contractions.residuals, _Jets.values
+
+        def counted_draws(self, count, seed):
+            for p in draws(self, count, seed):
+                drawn[0] += 1
+                assert drawn[0] - contracted[0] <= size
+                yield p
+
+        def counted_residuals(self, points, vals):
+            contracted[0] += len(points)
+            return residuals(self, points, vals)
+
+        def counted_values(self, points):
+            evaluated.append(len(points))
+            return values(self, points)
+
+        monkeypatch.setattr(Background, "draws", counted_draws)
+        monkeypatch.setattr(_Contractions, "residuals", counted_residuals)
+        monkeypatch.setattr(_Jets, "values", counted_values)
+        count = 3 * size + 7
+        verify(bg, count=count, seed=5)
+        assert drawn[0] == contracted[0] == sum(evaluated) == count
+        assert max(evaluated) == size
+
+    @pytest.mark.parametrize("wrong, bad", [(3, 9), (3, "next batch"), (9, 3), ("next batch", 3)])
+    def test_first_failing_point_is_reported(self, wrong, bad):
+        """A signature failure at one point and a domain error at another:
+        the earlier of the two is raised, in one batch or across two."""
+        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
+        edits = {"g(y1,y1) = ": "g(y1,y1) = y1", "g(y2,y2) = ": "g(y2,y2) = -sqrt(y3)"}
+        bg = parse_background_text("\n".join(next((new for old, new in edits.items() if ln.startswith(old)), ln)
+                                             for ln in lines) + "\n")
+        size = _Jets(bg).core.batch
+        wrong, bad = (size + 2 if k == "next batch" else k for k in (wrong, bad))
+        pts = [list(p) for p in sample_points(bg.box, size + 20, 7)]
+        for p in pts:
+            p[5], p[7] = -0.5, 1.0
+        pts[wrong][5], pts[bad][7] = 0.5, -1.0
+        pts = [tuple(p) for p in pts]
+        with pytest.raises((sugra.forms.FormError, EvalDomainError)) as err:
+            _residual_rows(bg, pts, ("einstein",))
+        first = min(wrong, bad)
+        assert isinstance(err.value, EvalDomainError) == (first == bad)
+        assert f"{pts[first]}" in str(err.value)
+
+
+class TestClosedFormBlocks:
+    """Metric blocks of size 2 are solved in closed form, checked against
+    ``numpy.linalg`` as an oracle; larger blocks still go to LAPACK."""
+
+    EDGES = [
+        [[1.7, 1.0], [1.0, 0.0]], [[-2.3, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],  # Walker (u,v)
+        [[1e8, 1.0], [1.0, 0.0]], [[-1e9, 1.0], [1.0, 0.0]], [[1e-9, 1.0], [1.0, 0.0]],
+        [[-2.0, 0.3], [0.3, -1.0]], [[-1.0, 0.0], [0.0, -4.0]],  # both diagonal entries negative
+        [[2.0, 0.5], [0.5, -3.0]], [[-2.0, 3.0], [3.0, 1.0]], [[1.0, 0.5], [0.5, -1.0]],  # mixed signs
+        [[3.0, 0.0], [0.0, 2.0]], [[0.5, 0.1], [0.1, 0.7]],
+        [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]], [[-1.0, 1.0], [1.0, -1.0]],  # det = 0
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -2.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-14]], [[1.0, 1.0], [1.0, 1.0 + 1e-9]],  # det near 0
+        [[1e-13, 0.0], [0.0, -1.0]], [[-3.0, 1e-7], [1e-7, 2e-15]],
+    ]
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            run()
+        except sugra.forms.FormError as err:
+            return type(err), str(err)
+        return None
+
+    def test_against_numpy_linalg(self):
+        rng = rng_for("closed2x2")
+        stacks = np.concatenate([np.array(self.EDGES), rng.uniform(-2.0, 2.0, size=(200, 2, 2))])
+        stacks = (stacks + stacks.transpose(0, 2, 1)) / 2
+        points = [(float(k),) for k in range(len(stacks))]
+        for signature in ((2, 0), (1, 1), (0, 2)):
+            core, values = TestJetCore._dense_core({"h": stacks}, signature)
+            (_, dst), = core.blocks
+            for k, (m, p) in enumerate(zip(stacks, points)):
+                tape = np.empty((core.ncols, 1))
+                tape[:core.one], tape[core.one], tape[core.zero] = values[k:k + 1].T, 1.0, 0.0
+                got = self._outcome(lambda: core._metric(tape, [p]))
+                want = self._outcome(lambda: check_signature_values(np.linalg.eigvalsh(m[None]), signature, [p]))
+                assert got == want, (m, signature)
+                if got is not None:
+                    continue
+                inv, det = tape[dst][0, :, :, 0], tape[core.sqrt_det, 0] ** 2
+                assert np.allclose(inv, np.linalg.inv(m), rtol=1e-12 * np.linalg.cond(m), atol=0.0), m
+                assert abs(det - abs(np.linalg.det(m))) <= 1e-12 * np.linalg.cond(m) * abs(det), m
+        # the walker block is exact
+        core, values = TestJetCore._dense_core({"h": np.array([[[1.7, 1.0], [1.0, 0.0]]])}, (1, 1))
+        res = core.residuals([(0.0,)], values)
+        assert np.all(res["einstein"] == 0.0)
+
+    def test_catalog_verify_needs_no_lapack(self, monkeypatch):
+        bgs = [build(ident) for ident in catalog_ids()]
+        stress = tri6_background()  # its Riemannian block has a 4-chain
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eigvalsh", "inv", "det"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        for bg in bgs:
+            assert len(verify(bg, count=20, seed=3).rows) == 10
+        with pytest.raises(AssertionError, match="LAPACK called"):
+            verify(stress, count=5, seed=3)
 
 
 class TestSamplePlans:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_scalar, rng_for
 from oracles import central_diff
@@ -117,6 +118,15 @@ class TestParse:
             e2 = parse(to_text(e, W5), W5)
             for p in pts[:5]:
                 assert evaluate(e2, p) == pytest.approx(evaluate(e, p), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=1000, derandomize=True, database=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_parse_inverts_to_text(self, seed):
+        """``parse(to_text(e)) == e`` by sort key, for random scalars on a
+        two-coordinate chart (so both coordinates often coincide)."""
+        chart = Chart(("p", "q"))
+        e = random_scalar(chart, np.random.default_rng(seed))
+        assert parse(to_text(e, chart), chart).sort_key() == e.sort_key()
 
 
 class TestEval:
