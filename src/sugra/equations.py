@@ -643,7 +643,7 @@ def _residual_rows(bg: Background, points: Iterable, equations) -> list[Residual
     worst = [(-1.0, (), 0)] * len(layout)  # (max, point, component); -1 is below any |value|
     sums = [0.0] * len(layout)
 
-    def reduce(batch: list) -> None:
+    def reduce(batch: list) -> None:  # its arrays die before the next batch is drawn
         out = jets.evaluate(batch)
         for r, (equation, _, columns, _) in enumerate(layout):
             if columns:
