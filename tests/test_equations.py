@@ -708,10 +708,14 @@ class TestClosedFormBlocks:
                 inv, det = tape[dst][0, :, :, 0], tape[core.sqrt_det, 0] ** 2
                 assert np.allclose(inv, np.linalg.inv(m), rtol=1e-12 * np.linalg.cond(m), atol=0.0), m
                 assert abs(det - abs(np.linalg.det(m))) <= 1e-12 * np.linalg.cond(m) * abs(det), m
-        # the walker block is exact
+        # a Walker block [[H, 1], [1, 0]] has the exact inverse [[0, 1], [1, -H]] and |det| 1
         core, values = TestJetCore._dense_core({"h": np.array([[[1.7, 1.0], [1.0, 0.0]]])}, (1, 1))
-        res = core.residuals([(0.0,)], values)
-        assert np.all(res["einstein"] == 0.0)
+        (_, dst), = core.blocks
+        tape = np.empty((core.ncols, 1))
+        tape[:core.one], tape[core.one], tape[core.zero] = values.T, 1.0, 0.0
+        core._metric(tape, [(0.0,)])
+        assert np.array_equal(tape[dst][0, :, :, 0], [[0.0, 1.0], [1.0, -1.7]])
+        assert tape[core.sqrt_det, 0] == 1.0
 
     def test_catalog_verify_needs_no_lapack(self, monkeypatch):
         bgs = [build(ident) for ident in catalog_ids()]
