@@ -15,7 +15,8 @@ has the wrong signature at a sample point, and one whose expressions leave
 their domain there or evaluate to a non-finite value (the line names the
 subexpression and the first such point).  So are bad numbers: --points
 below 1, a negative seed, a non-integer SUGRA_SEED, a tolerance that is not
-finite and positive, and a non-finite --perturb factor.
+finite and positive, and a non-finite --perturb factor.  An --out path
+that cannot be written is one ``error:`` line and exit code 2 as well.
 
 Reports are byte-deterministic for a fixed (target, seed, points,
 tolerance); wall-clock timing is therefore only included when --timing is
@@ -175,7 +176,11 @@ def _cmd_verify(args) -> int:
     report = build_report(args.target, bg, result, seed, args.points, millis)
     payload = report_to_json(report)
     if args.out:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as err:
+            print(f"error: cannot write the report: {err}", file=sys.stderr)
+            return 2
     if args.json:
         sys.stdout.write(payload)
     else:

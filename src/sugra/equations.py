@@ -345,13 +345,20 @@ class _Contractions:
     gather-multiply-``np.add.reduceat`` over its terms ``c * a * b``.  Only
     the canonical components of a (partly) symmetric tensor are computed;
     the others alias them with a sign.  ``jets`` maps the names ``h, dh,
-    ddh, F, dF, closed, ff`` to ``{index: (value column, sign)}``, with
-    ``dh[k,i,j] = d_k h_ij`` and ``ddh[k,l,i,j] = d_k d_l h_ij``; Maxwell
-    column c is ``s_A d_l(sqrt|h| F^lB)`` for ``B = stars[mkeys[c]]``, if
-    any, minus ``ff``.
+    ddh, F, dF`` to ``{index: (value column, sign)}``, with ``dh[k,i,j] =
+    d_k h_ij``, ``ddh[k,l,i,j] = d_k d_l h_ij`` and ``dF[l,K] = d_l F_K``.
+    ``keys`` names the components of closedness and Maxwell, both on
+    structural supports.  Closedness component ``sorted(l+K)`` sums
+    ``perm_sign(l+K) dF[l,K]`` over increasing K not holding l.  The
+    Maxwell components are the 8-forms A whose complementary 3-set B lies in
+    the flux coordinates S (those in F's keys, closed under the connected
+    blocks, so h^-1 never mixes S with the rest), with ``(d*F)_A = s_A
+    d_l(sqrt|h| F^lB)`` for a fixed sign s_A, and those ``sorted(a+b)`` of
+    disjoint increasing F keys ``a < b``, where F^F/2 gets the term
+    ``perm_sign(a+b) F_a F_b``.
     """
 
-    def __init__(self, jets: dict, width: int, n: int, signature, blocks, mkeys, stars):
+    def __init__(self, jets: dict, width: int, n: int, signature, blocks):
         self.signature = signature
         self.one, self.zero = width, width + 1
         self.ncols, self.ops, self.terms = width + 2, [], 0
@@ -406,14 +413,23 @@ class _Contractions:
             (_join("Ww,xyw->xyW", hinv, low), ((0, 2, -1),)))
         up, = self._stage((_join("Yy,xyW->xYW", hinv, up), ((1, 3, -1),)))
         div, = self._stage((_join("Xx,xYW->XYW", hinv, up), (anti3,)))
-        maxwell, = self._stage((
-            [((c,), -perm_sign(stars[key] + key) * div[stars[key]][1], self.sqrt_det, div[stars[key]][0])
-             for c, key in enumerate(mkeys) if stars.get(key) in div]
-            + _join("c,->c", jets["ff"], one, -1.0), ()))
-        cols = lambda t, keys: np.array([t.get(k, (self.zero,))[0] for k in keys], dtype=int)
+        fkeys = [k for k in f if k == tuple(sorted(set(k)))]
+        used = {i for k in fkeys for i in k}
+        s = sorted(i for b in blocks if used & set(b) for i in b)
+        stars = {tuple(sorted(set(range(n)) - set(b))): b for b in itertools.combinations(s, 3)}
+        pairs = [(a, b, sign) for a, b in itertools.combinations(fkeys, 2) if (sign := perm_sign(a + b))]
+        mkeys = sorted(set(stars) | {tuple(sorted(a + b)) for a, b, _ in pairs})
+        maxwell, closed = self._stage(
+            ([(key, -perm_sign(stars[key] + key) * div[stars[key]][1], self.sqrt_det, div[stars[key]][0])
+              for key in mkeys if stars.get(key) in div]
+             + [(tuple(sorted(a + b)), -sign * f[a][1] * f[b][1], f[a][0], f[b][0]) for a, b, sign in pairs], ()),
+            ([(tuple(sorted(k)), sign * t, c, self.one) for k, (c, t) in df.items()
+              if (sign := perm_sign(k)) and k[1:] == tuple(sorted(k[1:]))], ()))
+        self.keys = {"closedness": list(closed), "maxwell": mkeys}
+        cols = lambda t, keys: np.array([t.get(k, (self.zero,))[0] for k in keys or [()]], dtype=int)
         self.outputs = {
-            "closedness": cols(jets["closed"], [(c,) for c in range(max(len(jets["closed"]), 1))]),
-            "maxwell": cols(maxwell, [(c,) for c in range(max(len(mkeys), 1))]),
+            "closedness": cols(closed, self.keys["closedness"]),
+            "maxwell": cols(maxwell, mkeys),
             "einstein": cols(ein, [(i, j) for i in range(n) for j in range(i, n)]),
             "trace": cols(trace, [()]),
         }
@@ -520,48 +536,30 @@ class _Jets:
     planned once over the structurally nonzero entries; :meth:`evaluate`
     does both.
 
-    Only symbolically nonzero entries are kept: the metric jet ``h_ij,
-    d_k h_ij, d_k d_l h_ij`` on all 11 coordinates, the flux jet ``F_K,
-    d_l F_K`` on the flux coordinates S (those in F's keys, closed under the
-    metric's connected blocks, so h^-1 never mixes S with the rest; l only
-    where F depends on it), and the metric-free dF and F^F/2 whole.  Maxwell
-    components are the 8-forms A whose complementary 3-set B lies in S, with
-    ``(d*F)_A = s_A d_l(sqrt|h| F^lB)`` for a fixed sign s_A, and those of F^F.
-    A batch holds as many points as a fixed memory budget allows for the
-    plan's tape and its largest stage (``_BATCH_BYTES``): ``core.batch``.
+    Only symbolically nonzero entries are kept, of five tables: the metric
+    jet ``h_ij, d_k h_ij, d_k d_l h_ij`` and the flux jet ``F_K, d_l F_K``,
+    all on the 11 coordinates.  The flux is differentiated once, and
+    closedness and F^F/2 are contractions of these tables too.  A batch
+    holds as many points as a fixed memory budget allows for the plan's tape
+    and its largest stage (``_BATCH_BYTES``): ``core.batch``.
     """
 
     def __init__(self, bg: Background):
         h = bg.metric()
-        flux = bg.flux_form()
-        n = 11
-        used = {i for key in flux.coeffs for i in key}
-        blocks = _components(h.entries, n)
-        s = sorted(i for comp in blocks if used & set(comp) for i in comp)
-        closed = ext_d(flux)
-        ff = wedge(flux, flux).scale(0.5)
-        stars = {tuple(sorted(set(range(n)) - set(b))): b for b in itertools.combinations(s, 3)}
-        mkeys = sorted(set(stars) | set(ff.coeffs))
-
         self.chart = bg.chart
         self.exprs: list[Expr] = []
-        self.jets: dict[str, dict] = {k: {} for k in ("h", "dh", "ddh", "F", "dF", "closed", "ff")}
+        self.jets: dict[str, dict] = {k: {} for k in ("h", "dh", "ddh", "F", "dF")}
         self._put_metric_jet(h)
-        for key, e in flux.items():
+        for key, e in bg.flux_form().items():
             perms = _orbit(key, ((0, 4, -1),))
             self._put("F", e, perms)
-            for l, d in zip(s, gradient(e, s)):
+            for l, d in enumerate(gradient(e, range(11))):
                 if not is_zero(d):
                     self._put("dF", d, {(l,) + k: sign for k, sign in perms.items()})
-        for c, e in enumerate(closed.coeffs.values()):
-            self._put("closed", e, {(c,): 1.0})
-        for c, key in enumerate(mkeys):
-            if key in ff.coeffs:
-                self._put("ff", ff.coeffs[key], {(c,): 1.0})
         self.plan = _Plan(self.exprs)
-        self.core = _Contractions(self.jets, len(self.exprs), n, h.signature, blocks, mkeys, stars)
+        self.core = _Contractions(self.jets, len(self.exprs), 11, h.signature, _components(h.entries, 11))
         self.residuals = self.core.residuals
-        self.rows = self._layout(closed, mkeys)
+        self.rows = self._layout(self.core.keys)
 
     def _put(self, table: str, expr: Expr, slots: dict) -> None:
         """Add ``expr`` to the entries; its value, times the sign, is the
@@ -584,14 +582,15 @@ class _Jets:
                     if not is_zero(dkl):
                         self._put("ddh", dkl, {kl + ij: 1.0 for kl in {(k, l), (l, k)} for ij in pairs})
 
-    def _layout(self, closed: KForm, mkeys) -> list[tuple]:
+    def _layout(self, keys: dict) -> list[tuple]:
         """``(equation, block, columns, names)`` of each report row, in report
         order; ``columns`` index the family's residual array."""
         upper = [(i, j) for i in range(11) for j in range(i, 11)]
         def names(keys):
             return ["^".join(self.chart.names[i] for i in key) for key in keys]
 
-        closedness = names(closed.coeffs) or ["(identically zero)"]
+        mkeys = keys["maxwell"]
+        closedness = names(keys["closedness"]) or ["(identically zero)"]
         maxwell = names(mkeys) or ["(identically zero)"]
         einstein = [f"({self.chart.names[i]},{self.chart.names[j]})" for i, j in upper]
         rows = [("closedness", "all", list(range(len(closedness))), closedness),

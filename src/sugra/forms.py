@@ -23,7 +23,6 @@ import numpy as np
 
 from .expr import (
     Chart,
-    Coord,
     Expr,
     add,
     div,
@@ -35,7 +34,6 @@ from .expr import (
     remap_coords,
     sqrt,
     _as_expr,
-    _distinct_nodes,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "volume_form",
     "embed_form",
     "restrict_form",
-    "embed_scalar",
     "perm_sign",
     "sym_inverse",
 ]
@@ -160,9 +157,6 @@ class KForm:
     def evaluate(self, point) -> dict[tuple[int, ...], float]:
         values = evaluate_points(list(self.coeffs.values()), [point])[0]
         return dict(zip(self.coeffs, values.tolist()))
-
-    def key_name(self, key: tuple[int, ...]) -> str:
-        return "^".join(self.chart.names[i] for i in key) if key else "1"
 
     def __repr__(self):
         return f"<KForm deg={self.degree} on {self.chart.names} with {len(self.coeffs)} terms>"
@@ -598,8 +592,3 @@ def restrict_form(a: KForm, small: Chart, offset: int) -> KForm:
         coeffs[tuple(table[i] for i in key)] = remap_coords(val, table)
     return KForm(small, a.degree, coeffs)
 
-
-def embed_scalar(e: Expr, offset: int) -> Expr:
-    """Shift all coordinate indices of a scalar expression by ``offset``."""
-    idx = {n.index for n in _distinct_nodes([e]) if isinstance(n, Coord)}
-    return remap_coords(e, {i: i + offset for i in idx}) if idx else e

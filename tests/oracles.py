@@ -138,3 +138,14 @@ def fd_einstein(matfn, fluxfn, point, h: float = 1e-4) -> np.ndarray:
     g = np.asarray(matfn(point))
     inner, norm = flux_contractions(g, fluxfn(point))
     return fd_ricci(matfn, point, h) + 0.5 * inner - g * norm / 6.0
+
+
+def fd_closedness(fluxfn, point, h: float = 1e-4) -> dict:
+    """``dF`` on every increasing 5-tuple at ``point``: ``(dF)_{x0..x4} =
+    sum_t (-1)^t d_{x_t} F_{x without x_t}``, with the derivatives taken by
+    Richardson-stepped central differences of the flux values.  ``fluxfn``
+    returns the flux as an antisymmetric n^4 array."""
+    n = len(point)
+    df = [richardson_partial(fluxfn, point, i, h) for i in range(n)]
+    return {x: sum((-1) ** t * df[i][x[:t] + x[t + 1:]] for t, i in enumerate(x))
+            for x in itertools.combinations(range(n), 5)}

@@ -288,6 +288,17 @@ class TestCli:
         assert report["id"] == "alpha-ppwave"
         assert report["tolerance"] == 1e-8
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_path_exit_2(self, tmp_path, capsys, where):
+        """An --out path that cannot be written is bad input: one error line,
+        exit 2, nothing on stdout."""
+        out = tmp_path / "nosuch" / "r.json" if where == "missing-dir" else tmp_path
+        assert main(["verify", "alpha-ppwave", "--points", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write the report: ") and str(out) in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_timing_flag_adds_millis(self, capsys):
         code = main(["verify", "alpha-ppwave", "--points", "10", "--json", "--timing"])
         assert code == 0

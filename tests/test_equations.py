@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_metric, random_form, random_points, random_scalar, rng_for
-from oracles import fd_einstein, fd_maxwell, flux_contractions, flux_tensor, numeric_star
+from oracles import fd_closedness, fd_einstein, fd_maxwell, flux_contractions, flux_tensor, numeric_star
 
 import sugra.equations
 import sugra.forms
@@ -329,9 +329,19 @@ def zero_flux_background() -> Background:
     return Background(bg.product, FluxSpec(), bg.box)
 
 
+def beta_nu_theta_background() -> Background:
+    """kahler-theta with ``dt^dx1^dx2 ^ dy1`` added to its flux: F^F/2 is
+    nonzero, which it is on no catalog id."""
+    bg = build("kahler-theta")
+    lorentz, riemann = bg.product.lorentz.chart, bg.product.riemann.chart
+    fs = FluxSpec(beta=monomial_form(lorentz, 1.0, ("t", "x1", "x2")),
+                  nu=coordinate_form(riemann, "y1"), psi=bg.flux.psi, theta=bg.flux.theta)
+    return Background(bg.product, fs, bg.box)
+
+
 def background(which: str) -> Background:
-    return {"tri6": tri6_background, "zero-flux": zero_flux_background}.get(
-        which, lambda: build(which))()
+    return {"tri6": tri6_background, "zero-flux": zero_flux_background,
+            "beta-nu-theta": beta_nu_theta_background}.get(which, lambda: build(which))()
 
 
 def whole_plan_rows(jets, points, size, equations) -> list[tuple]:
@@ -374,12 +384,14 @@ class TestJetCore:
     """The batched jet core against the symbolic layer and against
     finite-difference oracles that see only metric and flux values."""
 
-    @pytest.mark.parametrize("ident", catalog_ids() + ["zero-flux"])
+    @pytest.mark.parametrize("ident", catalog_ids() + ["zero-flux", "beta-nu-theta"])
     def test_matches_symbolic_layer(self, ident):
-        bg = zero_flux_background() if ident == "zero-flux" else build(ident)
+        bg = background(ident)
         h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
         ric = ricci(h)
+        closed = ext_d(phi)
         maxwell = ext_d(hodge(phi, h)) - wedge(phi, phi).scale(0.5)
+        assert wedge(phi, phi).is_zero == (ident != "beta-nu-theta")
         iotas = [interior([1.0 if t == i else 0.0 for t in range(11)], phi) for i in range(11)]
         pts = bg.sample(2, seed=5)
         for p, core in zip(pts, core_components(bg, pts)):
@@ -392,6 +404,8 @@ class TestJetCore:
                         evaluate(ric[i][j], p) + 0.5 * form_inner(iotas[i], iotas[j], h, p)
                         - hv[i, j] * n2 / 6.0)
             self._agree(core["einstein"], want, ident)
+            want = {key_name(chart, k): evaluate(v, p) for k, v in closed.items()}
+            self._agree(core["closedness"], want, ident)
             want = {key_name(chart, k): evaluate(v, p) for k, v in maxwell.items()}
             self._agree(core["maxwell"], want, ident)
             trace = scalar_curvature(h, p) - TRACE_IDENTITY_SIGN * n2 / 6.0
@@ -409,14 +423,14 @@ class TestJetCore:
         """A plan in which every index of every table given is its own entry
         (fully dense patterns, one connected metric block), and the values of
         those entries, one row per point."""
-        jets = {k: {} for k in ("h", "dh", "ddh", "F", "dF", "closed", "ff")}
+        jets = {k: {} for k in ("h", "dh", "ddh", "F", "dF")}
         cols = []
         for name, a in arrays.items():
             for index in np.ndindex(a.shape[1:]):
                 jets[name][index] = (len(cols), 1.0)
                 cols.append(a[(slice(None),) + index])
         n = arrays["h"].shape[1]
-        core = _Contractions(jets, len(cols), n, signature, [tuple(range(n))], [], {})
+        core = _Contractions(jets, len(cols), n, signature, [tuple(range(n))])
         return core, np.array(cols).T
 
     def test_ricci_algebra_on_dense_metric(self):
@@ -484,9 +498,12 @@ class TestJetCore:
     MAXWELL_RTOL = 100 * np.finfo(float).eps / H
     EINSTEIN_RTOL = 100 * np.finfo(float).eps / H ** 2
 
-    @pytest.mark.parametrize("which", ["tri6", "kahler-theta"])
+    @pytest.mark.parametrize("which", ["tri6", "kahler-theta", "beta-nu-theta", "alphabeta-poly"])
     def test_matches_fd_oracles(self, which):
-        bg = tri6_background() if which == "tri6" else build(which)
+        """Closedness everywhere, Maxwell but alphabeta-poly's (it is there
+        for a closedness row far from zero), Einstein on the first two."""
+        families = {"beta-nu-theta": ("maxwell",), "alphabeta-poly": ()}.get(which, ("maxwell", "einstein"))
+        bg = background(which)
         h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
 
         def fluxfn(p):
@@ -495,11 +512,15 @@ class TestJetCore:
         pts = bg.sample(2, seed=9)
         for k, (p, core) in enumerate(zip(pts, core_components(bg, pts))):
             g = h.matrix_at(p)
-            want = {key_name(chart, a): v
-                    for a, v in fd_maxwell(h.matrix_at, fluxfn, p, self.H).items()}
-            scale = max(1.0, max(abs(v) for v in numeric_star(g, fluxfn(p)).values()))
-            self._agree(core["maxwell"], want, which, self.MAXWELL_RTOL * scale)
-            if k:
+            want = {key_name(chart, x): v for x, v in fd_closedness(fluxfn, p, self.H).items()}
+            scale = max(1.0, float(np.max(np.abs(fluxfn(p)))))
+            self._agree(core["closedness"], want, which, self.MAXWELL_RTOL * scale)
+            if "maxwell" in families:
+                want = {key_name(chart, a): v
+                        for a, v in fd_maxwell(h.matrix_at, fluxfn, p, self.H).items()}
+                scale = max(1.0, max(abs(v) for v in numeric_star(g, fluxfn(p)).values()))
+                self._agree(core["maxwell"], want, which, self.MAXWELL_RTOL * scale)
+            if k or "einstein" not in families:
                 continue  # the 11-dimensional FD Ricci costs about a second per point
             ein = fd_einstein(h.matrix_at, fluxfn, p, self.H)
             want = {f"({chart.names[i]},{chart.names[j]})": ein[i, j]
@@ -510,6 +531,8 @@ class TestJetCore:
             # non-vacuous: residuals well above the tolerances
             assert max(abs(v) for v in core["einstein"].values()) > 1.0
             assert max(abs(v) for v in core["maxwell"].values()) > 1e-3
+        if which == "alphabeta-poly":
+            assert max(abs(v) for v in core["closedness"].values()) > 0.1
 
     @pytest.mark.parametrize("which", ["tri6", "kahler-theta", "gamma-delta-ppwave", "zero-flux"])
     def test_batch_invariance(self, which):
@@ -594,6 +617,27 @@ class TestJetCore:
                              (sugra.forms, "hodge"), (sugra.equations, "hodge")):
             monkeypatch.setattr(module, name, unavailable)
         for bg in bgs:
+            assert len(verify(bg, count=20, seed=42).rows) == 10
+
+    def test_verify_differentiates_the_flux_once(self, monkeypatch):
+        """The plan holds only the metric and flux jets: closedness and F^F/2
+        are contractions of them, so verify calls no ext_d and wedges no
+        forms past degree 4 (flux assembly wedges pieces up to 4)."""
+        bgs = [build("alphabeta-poly"), beta_nu_theta_background()]
+        wedge = sugra.forms.wedge
+
+        def no_ext_d(*args, **kwargs):
+            raise AssertionError("verify must not call ext_d")
+
+        def checked_wedge(a, b):
+            assert a.degree + b.degree <= 4, "verify must not wedge the flux with itself"
+            return wedge(a, b)
+
+        for module in (sugra.forms, sugra.equations):
+            monkeypatch.setattr(module, "ext_d", no_ext_d)
+            monkeypatch.setattr(module, "wedge", checked_wedge)
+        for bg in bgs:
+            assert set(_Jets(bg).jets) == {"h", "dh", "ddh", "F", "dF"}
             assert len(verify(bg, count=20, seed=42).rows) == 10
 
 
@@ -897,13 +941,10 @@ class TestDiagnostics:
         """The general rows come from the jet core; their maxima are those
         of ``ext_d(F)`` and ``ext_d(hodge(F, h)) - F^F/2`` built
         symbolically on the 11-chart."""
-        bg = build("kahler-theta")
-        lorentz, riemann = bg.product.lorentz.chart, bg.product.riemann.chart
-        fs = FluxSpec(beta=monomial_form(lorentz, 1.0, ("t", "x1", "x2")),
-                      nu=coordinate_form(riemann, "y1"), psi=bg.flux.psi, theta=bg.flux.theta)
+        bg = beta_nu_theta_background()
         pts = bg.sample(20, seed=7)
-        d = diagnose_reduced_case(fs, bg.product, points=pts)
-        f = assemble_flux(fs, bg.product)
+        d = diagnose_reduced_case(bg.flux, bg.product, points=pts)
+        f = bg.flux_form()
         oracle = [ext_d(f), ext_d(hodge(f, bg.metric())) - wedge(f, f).scale(0.5)]
         assert d.case == "general"
         assert [label for label, _, _ in d.rows] == ["closedness: d(F) = 0",
