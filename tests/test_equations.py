@@ -500,8 +500,9 @@ class TestJetCore:
 
     @pytest.mark.parametrize("which", ["tri6", "kahler-theta", "beta-nu-theta", "alphabeta-poly"])
     def test_matches_fd_oracles(self, which):
-        """Closedness everywhere, Maxwell but alphabeta-poly's (it is there
-        for a closedness row far from zero), Einstein on the first two."""
+        """Closedness on every case; Maxwell on all but alphabeta-poly, which
+        is here for its closedness row far from zero; Einstein on tri6 and
+        kahler-theta."""
         families = {"beta-nu-theta": ("maxwell",), "alphabeta-poly": ()}.get(which, ("maxwell", "einstein"))
         bg = background(which)
         h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
