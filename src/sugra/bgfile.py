@@ -40,7 +40,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .expr import Chart, Expr, ParseError, is_zero, parse, to_text
+from .expr import Chart, Expr, ParseError, const, is_zero, parse, to_text
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
 from .equations import _PIECES, Background, FluxSpec
@@ -148,7 +148,8 @@ def parse_background_text(text: str, path: str = "") -> Background:
 
     def build_metric(sec: str, chart: Chart, other: Chart) -> Metric:
         n = chart.dim
-        rows = [[parse("0", chart) for _ in range(n)] for _ in range(n)]
+        zero = const(0.0)
+        rows = [[zero] * n for _ in range(n)]
         seen = set()
         for a, b, value, lineno in metric_lines[sec]:
             for name in (a, b):

@@ -16,7 +16,9 @@ their domain there or evaluate to a non-finite value (the line names the
 subexpression and the first such point).  So are bad numbers: --points
 below 1, a negative seed, a non-integer SUGRA_SEED, a tolerance that is not
 finite and positive, and a non-finite --perturb factor.  An --out path
-that cannot be written is one ``error:`` line and exit code 2 as well.
+that cannot be written is one ``error:`` line and exit code 2 as well; a
+directory, or a path whose directory is missing, is refused before any
+work is done.
 
 Reports are byte-deterministic for a fixed (target, seed, points,
 tolerance); wall-clock timing is therefore only included when --timing is
@@ -158,6 +160,12 @@ def _cmd_verify(args) -> int:
             print(f"error: {err}", file=sys.stderr)
             return 2
         perturb[key] = factor
+    if args.out:
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            what = "is a directory" if out.is_dir() else "lies in a missing directory"
+            print(f"error: cannot write the report: {out} {what}", file=sys.stderr)
+            return 2
     try:
         bg = _resolve_target(args.target, perturb)
     except (CatalogError, BgFileError, FormError, ExprError) as err:

@@ -17,6 +17,7 @@ All objects are immutable after construction; every operation is pure.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,14 +87,6 @@ def perm_sign(seq: Sequence[int]) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Merge two disjoint increasing tuples; return (merged, sign) or (None, 0)."""
-    if set(left) & set(right):
-        return None, 0
-    merged = tuple(sorted(left + right))
-    return merged, perm_sign(left + right)
 
 
 class KForm:
@@ -194,9 +187,10 @@ def wedge(a: KForm, b: KForm) -> KForm:
     out: dict[tuple[int, ...], Expr] = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
-            merged, sign = _merge_sign(ka, kb)
-            if merged is None:
+            sign = perm_sign(ka + kb)
+            if not sign:
                 continue
+            merged = tuple(sorted(ka + kb))
             term = mul(sign, va, vb)
             out[merged] = add(out[merged], term) if merged in out else term
     return KForm(a.chart, k, out)
@@ -213,10 +207,8 @@ def ext_d(a: KForm) -> KForm:
         for i, dv in zip(free, gradient(val, free)):
             if is_zero(dv):
                 continue
-            pos = sum(1 for j in key if j < i)
-            sign = -1 if pos % 2 else 1
             new = tuple(sorted(key + (i,)))
-            term = mul(sign, dv)
+            term = mul(perm_sign((i,) + key), dv)
             out[new] = add(out[new], term) if new in out else term
     return KForm(a.chart, a.degree + 1, out)
 
@@ -243,9 +235,8 @@ def interior(components: Sequence, a: KForm) -> KForm:
             x = comps[idx]
             if is_zero(x):
                 continue
-            sign = -1 if t % 2 else 1
             new = key[:t] + key[t + 1:]
-            term = mul(sign, x, val)
+            term = mul(perm_sign((idx,) + new), x, val)
             out[new] = add(out[new], term) if new in out else term
     return KForm(a.chart, a.degree - 1, out)
 
@@ -360,11 +351,19 @@ def _nonzero_cols(entries, row: int, cols: Sequence[int]) -> int:
 
 
 def _det_sub(entries, rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> Expr:
+    """Minor det(entries[rows, cols]); the empty minor is 1.
+
+    The result is the literal zero exactly when no row-column matching
+    through nonzero entries exists: by induction, every term of the
+    expansion then has a zero entry or a zero minor and is skipped.
+    """
     key = (rows, cols)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if len(rows) == 1:
+    if not rows:
+        out = _as_expr(1.0)
+    elif len(rows) == 1:
         out = entries[rows[0]][cols[0]]
     else:
         # Expand along the row with the fewest nonzero entries.
@@ -418,12 +417,6 @@ def sym_inverse(entries) -> tuple[tuple[tuple[Expr, ...], ...], Expr]:
     dets = []
     for comp in _components(entries, n):
         memo: dict = {}
-        if len(comp) == 1:
-            i = comp[0]
-            d = entries[i][i]
-            dets.append(d)
-            inv[i][i] = div(1.0, d)
-            continue
         d = _det_sub(entries, comp, comp, memo)
         dets.append(d)
         for a, i in enumerate(comp):
@@ -487,31 +480,6 @@ def form_inner(a: KForm, b: KForm, m: Metric, point) -> float:
     return total
 
 
-def _candidate_columns(colsets: list[list[int]]) -> list[tuple[int, ...]]:
-    """Distinct sorted column tuples admitting a perfect row-column matching.
-
-    A minor det(inv[J_a, K_b]) can only be nonzero when every row of J can
-    be paired with a distinct column of K through a nonzero entry, so the
-    candidates are exactly the column sets of such matchings (pairings need
-    not be monotone, e.g. a metric with an off-diagonal null corner).
-    """
-    seen: set[tuple[int, ...]] = set()
-    used: set[int] = set()
-
-    def rec(row: int):
-        if row == len(colsets):
-            seen.add(tuple(sorted(used)))
-            return
-        for c in colsets[row]:
-            if c not in used:
-                used.add(c)
-                rec(row + 1)
-                used.discard(c)
-
-    rec(0)
-    return sorted(seen)
-
-
 def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> KForm:
     """Symbolic Hodge star fixed by ``x ^ star(y) = <x, y> vol``.
 
@@ -523,7 +491,6 @@ def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> K
     if a.chart.names != m.chart.names:
         raise ChartMismatch("form and metric live on different charts")
     n = a.chart.dim
-    k = a.degree
     parity = 1
     if orientation is not None:
         perm = tuple(a.chart.index(name) for name in orientation)
@@ -532,36 +499,25 @@ def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> K
         parity = perm_sign(perm)
     inv = m.inverse_entries()
     sq = m.sqrt_abs_det()
-    all_idx = set(range(n))
+    memo: dict = {}
     out: dict[tuple[int, ...], Expr] = {}
     for key, val in a.coeffs.items():
-        if k == 0:
-            comp = tuple(range(n))
-            term = mul(parity, val, sq)
-            out[comp] = add(out[comp], term) if comp in out else term
-            continue
-        colsets = [[c for c in range(n) if not is_zero(inv[r][c])] for r in key]
-        if any(not cs for cs in colsets):
-            continue
-        for sel in _candidate_columns(colsets):
-            minor = _det_sub(inv, tuple(key), tuple(sel), {})
+        # Minors without a row-column matching fold to the literal zero.
+        cols = sorted({c for r in key for c in range(n) if not is_zero(inv[r][c])})
+        for sel in itertools.combinations(cols, a.degree):
+            minor = _det_sub(inv, key, sel, memo)
             if is_zero(minor):
                 continue
-            comp = tuple(sorted(all_idx - set(sel)))
+            comp = tuple(c for c in range(n) if c not in sel)
             sign = perm_sign(sel + comp) * parity
             term = mul(sign, val, minor, sq)
             out[comp] = add(out[comp], term) if comp in out else term
-    return KForm(a.chart, n - k, out)
+    return KForm(a.chart, n - a.degree, out)
 
 
 def volume_form(m: Metric, orientation: Optional[Sequence[str]] = None) -> KForm:
-    """sqrt(|det m|) times the oriented top coordinate form."""
-    n = m.chart.dim
-    parity = 1
-    if orientation is not None:
-        perm = tuple(m.chart.index(name) for name in orientation)
-        parity = perm_sign(perm)
-    return KForm(m.chart, n, {tuple(range(n)): mul(parity, m.sqrt_abs_det())})
+    """sqrt(|det m|) times the oriented top coordinate form: the star of 1."""
+    return hodge(KForm(m.chart, 0, {(): 1.0}), m, orientation)
 
 
 # ---------------------------------------------------------------------------

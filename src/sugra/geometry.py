@@ -48,7 +48,10 @@ __all__ = [
 WALKER_CHART = Chart(("u", "x1", "x2", "x3", "v"))
 
 
-def _block_inverse(m: Metric, block: tuple[int, ...]):
+def _block_inverse(m: Metric, block: Optional[tuple[int, ...]]):
+    """Inverse of the submetric on ``block``, or of the whole metric."""
+    if block is None:
+        return m.inverse_entries()
     entries = [[m.entries[i][j] for j in block] for i in block]
     inv, _det = sym_inverse(entries)
     return inv
@@ -66,11 +69,7 @@ def christoffel(m: Metric, block: Optional[tuple[int, ...]] = None):
     """
     idx = block if block is not None else tuple(range(m.dim))
     nb = len(idx)
-    if block is None:
-        inv = m.inverse_entries()
-        inv_local = [[inv[idx[a]][idx[b]] for b in range(nb)] for a in range(nb)]
-    else:
-        inv_local = _block_inverse(m, idx)
+    inv_local = _block_inverse(m, block)
     # dg[b][c][a] = d_{idx[a]} g_{idx[b] idx[c]}
     dg = [[gradient(m.entries[b][c], idx) for c in idx] for b in idx]
     out: dict[tuple[int, int, int], Expr] = {}
@@ -162,11 +161,7 @@ def laplace_beltrami(m: Metric, s: Expr, block: Optional[tuple[int, ...]] = None
     """
     idx = block if block is not None else tuple(range(m.dim))
     nb = len(idx)
-    if block is None:
-        inv = m.inverse_entries()
-        inv_local = [[inv[idx[a]][idx[b]] for b in range(nb)] for a in range(nb)]
-    else:
-        inv_local = _block_inverse(m, idx)
+    inv_local = _block_inverse(m, block)
     sym = christoffel(m, block)
     ds = gradient(s, idx)
     terms = []

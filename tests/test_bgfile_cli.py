@@ -299,6 +299,20 @@ class TestCli:
         assert captured.err.startswith("error: cannot write the report: ") and str(out) in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_path_refused_before_verify(self, tmp_path, capsys, monkeypatch,
+                                                       where):
+        """The --out path is checked before any verification runs."""
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verify ran before the --out path was checked")
+
+        monkeypatch.setattr("sugra.cli.verify", no_verify)
+        out = tmp_path / "nosuch" / "r.json" if where == "missing-dir" else tmp_path
+        assert main(["verify", "alpha-ppwave", "--points", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write the report: ")
+        assert not (tmp_path / "nosuch").exists()
+
     def test_timing_flag_adds_millis(self, capsys):
         code = main(["verify", "alpha-ppwave", "--points", "10", "--json", "--timing"])
         assert code == 0

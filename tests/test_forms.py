@@ -9,6 +9,7 @@ from sugra.expr import Chart, add, const, coord, evaluate, intpow, mul, parse, _
 from sugra.forms import (
     ChartMismatch,
     DegreeError,
+    FormError,
     KForm,
     Metric,
     SingularMetricError,
@@ -29,6 +30,28 @@ from sugra.geometry import WALKER_CHART, WalkerData, walker_metric
 W5 = WALKER_CHART
 R6 = Chart(("y1", "y2", "y3", "y4", "y5", "y6"))
 C11 = Chart(W5.names + R6.names)
+
+
+def chain_metric() -> Metric:
+    """The Riemannian block of perfbench/stress-offdiag.bg: diagonal
+    -(2 + y_i^2/10) and the off-diagonal chain y_i y_(i+1)/10, i = 1..3."""
+    rows = [[const(0.0)] * 6 for _ in range(6)]
+    for i, y in enumerate(R6.names):
+        rows[i][i] = parse(f"-(2 + 0.1 * {y}^2)", R6)
+        if i < 3:
+            rows[i][i + 1] = parse(f"0.1 * {y} * {R6.names[i + 1]}", R6)
+    return Metric(R6, rows, (0, 6))
+
+
+def twisted_walker_metric() -> Metric:
+    """A Walker metric with nonzero A and a non-diagonal transverse block."""
+    rho = (("-(1 + 0.1 * x1^2)", "0.1 * x1 * x2", "0"),
+           ("0.1 * x1 * x2", "-(1 + 0.1 * x2^2)", "0.1 * u * x3"),
+           ("0", "0.1 * u * x3", "-(1 + 0.1 * x3^2)"))
+    return walker_metric(WalkerData(
+        rho=tuple(tuple(parse(e, W5) for e in row) for row in rho),
+        a=tuple(parse(e, W5) for e in ("0.3 * x2", "0.2 * u * x1", "0.1 * x3^2")),
+        h=parse("x1^2 + u * x2^2 + v * x3", W5)))
 
 
 def form_values_equal(a: KForm, b: KForm, pts, tol=1e-9):
@@ -277,6 +300,36 @@ class TestHodge:
                 lv = lhs.evaluate(p).get((0, 1, 2, 3, 4), 0.0)
                 rv = form_inner(a, b, m, p) * vol.evaluate(p)[(0, 1, 2, 3, 4)]
                 assert abs(lv - rv) < 1e-9
+
+    @pytest.mark.parametrize("build", [chain_metric, twisted_walker_metric])
+    def test_identities_on_non_diagonal_metric(self, build):
+        """``a ^ *b = <a,b> vol`` and the double-star law in every degree on
+        metrics whose inverse has off-diagonal entries."""
+        m = build()
+        chart, n, q = m.chart, m.dim, m.signature[1]
+        rng = rng_for(f"nondiag-{build.__name__}")
+        pts = random_points(rng, 3, n)
+        m.check_signature(pts)
+        vol = volume_form(m)
+        top = tuple(range(n))
+        for k in range(n + 1):
+            a = random_form(chart, k, rng, nkeys=2)
+            b = a + random_form(chart, k, rng, nkeys=2)
+            lhs = wedge(a, hodge(b, m))
+            for p in pts:
+                lv = lhs.evaluate(p).get(top, 0.0)
+                rv = form_inner(a, b, m, p) * vol.evaluate(p)[top]
+                assert abs(lv - rv) < 1e-9 * max(1.0, abs(rv)), (k, p)
+            ss = hodge(hodge(a, m), m)
+            sign = (-1.0) ** (k * (n - k) + q)
+            ok, worst = form_values_equal(ss, a.scale(const(sign)), pts, 1e-9)
+            assert ok, f"double star violated by {worst} in degree {k}"
+
+    @pytest.mark.parametrize("orientation", [("y1", "y1", "y3", "y4", "y5", "y6"),
+                                             ("y2", "y1")])
+    def test_volume_form_rejects_non_permutation(self, orientation):
+        with pytest.raises(FormError, match="not a chart permutation"):
+            volume_form(flat_metric(R6, (0, 6)), orientation)
 
     def test_orientation_reversal_flips_sign(self):
         m = flat_metric(R6, (0, 6))
