@@ -226,7 +226,7 @@ def _walker_background(ident, summary, h_profile, flux, riemann, box, perturb,
 # factor metrics rather than hard-coded.
 def _norm_on(metric: Metric, form: KForm) -> float:
     center = tuple(0.1 * (i + 1) for i in range(metric.dim))
-    return form_inner(form, form, metric, center)
+    return float(form_inner(form, form, metric, [center])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def _build_alphabeta_poly(params, perturb):
     rho3 = _rho3_metric()
     omega_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, ("x2", "x3")))  # +1
     center = tuple([0.1] + [0.0] * 5)
-    nu_norm = form_inner(nu, nu, riemann, center)  # -L^2, constant
+    nu_norm = float(form_inner(nu, nu, riemann, [center])[0])  # -L^2, constant
     rhs = add(const(omega_norm * nu_norm), neg(intpow(x1, 2)))
     h_profile = solve_walker_H(rhs)
 

@@ -15,9 +15,10 @@ has the wrong signature at a sample point, and one whose expressions leave
 their domain there or evaluate to a non-finite value (the line names the
 subexpression and the first such point).  So are bad numbers: --points
 below 1, a negative seed, a non-integer SUGRA_SEED, a tolerance that is not
-finite and positive, and a non-finite --perturb factor.  An --out path
-that cannot be written is one ``error:`` line and exit code 2 as well; a
-directory, or a path whose directory is missing, is refused before any
+finite and positive, and a --perturb factor that is not a finite number;
+and a --perturb spec that is not KEY:FACTOR or repeats a key.  An --out
+path that cannot be written is one ``error:`` line and exit code 2 as well;
+a directory, or a path whose directory is missing, is refused before any
 work is done.
 
 Reports are byte-deterministic for a fixed (target, seed, points,
@@ -47,14 +48,25 @@ from .forms import FormError
 __all__ = ["main", "build_report", "report_to_json"]
 
 
-def _parse_perturb(spec: str) -> tuple[str, float]:
-    if ":" not in spec:
-        raise ValueError(f"--perturb wants KEY:FACTOR, got {spec!r}")
-    key, _, factor = spec.partition(":")
-    value = float(factor)
-    if not math.isfinite(value):
-        raise ValueError(f"--perturb factor must be finite, got {spec!r}")
-    return key.strip(), value
+def _parse_perturb(specs: list[str]) -> dict[str, float]:
+    """The --perturb options as ``{key: factor}``; raises ValueError on a
+    spec that is not KEY:FACTOR, a factor that is not a finite number and a
+    repeated key."""
+    perturb = {}
+    for spec in specs:
+        key, colon, factor = spec.partition(":")
+        if not colon:
+            raise ValueError(f"--perturb wants KEY:FACTOR, got {spec!r}")
+        try:
+            value = float(factor)
+        except ValueError:
+            raise ValueError(f"--perturb factor must be a number, got {spec!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"--perturb factor must be finite, got {spec!r}")
+        if (key := key.strip()) in perturb:
+            raise ValueError(f"--perturb gives the key {key!r} more than once")
+        perturb[key] = value
+    return perturb
 
 
 def _scale_flux(bg: Background, factor: float) -> Background:
@@ -152,14 +164,11 @@ def _cmd_verify(args) -> int:
             print(f"error: SUGRA_SEED must be an integer, got {os.environ['SUGRA_SEED']!r}",
                   file=sys.stderr)
             return 2
-    perturb = {}
-    for spec in args.perturb or []:
-        try:
-            key, factor = _parse_perturb(spec)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        perturb[key] = factor
+    try:
+        perturb = _parse_perturb(args.perturb or [])
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.out:
         out = Path(args.out)
         if out.is_dir() or not out.parent.is_dir():

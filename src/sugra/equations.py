@@ -239,24 +239,24 @@ def assemble_flux(fs: FluxSpec, ps: ProductStructure) -> KForm:
     return total
 
 
-def flux_norm_sq(bg: Background, point) -> float:
-    """|F|^2_h at a point from the assembled 4-form."""
+def flux_norm_sq(bg: Background, points) -> np.ndarray:
+    """|F|^2_h at each of ``points``, from the assembled 4-form."""
     f = bg.flux_form()
-    return form_inner(f, f, bg.metric(), point)
+    return form_inner(f, f, bg.metric(), points)
 
 
-def flux_norm_sq_pieces(fs: FluxSpec, ps: ProductStructure, point) -> float:
-    """|F|^2_h from the factor pieces: distinct decomposable types are
-    mutually orthogonal, so the norm splits as
+def flux_norm_sq_pieces(fs: FluxSpec, ps: ProductStructure, points) -> np.ndarray:
+    """|F|^2_h at each of ``points`` from the factor pieces: distinct
+    decomposable types are mutually orthogonal, so the norm splits as
 
     ``phi^2 |alpha|^2 + |beta|^2 |nu|^2 + |gamma|^2 |delta|^2
     + |varpi|^2 |eps|^2 + psi^2 |theta|^2``
 
     with each factor norm taken in its own block metric.
     """
-    p5, p6 = tuple(point[:5]), tuple(point[5:])
+    p5, p6 = [tuple(p[:5]) for p in points], [tuple(p[5:]) for p in points]
     return sum((form_inner(lo, lo, ps.lorentz, p5) * form_inner(hi, hi, ps.riemann, p6)
-                for _, lo, hi in fs.terms(ps)), 0.0)
+                for _, lo, hi in fs.terms(ps)), np.zeros(len(p5)))
 
 
 # ---------------------------------------------------------------------------

@@ -757,8 +757,10 @@ def depends_on(e: Expr, indices: Iterable[int]) -> bool:
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """``e`` as a point -> float callable, :func:`evaluate` bound to ``e``."""
-    return lambda p: evaluate(e, p)
+    """``e`` as a point -> float callable, equal to :func:`evaluate` on ``e``;
+    the walk of ``e`` is laid out once, here, and run at each call."""
+    plan = _Plan([e])
+    return lambda p: float(plan.values([p])[0, 0])
 
 
 # ---------------------------------------------------------------------------

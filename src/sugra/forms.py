@@ -147,10 +147,6 @@ class KForm:
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
-    def evaluate(self, point) -> dict[tuple[int, ...], float]:
-        values = evaluate_points(list(self.coeffs.values()), [point])[0]
-        return dict(zip(self.coeffs, values.tolist()))
-
     def __repr__(self):
         return f"<KForm deg={self.degree} on {self.chart.names} with {len(self.coeffs)} terms>"
 
@@ -299,17 +295,6 @@ class Metric:
             det = neg(det)
         return sqrt(det)
 
-    # -- numeric access ---------------------------------------------------
-    def matrix_at(self, point) -> np.ndarray:
-        return matrix_values(self.entries, [point])[0]
-
-    def inverse_at(self, point) -> np.ndarray:
-        m = self.matrix_at(point)
-        try:
-            return np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            raise SingularMetricError(f"metric is singular at {tuple(point)}") from None
-
     def check_signature(self, points: Iterable[Sequence[float]]) -> None:
         """Verify invertibility and the declared count of negative eigenvalues."""
         points = list(points)
@@ -328,6 +313,17 @@ def matrix_values(entries, points) -> np.ndarray:
     out = np.zeros((len(points), n * n))
     out[:, nonzero] = evaluate_points([entries[k // n][k % n] for k in nonzero], points)
     return out.reshape(-1, n, n)
+
+
+def inverse_values(values: np.ndarray, points) -> np.ndarray:
+    """Inverses of metric values at ``points`` (one matrix per point, as
+    from :func:`matrix_values`); a singular one raises
+    :class:`SingularMetricError` naming the first point where it is."""
+    try:
+        return np.linalg.inv(values)
+    except np.linalg.LinAlgError:  # LAPACK's zero pivot is a zero det
+        first = next(p for p, g in zip(points, values) if np.linalg.det(g) == 0.0)
+        raise SingularMetricError(f"metric is singular at {tuple(first)}") from None
 
 
 def check_signature_values(vals: np.ndarray, signature: tuple[int, int], points) -> None:
@@ -439,44 +435,41 @@ def sym_inverse(entries) -> tuple[tuple[tuple[Expr, ...], ...], Expr]:
 # Metric inner product and Hodge star.
 # ---------------------------------------------------------------------------
 
-def _gram_det(hinv: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> float:
+def _gram_det(hinv: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]):
+    """The Gram minors ``det(hinv[:, rows, cols])``, one per point of the
+    stack ``hinv``; closed form up to 2x2, LAPACK beyond."""
     k = len(rows)
     if k == 0:
         return 1.0
     if k == 1:
-        return hinv[rows[0], cols[0]]
-    sub = hinv[np.ix_(rows, cols)]
+        return hinv[:, rows[0], cols[0]]
+    sub = hinv[:, rows][:, :, cols]
     if k == 2:
-        return sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    return float(np.linalg.det(sub))
+        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+    return np.linalg.det(sub)
 
 
-def form_inner(a: KForm, b: KForm, m: Metric, point) -> float:
-    """Pointwise metric inner product of two equal-degree forms.
+def form_inner(a: KForm, b: KForm, m: Metric, points) -> np.ndarray:
+    """Metric inner product of two equal-degree forms at each of ``points``.
 
     For increasing-index coefficients this is the double sum of Gram minors
     of the inverse metric; it reduces to the usual ``1/k!`` component sum.
+    The terms are added in key order, point by point.
     """
     _same_chart(a, b)
     if a.chart.names != m.chart.names:
         raise ChartMismatch("form and metric live on different charts")
     if a.degree != b.degree:
         raise DegreeError(f"inner product of a {a.degree}-form and a {b.degree}-form")
+    total = np.zeros(len(points))
     if a.is_zero or b.is_zero:
-        return 0.0
-    hinv = m.inverse_at(point)
-    av = a.evaluate(point)
-    bv = b.evaluate(point)
-    total = 0.0
-    for ka, va in av.items():
-        if va == 0.0:
-            continue
-        for kb, vb in bv.items():
-            if vb == 0.0:
-                continue
-            g = _gram_det(hinv, ka, kb)
-            if g != 0.0:
-                total += va * vb * g
+        return total
+    hinv = inverse_values(matrix_values(m.entries, points), points)
+    values = evaluate_points(list(a.coeffs.values()) + list(b.coeffs.values()), points)
+    av, bv = values[:, :len(a.coeffs)], values[:, len(a.coeffs):]
+    for i, ka in enumerate(a.coeffs):
+        for j, kb in enumerate(b.coeffs):
+            total += av[:, i] * bv[:, j] * _gram_det(hinv, ka, kb)
     return total
 
 

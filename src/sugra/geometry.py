@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Chart, Expr, add, diff, evaluate, gradient, is_zero, mul, neg, _as_expr
-from .forms import FormError, Metric, matrix_values, sym_inverse
+from .expr import Chart, Expr, add, diff, evaluate_points, gradient, is_zero, mul, neg, _as_expr
+from .forms import FormError, Metric, inverse_values, matrix_values, sym_inverse
 
 __all__ = [
     "ProductStructure",
@@ -149,9 +149,10 @@ def ricci(m: Metric, block: Optional[tuple[int, ...]] = None):
     return tuple(tuple(r) for r in rows)
 
 
-def scalar_curvature(m: Metric, point) -> float:
-    """Trace of the Ricci tensor with the inverse metric at ``point``."""
-    return float(np.sum(m.inverse_at(point) * matrix_values(ricci(m), [point])[0]))
+def scalar_curvature(m: Metric, points) -> np.ndarray:
+    """Trace of the Ricci tensor with the inverse metric at each of ``points``."""
+    hinv = inverse_values(matrix_values(m.entries, points), points)
+    return np.sum((hinv * matrix_values(ricci(m), points)).reshape(len(hinv), -1), axis=1)
 
 
 def laplace_beltrami(m: Metric, s: Expr, block: Optional[tuple[int, ...]] = None) -> Expr:
@@ -234,22 +235,19 @@ def validate_ricci_isotropic(w: WalkerData, points: Sequence[Sequence[float]],
     """Gate for the subclass with ``dH/dv = 0``, ``A = 0`` and Ricci-flat rho.
 
     Raises ``FormError`` when any condition fails numerically at the sample
-    points.  For metrics in this subclass the full Ricci tensor reduces to
-    the single (u, u) component ``-(1/2) Lap_rho(H)``.
+    points, naming the first failing point and its first failing check.
+    For metrics in this subclass the full Ricci tensor reduces to the
+    single (u, u) component ``-(1/2) Lap_rho(H)``.
     """
-    hv = diff(w.h, 4)
-    m = walker_metric(w)
-    ric_rho = ricci(m, X_BLOCK)
-    for pt in points:
-        if abs(evaluate(hv, pt)) > tol:
-            raise FormError(f"profile depends on v at {tuple(pt)}")
-        for i, a in enumerate(w.a):
-            if abs(evaluate(a, pt)) > tol:
-                raise FormError(f"A component {i} does not vanish at {tuple(pt)}")
-        for i in X_BLOCK:
-            for j in X_BLOCK:
-                if abs(evaluate(ric_rho[i][j], pt)) > tol:
-                    raise FormError(f"transverse block is not Ricci-flat at {tuple(pt)}")
+    ric_rho = ricci(walker_metric(w), X_BLOCK)
+    checks = ([(diff(w.h, 4), "profile depends on v")]
+              + [(a, f"A component {i} does not vanish") for i, a in enumerate(w.a)]
+              + [(ric_rho[i][j], "transverse block is not Ricci-flat") for i in X_BLOCK for j in X_BLOCK])
+    points = list(points)
+    bad = np.abs(evaluate_points([e for e, _ in checks], points)) > tol
+    if bad.any():
+        point, check = divmod(int(np.argmax(bad)), len(checks))
+        raise FormError(f"{checks[check][1]} at {tuple(points[point])}")
 
 
 @dataclass(frozen=True)
@@ -311,15 +309,12 @@ def product_metric(ps: ProductStructure) -> Metric:
     return Metric(chart, rows, (1, 10), singular if has_pred else None)
 
 
-def ricci_endomorphism_pairing(m: Metric, point, x: np.ndarray, y: np.ndarray) -> float:
-    """h(ric(X), ric(Y)) at a point, with ric the Ricci endomorphism.
+def ricci_endomorphism_pairing(m: Metric, points, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """h(ric(X), ric(Y)) at each of ``points``, with ric the Ricci endomorphism.
 
     Vanishing for all X, Y is the defining property of a totally
     Ricci-isotropic metric.
     """
-    ricv = matrix_values(ricci(m), [point])[0]
-    h = m.matrix_at(point)
-    hinv = np.linalg.inv(h)
-    rx = hinv @ (ricv @ np.asarray(x))
-    ry = hinv @ (ricv @ np.asarray(y))
-    return float(rx @ h @ ry)
+    h = matrix_values(m.entries, points)
+    ric = inverse_values(h, points) @ matrix_values(ricci(m), points)
+    return np.einsum("pi,pij,pj->p", ric @ np.asarray(x), h, ric @ np.asarray(y))

@@ -7,8 +7,40 @@ import zlib
 
 import numpy as np
 
-from sugra.expr import Chart, add, const, coord, cos, div, intpow, mul, sin
+from sugra.expr import Chart, add, const, coord, cos, div, evaluate_points, intpow, mul, sin, _Plan
 from sugra.forms import KForm, Metric
+
+
+def values(e, points) -> np.ndarray:
+    """The expression ``e`` at each of ``points``."""
+    return evaluate_points([e], points)[:, 0]
+
+
+def matrix_fn(m: Metric):
+    """The values of ``m`` as a point -> matrix callable, for the oracles in
+    ``oracles.py``; the walk over its entries is laid out once."""
+    plan = _Plan([e for row in m.entries for e in row])
+    return lambda p: plan.values([p])[0].reshape(m.dim, m.dim)
+
+
+def form_fn(form: KForm):
+    """The components of ``form`` as a point -> ``{key: value}`` callable,
+    for the oracles in ``oracles.py``; the walk is laid out once."""
+    plan = _Plan(list(form.coeffs.values()))
+    return lambda p: dict(zip(form.coeffs, plan.values([p])[0].tolist()))
+
+
+def count_plans(monkeypatch) -> list[int]:
+    """``[n]``, where n counts the ``_Plan`` built from here on in the test."""
+    built = [0]
+    init = _Plan.__init__
+
+    def counting(self, exprs):
+        built[0] += 1
+        init(self, exprs)
+
+    monkeypatch.setattr(_Plan, "__init__", counting)
+    return built
 
 
 def flat_metric(chart: Chart, signature: tuple[int, int]) -> Metric:

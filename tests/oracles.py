@@ -4,6 +4,8 @@ The curvature oracle differentiates metric *values* by Richardson-stepped
 central differences (step 1e-4, one extrapolation), never touching the
 symbolic derivative path it cross-checks.  The field-equation oracles build
 on it: they see the metric and the flux only through their values at points.
+:func:`jet_ricci` assembles the Ricci tensor from exact derivatives taken
+elsewhere (by sympy, in the tests).
 """
 
 from __future__ import annotations
@@ -61,6 +63,20 @@ def fd_ricci(matfn, point, h: float = 1e-4) -> np.ndarray:
     t3 = np.einsum("kkl,lab->ab", gam, gam)
     t4 = np.einsum("kal,lkb->ab", gam, gam)
     return t1 - t2 + t3 - t4
+
+
+def jet_ricci(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """Ricci tensor at one point from the metric's values ``g`` and exact
+    derivatives there, ``dg[k, i, j] = d_k g_ij`` and ``ddg[l, k, i, j] =
+    d_l d_k g_ij``, in the convention of :func:`fd_ricci`."""
+    ginv = np.linalg.inv(g)
+    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)  # G_lij
+    dlow = 0.5 * (ddg.transpose(0, 3, 1, 2) + ddg.transpose(0, 3, 2, 1) - ddg)  # d_m G_lij
+    gam = np.einsum("kl,lij->kij", ginv, low)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+    dgam = np.einsum("mkl,lij->mkij", dginv, low) + np.einsum("kl,mlij->mkij", ginv, dlow)
+    return (np.einsum("kkab->ab", dgam) - np.einsum("akkb->ab", dgam)
+            + np.einsum("kkl,lab->ab", gam, gam) - np.einsum("kal,lkb->ab", gam, gam))
 
 
 def _parity(seq) -> int:

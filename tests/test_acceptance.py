@@ -12,15 +12,16 @@ import time
 
 import numpy as np
 
-from conftest import flat_metric, random_form, random_points, rng_for
+from conftest import flat_metric, matrix_fn, random_form, random_points, rng_for, values
 from oracles import fd_ricci
 
-from sugra.expr import Chart, add, const, coord, evaluate, intpow, mul, parse
+from sugra.expr import Chart, add, const, coord, evaluate_points, intpow, mul, parse
 from sugra.forms import (
     embed_form,
     form_inner,
     hodge,
     interior,
+    matrix_values,
     monomial_form,
     volume_form,
     wedge,
@@ -68,13 +69,10 @@ def report(num, desc, failures):
 
 def max_coeff_delta(a, b, pts, scale=1.0):
     zero = const(0.0)
-    worst = 0.0
-    for p in pts:
-        for k in set(a.coeffs) | set(b.coeffs):
-            va = evaluate(a.coeffs.get(k, zero), p)
-            vb = evaluate(b.coeffs.get(k, zero), p)
-            worst = max(worst, abs(va - scale * vb))
-    return worst
+    keys = sorted(set(a.coeffs) | set(b.coeffs))
+    va = evaluate_points([a.coeffs.get(k, zero) for k in keys], pts)
+    vb = evaluate_points([b.coeffs.get(k, zero) for k in keys], pts)
+    return float(np.max(np.abs(va - scale * vb), initial=0.0))
 
 
 def test_criterion_01_product_hodge_identities():
@@ -121,11 +119,10 @@ def test_criterion_01_product_hodge_identities():
             worst = max(worst, max_coeff_delta(hodge(big, h), rhs, pts,
                                                scale=(-1.0) ** (k * (5 - kt))))
             # <a5^b6, a5^b6>_h = <a5,a5> <b6,b6>
-            for p in pts:
-                lhs = form_inner(big, big, h, p)
-                r = (form_inner(a5, a5, gl, tuple(p[:5]))
-                     * form_inner(b6, b6, gr, tuple(p[5:])))
-                worst = max(worst, abs(lhs - r))
+            lhs = form_inner(big, big, h, pts)
+            r = (form_inner(a5, a5, gl, [p[:5] for p in pts])
+                 * form_inner(b6, b6, gr, [p[5:] for p in pts]))
+            worst = max(worst, float(np.max(np.abs(lhs - r))))
     elapsed = time.monotonic() - start
     if worst >= 1e-9:
         failures.append(f"max identity residual {worst:.3e} >= 1e-9")
@@ -154,10 +151,9 @@ def test_criterion_02_defining_identity_and_double_star():
             a = random_form(chart, k, rng, nkeys=2)
             b = random_form(chart, k, rng, nkeys=2)
             lhs = wedge(a, hodge(b, m))
-            for p in pts:
-                lv = lhs.evaluate(p).get(top, 0.0)
-                rv = form_inner(a, b, m, p) * vol.evaluate(p)[top]
-                worst = max(worst, abs(lv - rv))
+            lv = values(lhs.coeffs.get(top, const(0.0)), pts)
+            rv = form_inner(a, b, m, pts) * values(vol.coeffs[top], pts)
+            worst = max(worst, float(np.max(np.abs(lv - rv))))
             ss = hodge(hodge(a, m), m)
             sign = (-1.0) ** (k * (n - k) + q)
             worst = max(worst, max_coeff_delta(ss, a, pts, scale=sign))
@@ -187,18 +183,16 @@ def test_criterion_03_walker_ricci():
         ric = ricci(m)
         lap = laplace_beltrami(m, prof, (1, 2, 3))
         pts = random_points(rng, 4, 5)
-        for p in pts:
-            want = -0.5 * evaluate(lap, p)
-            got = evaluate(ric[0][0], p)
+        syms = matrix_values(ric, pts)
+        for sym, want in zip(syms, -0.5 * values(lap, pts)):
+            got = sym[0, 0]
             if abs(got - want) >= 1e-8:
                 failures.append(f"trial {trial}: (u,u) off by {abs(got - want):.2e}")
-            off = max(abs(evaluate(ric[i][j], p))
-                      for i in range(5) for j in range(5) if (i, j) != (0, 0))
+            off = max(abs(sym[i, j]) for i in range(5) for j in range(5) if (i, j) != (0, 0))
             if off >= 1e-8:
                 failures.append(f"trial {trial}: off-profile component {off:.2e}")
-        p = pts[0]
-        sym = np.array([[evaluate(ric[i][j], p) for j in range(5)] for i in range(5)])
-        orc = fd_ricci(m.matrix_at, p)
+        sym = syms[0]
+        orc = fd_ricci(matrix_fn(m), pts[0])
         if np.max(np.abs(sym - orc)) >= 1e-5:
             failures.append(f"trial {trial}: oracle mismatch {np.max(np.abs(sym - orc)):.2e}")
     report(3, "Walker Ricci profile law and finite-difference oracle", failures)
@@ -258,14 +252,13 @@ def test_criterion_06_kahler_quantitative_claims():
     ric = ricci(h)
     pts = bg.sample(50, seed=42)
     worst_vv = worst_hh = 0.0
-    for p in pts[:10]:
-        hv = h.matrix_at(p)
+    for rv, hv in zip(matrix_values(ric, pts[:10]), matrix_values(h.entries, pts[:10])):
         for i in range(5):
             for j in range(i, 5):
-                worst_vv = max(worst_vv, abs(evaluate(ric[i][j], p) - 1.0 * hv[i][j]))
+                worst_vv = max(worst_vv, abs(rv[i][j] - 1.0 * hv[i][j]))
         for i in range(5, 11):
             for j in range(i, 11):
-                worst_hh = max(worst_hh, abs(evaluate(ric[i][j], p) - (-1.0) * hv[i][j]))
+                worst_hh = max(worst_hh, abs(rv[i][j] - (-1.0) * hv[i][j]))
     if worst_vv >= 1e-8:
         failures.append(f"Lorentzian Einstein constant != +1 by {worst_vv:.2e}")
     if worst_hh >= 1e-8:
@@ -277,32 +270,29 @@ def test_criterion_06_kahler_quantitative_claims():
     for i, names in enumerate((("y1", "y2"), ("y3", "y4"), ("y5", "y6"))):
         term = monomial_form(R6, mul(-1.0, lams[i]), names)
         omega = term if omega is None else omega + term
-    worst_norm = max(abs(form_inner(omega, omega, gr, tuple(p[5:])) - 3.0) for p in pts)
+    p6s = [p[5:] for p in pts]
+    worst_norm = float(np.max(np.abs(form_inner(omega, omega, gr, p6s) - 3.0)))
     if worst_norm >= 1e-8:
         failures.append(f"|Kaehler form|^2 != 3 by {worst_norm:.2e}")
 
     # contraction identity <e_i . theta, e_j . theta> = (2/3)|theta|^2 g_ij
     theta = bg.flux.theta
     worst_c = 0.0
-    for p in pts[:50]:
-        p6 = tuple(p[5:])
-        n2 = form_inner(theta, theta, gr, p6)
-        gv = gr.matrix_at(p6)
-        for i in range(6):
-            ii = interior([1.0 if t == i else 0.0 for t in range(6)], theta)
-            for j in range(i, 6):
-                jj = interior([1.0 if t == j else 0.0 for t in range(6)], theta)
-                lhs = form_inner(ii, jj, gr, p6)
-                worst_c = max(worst_c, abs(lhs - (2.0 / 3.0) * n2 * gv[i][j]))
+    n2 = form_inner(theta, theta, gr, p6s)
+    gv = matrix_values(gr.entries, p6s)
+    for i in range(6):
+        ii = interior([1.0 if t == i else 0.0 for t in range(6)], theta)
+        for j in range(i, 6):
+            jj = interior([1.0 if t == j else 0.0 for t in range(6)], theta)
+            lhs = form_inner(ii, jj, gr, p6s)
+            worst_c = max(worst_c, float(np.max(np.abs(lhs - (2.0 / 3.0) * n2 * gv[:, i, j]))))
     if worst_c >= 1e-8:
         failures.append(f"flux contraction identity off by {worst_c:.2e}")
 
     # scalar curvature: magnitude c^2/2 = 1, sign from the pinned convention
-    worst_s = 0.0
-    for p in pts[:10]:
-        scal = scalar_curvature(h, p)
-        worst_s = max(worst_s, abs(abs(scal) - 1.0))
-        worst_s = max(worst_s, abs(scal - TRACE_IDENTITY_SIGN * 1.0))
+    scal = scalar_curvature(h, pts[:10])
+    worst_s = float(max(np.max(np.abs(np.abs(scal) - 1.0)),
+                        np.max(np.abs(scal - TRACE_IDENTITY_SIGN * 1.0))))
     if worst_s >= 1e-8:
         failures.append(f"scalar curvature != (pinned sign)*c^2/2 by {worst_s:.2e}")
     report(6, f"Kaehler claims (recorded trace sign {TRACE_IDENTITY_SIGN:+.0f}: "
@@ -346,19 +336,18 @@ def test_criterion_08_null_flux_structure():
         bg = build(ident)
         h = bg.metric()
         pts = bg.sample(20, seed=42)
-        worst_n = max(abs(flux_norm_sq(bg, p)) for p in pts)
+        worst_n = float(np.max(np.abs(flux_norm_sq(bg, pts))))
         if worst_n >= 1e-10:
             failures.append(f"{ident}: |F|^2 reaches {worst_n:.2e}")
-        worst_s = max(abs(scalar_curvature(h, p)) for p in pts[:5])
+        worst_s = float(np.max(np.abs(scalar_curvature(h, pts[:5]))))
         if worst_s >= 1e-8:
             failures.append(f"{ident}: |Scal| reaches {worst_s:.2e}")
         rng = rng_for(f"acc8-{ident}")
         worst_r = 0.0
-        for p in pts[:2]:
-            for _ in range(25):
-                x = rng.uniform(-1, 1, size=11)
-                y = rng.uniform(-1, 1, size=11)
-                worst_r = max(worst_r, abs(ricci_endomorphism_pairing(h, p, x, y)))
+        for _ in range(50):  # each pair at both points
+            x = rng.uniform(-1, 1, size=11)
+            y = rng.uniform(-1, 1, size=11)
+            worst_r = max(worst_r, float(np.max(np.abs(ricci_endomorphism_pairing(h, pts[:2], x, y)))))
         if worst_r >= 1e-9:
             failures.append(f"{ident}: Ricci endomorphism pairing reaches {worst_r:.2e}")
     report(8, "null flux structure (null F, zero Scal, null Ricci image)", failures)
@@ -384,15 +373,15 @@ def test_criterion_09_profile_solver_round_trip():
         rhs = add(*terms)
         prof = solve_walker_H(rhs)
         lap = laplace_beltrami(flat, prof, (1, 2, 3))
-        worst = max(abs(evaluate(lap, p) - evaluate(rhs, p))
-                    for p in random_points(rng, 20, 5))
+        at = random_points(rng, 20, 5)
+        worst = float(np.max(np.abs(values(lap, at) - values(rhs, at))))
         if worst >= 1e-10:
             failures.append(f"trial {trial}: round-trip residual {worst:.2e}")
     f = coord(0)
     prof = solve_walker_H(mul(-1.0, f, f))
     want = parse("1/6 * u^2 * (x1^2+x2^2+x3^2)", W5)
-    worst = max(abs(evaluate(prof, p) - evaluate(want, p))
-                for p in random_points(rng, 20, 5))
+    at = random_points(rng, 20, 5)
+    worst = float(np.max(np.abs(values(prof, at) - values(want, at))))
     if worst >= 1e-12:
         failures.append(f"volume-flux profile differs by {worst:.2e}")
     report(9, "profile solver round trip", failures)

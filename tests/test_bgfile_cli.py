@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sugra.bgfile import (
     BgFileError,
@@ -13,9 +14,9 @@ from sugra.bgfile import (
     render_background,
 )
 from sugra.catalog import build, catalog_ids, get_entry
-from sugra.cli import _resolve_target, main
+from sugra.cli import _resolve_target, _scale_flux, main
 from sugra.equations import verify
-from sugra.expr import to_text
+from sugra.expr import evaluate_points, to_text
 
 SHIPPED = Path(__file__).resolve().parent.parent / "src" / "sugra" / "backgrounds"
 
@@ -104,6 +105,15 @@ class TestParser:
         for a, b in zip(r1.rows, r2.rows):
             assert abs(a.max_abs - b.max_abs) <= 1e-12
 
+    @settings(max_examples=30, deadline=5000, derandomize=True, database=None)
+    @given(st.sampled_from(catalog_ids()),
+           st.floats(1e-3, 1e3).flatmap(lambda f: st.sampled_from([f, -f])))
+    def test_render_parse_render_is_a_fixed_point(self, ident, factor):
+        """Rendering a parsed rendering gives the same text, for every catalog
+        id with its flux form pieces scaled by a random factor."""
+        text = render_background(_scale_flux(build(ident), factor), header=ident)
+        assert render_background(parse_background_text(text, "scaled.bg"), header=ident) == text
+
     def test_block_violation_in_flux(self):
         bad = MINIMAL.replace("alpha = u ^ u x1 x2 x3", "alpha = u ^ u x1 x2 x3\nnu = u ^ y1")
         with pytest.raises(BlockViolationError):
@@ -187,7 +197,16 @@ class TestCli:
         assert "unknown catalog id" in capsys.readouterr().err
 
     def test_bad_perturb_spec(self, capsys):
-        assert main(["verify", "alpha-ppwave", "--perturb", "H=1.1"]) == 2
+        """A spec that is not KEY:FACTOR and a repeated key (which used to
+        keep its last factor) are each one error line and exit 2."""
+        for specs, message in ((["H=1.1"], "--perturb wants KEY:FACTOR, got 'H=1.1'"),
+                               (["H:2", "H:3"], "--perturb gives the key 'H' more than once"),
+                               (["H:1.1", " H :1.1"], "--perturb gives the key 'H' more than once")):
+            argv = [arg for spec in specs for arg in ("--perturb", spec)]
+            assert main(["verify", "alpha-ppwave", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_verify_file_target(self, tmp_path, capsys):
         src = SHIPPED / "beta-nu-ppwave.bg"
@@ -247,6 +266,7 @@ class TestCli:
         (["--perturb", "H:nan"], None, None, "--perturb factor must be finite"),
         (["--perturb", "flux:nan"], None, None, "--perturb factor must be finite"),
         ([], None, ("u = ", "u = -inf 1.5"), "sample range for 'u' must be finite"),
+        (["--perturb", "flux:abc"], None, None, "--perturb factor must be a number, got 'flux:abc'"),
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, monkeypatch, argv, env, edit, message):
         """Each bad number gives one error line and exit 2 (the ``H`` perturbation
@@ -354,10 +374,11 @@ class TestCli:
             if f is None:
                 assert g is None, name
                 continue
-            for p in points:
-                q = p[:5] if f.chart.dim == 5 else p[5:]
-                want = {k: 2.0 * v for k, v in f.evaluate(q).items()}
-                assert g.evaluate(q) == pytest.approx(want, rel=1e-15), name
+            qs = [p[:5] if f.chart.dim == 5 else p[5:] for p in points]
+            assert set(g.coeffs) == set(f.coeffs), name
+            want = 2.0 * evaluate_points(list(f.coeffs.values()), qs)
+            got = evaluate_points([g.coeffs[k] for k in f.coeffs], qs)
+            assert got == pytest.approx(want, rel=1e-15), name
 
     def test_file_tolerance_used_when_flag_absent(self, tmp_path, capsys):
         loose = (SHIPPED / "alphabeta-poly.bg").read_text().replace(

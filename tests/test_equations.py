@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import flat_metric, random_form, random_points, random_scalar, rng_for
+from conftest import (count_plans, flat_metric, form_fn, matrix_fn, random_form, random_points,
+                      random_scalar, rng_for)
 from oracles import fd_closedness, fd_einstein, fd_maxwell, flux_contractions, flux_tensor, numeric_star
 
 import sugra.equations
@@ -27,6 +28,8 @@ from sugra.forms import (
     form_inner,
     hodge,
     interior,
+    inverse_values,
+    matrix_values,
     monomial_form,
     wedge,
 )
@@ -35,7 +38,9 @@ from sugra.geometry import (
     ProductStructure,
     WalkerData,
     ricci,
+    ricci_endomorphism_pairing,
     scalar_curvature,
+    validate_ricci_isotropic,
     walker_metric,
 )
 from sugra.equations import (
@@ -117,17 +122,15 @@ class TestFluxNorm:
     def test_null_walker_flux(self):
         for ident in ("alpha-ppwave", "beta-nu-ppwave", "general-combined"):
             bg = build(ident)
-            for p in bg.sample(5, seed=3):
-                assert abs(flux_norm_sq(bg, p)) < 1e-12
+            assert np.all(np.abs(flux_norm_sq(bg, bg.sample(5, seed=3))) < 1e-12)
 
     def test_kahler_norm(self):
         bg = build("kahler-theta")
-        for p in bg.sample(5, seed=3):
-            assert flux_norm_sq(bg, p) == pytest.approx(6.0, abs=1e-10)  # 3c^2, c^2=2
+        assert flux_norm_sq(bg, bg.sample(5, seed=3)) == pytest.approx([6.0] * 5, abs=1e-10)  # 3c^2, c^2=2
 
     def test_zero_flux(self):
         bg = flat_background(FluxSpec())
-        assert flux_norm_sq(bg, (0.2,) * 11) == 0.0
+        assert flux_norm_sq(bg, [(0.2,) * 11]).tolist() == [0.0]
 
     def test_pieces_route_matches_assembled_route(self):
         rng = rng_for("normsplit")
@@ -146,18 +149,15 @@ class TestFluxNorm:
                 theta=random_form(R6, 4, rng, nkeys=2),
             )
             bg = Background(ps, fs, [(-1.0, 1.0)] * 11)
-            for p in random_points(rng, 3, 11):
-                a = flux_norm_sq(bg, p)
-                b = flux_norm_sq_pieces(fs, ps, p)
-                assert a == pytest.approx(b, rel=1e-8, abs=1e-8)
+            pts = random_points(rng, 3, 11)
+            assert flux_norm_sq(bg, pts) == pytest.approx(flux_norm_sq_pieces(fs, ps, pts), rel=1e-8, abs=1e-8)
 
     def test_pieces_route_matches_on_catalog(self):
         for ident in catalog_ids():
             bg = build(ident)
-            for p in bg.sample(4, seed=11):
-                a = flux_norm_sq(bg, p)
-                b = flux_norm_sq_pieces(bg.flux, bg.product, p)
-                assert a == pytest.approx(b, rel=1e-8, abs=1e-8)
+            pts = bg.sample(4, seed=11)
+            a = flux_norm_sq(bg, pts)
+            assert a == pytest.approx(flux_norm_sq_pieces(bg.flux, bg.product, pts), rel=1e-8, abs=1e-8)
 
 
 class TestNullContraction:
@@ -173,13 +173,13 @@ class TestNullContraction:
                       for k in body_keys}
             w = KForm(W5, deg, coeffs)
             duw = wedge(du, w)
-            for p in random_points(rng, 5, 5):
-                for _ in range(4):
-                    xv = [float(t) for t in rng.uniform(-1, 1, size=5)]
-                    yv = [float(t) for t in rng.uniform(-1, 1, size=5)]
-                    lhs = form_inner(interior(xv, duw), interior(yv, duw), m, p)
-                    rhs = xv[0] * yv[0] * form_inner(w, w, m, p)
-                    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+            pts = random_points(rng, 5, 5)
+            ww = form_inner(w, w, m, pts)
+            for _ in range(20):  # each pair at every point
+                xv = [float(t) for t in rng.uniform(-1, 1, size=5)]
+                yv = [float(t) for t in rng.uniform(-1, 1, size=5)]
+                lhs = form_inner(interior(xv, duw), interior(yv, duw), m, pts)
+                assert lhs == pytest.approx(xv[0] * yv[0] * ww, rel=1e-9, abs=1e-9)
 
 
 class TestResidualOperators:
@@ -234,19 +234,19 @@ class TestResidualOperators:
         bg = Background(ps, fs, [(-1.0, 1.0)] * 11)
         h = bg.metric()
         phi = bg.flux_form()
-        for p in random_points(rng, 4, 11):
-            hinv = h.inverse_at(p)
-            total = 0.0
-            iotas = []
-            for i in range(11):
-                e = [1.0 if k == i else 0.0 for k in range(11)]
-                iotas.append(interior(e, phi))
-            for i in range(11):
-                for j in range(11):
-                    if hinv[i, j] != 0.0:
-                        total += hinv[i, j] * form_inner(iotas[i], iotas[j], h, p)
-            n2 = flux_norm_sq(bg, p)
-            assert total == pytest.approx(4.0 * n2, rel=1e-8, abs=1e-8)
+        pts = random_points(rng, 4, 11)
+        hinv = inverse_values(matrix_values(h.entries, pts), pts)
+        total = np.zeros(len(pts))
+        iotas = []
+        for i in range(11):
+            e = [1.0 if k == i else 0.0 for k in range(11)]
+            iotas.append(interior(e, phi))
+        for i in range(11):
+            for j in range(11):
+                if np.any(hinv[:, i, j] != 0.0):
+                    total += hinv[:, i, j] * form_inner(iotas[i], iotas[j], h, pts)
+        n2 = flux_norm_sq(bg, pts)
+        assert total == pytest.approx(4.0 * n2, rel=1e-8, abs=1e-8)
         assert TRACE_IDENTITY_SIGN == -1.0
 
     def test_verify_aggregates(self):
@@ -265,11 +265,40 @@ class TestResidualOperators:
         assert vh.max_abs < 1e-12
         gl = bg.product.lorentz
         alpha, beta = bg.flux.alpha, bg.flux.beta
-        for p5 in random_points(rng_for("crosspair"), 5, 5):
-            for i in range(5):
-                e = [1.0 if k == i else 0.0 for k in range(5)]
-                val = form_inner(beta, interior(e, alpha), gl, p5)
-                assert abs(val) < 1e-12
+        p5s = random_points(rng_for("crosspair"), 5, 5)
+        for i in range(5):
+            e = [1.0 if k == i else 0.0 for k in range(5)]
+            assert np.all(np.abs(form_inner(beta, interior(e, alpha), gl, p5s)) < 1e-12)
+
+
+class TestBatchedHelpers:
+    @pytest.mark.parametrize("helper", ["form_inner", "flux_norm_sq", "flux_norm_sq_pieces",
+                                        "scalar_curvature", "ricci_endomorphism_pairing",
+                                        "validate_ricci_isotropic"])
+    def test_plans_do_not_grow_with_the_points(self, monkeypatch, helper):
+        """Each numeric helper evaluates each of its expression lists once
+        for all the points: as many plans at 50 points as at 5."""
+        bg = build("general-combined")
+        h, phi, ps = bg.metric(), bg.flux_form(), bg.product
+        x = y = np.linspace(-1.0, 1.0, 11)
+        call = {
+            "form_inner": lambda pts: form_inner(phi, phi, h, pts),
+            "flux_norm_sq": lambda pts: flux_norm_sq(bg, pts),
+            "flux_norm_sq_pieces": lambda pts: flux_norm_sq_pieces(bg.flux, ps, pts),
+            "scalar_curvature": lambda pts: scalar_curvature(h, pts),
+            "ricci_endomorphism_pairing": lambda pts: ricci_endomorphism_pairing(h, pts, x, y),
+            "validate_ricci_isotropic": lambda pts: validate_ricci_isotropic(
+                WalkerData.pp_wave(ps.lorentz.entries[0][0]), [p[:5] for p in pts]),
+        }[helper]
+        call(bg.sample(2, seed=1))  # builds the symbolic tensors the helper caches
+        built = count_plans(monkeypatch)
+        counts = []
+        for count in (5, 50):
+            before = built[0]
+            out = call(bg.sample(count, seed=1))
+            assert out is None or out.shape == (count,)
+            counts.append(built[0] - before)
+        assert counts[0] == counts[1] >= 1, counts
 
 
 class TestEngineCrossPath:
@@ -284,23 +313,23 @@ class TestEngineCrossPath:
         pts = bg.sample(3, seed=21)
         rows = einstein_residual(bg, pts)
         # engine residuals are ~0 for this solution; recompute them manually
-        for p in pts:
-            hv = h.matrix_at(p)
-            n2 = form_inner(phi, phi, h, p)
-            for (i, j) in [(0, 0), (0, 4), (1, 1), (5, 5), (0, 5), (4, 10)]:
-                ei = [1.0 if t == i else 0.0 for t in range(11)]
-                ej = [1.0 if t == j else 0.0 for t in range(11)]
-                c = form_inner(interior(ei, phi), interior(ej, phi), h, p)
-                manual = evaluate(ric[i][j], p) + 0.5 * c - hv[i][j] * n2 / 6.0
-                assert abs(manual) < 1e-10
+        hv = matrix_values(h.entries, pts)
+        rv = matrix_values(ric, pts)
+        n2 = form_inner(phi, phi, h, pts)
+        for (i, j) in [(0, 0), (0, 4), (1, 1), (5, 5), (0, 5), (4, 10)]:
+            ei = [1.0 if t == i else 0.0 for t in range(11)]
+            ej = [1.0 if t == j else 0.0 for t in range(11)]
+            c = form_inner(interior(ei, phi), interior(ej, phi), h, pts)
+            manual = rv[:, i, j] + 0.5 * c - hv[:, i, j] * n2 / 6.0
+            assert np.all(np.abs(manual) < 1e-10)
         assert all(r.max_abs < 1e-10 for r in rows)
 
     def test_trace_engine_matches_public_api(self):
         from sugra.geometry import scalar_curvature
         bg = build("kahler-theta")
         p = bg.sample(1, seed=33)[0]
-        manual = abs(scalar_curvature(bg.metric(), p)
-                     - TRACE_IDENTITY_SIGN * flux_norm_sq(bg, p) / 6.0)
+        manual = abs(scalar_curvature(bg.metric(), [p])[0]
+                     - TRACE_IDENTITY_SIGN * flux_norm_sq(bg, [p])[0] / 6.0)
         row = trace_check(bg, [p])[0]
         assert row.max_abs == pytest.approx(manual, rel=1e-9, abs=1e-12)
 
@@ -394,22 +423,21 @@ class TestJetCore:
         assert wedge(phi, phi).is_zero == (ident != "beta-nu-theta")
         iotas = [interior([1.0 if t == i else 0.0 for t in range(11)], phi) for i in range(11)]
         pts = bg.sample(2, seed=5)
-        for p, core in zip(pts, core_components(bg, pts)):
-            n2 = form_inner(phi, phi, h, p)
-            hv = h.matrix_at(p)
-            want = {}
-            for i in range(11):
-                for j in range(i, 11):
-                    want[f"({chart.names[i]},{chart.names[j]})"] = (
-                        evaluate(ric[i][j], p) + 0.5 * form_inner(iotas[i], iotas[j], h, p)
-                        - hv[i, j] * n2 / 6.0)
+        n2 = form_inner(phi, phi, h, pts)
+        hv, rv = matrix_values(h.entries, pts), matrix_values(ric, pts)
+        einstein = {(i, j): rv[:, i, j] + 0.5 * form_inner(iotas[i], iotas[j], h, pts) - hv[:, i, j] * n2 / 6.0
+                    for i in range(11) for j in range(i, 11)}
+        closedv = evaluate_points(list(closed.coeffs.values()), pts)
+        maxwellv = evaluate_points(list(maxwell.coeffs.values()), pts)
+        traces = scalar_curvature(h, pts) - TRACE_IDENTITY_SIGN * n2 / 6.0
+        for k, core in enumerate(core_components(bg, pts)):
+            want = {f"({chart.names[i]},{chart.names[j]})": v[k] for (i, j), v in einstein.items()}
             self._agree(core["einstein"], want, ident)
-            want = {key_name(chart, k): evaluate(v, p) for k, v in closed.items()}
+            want = {key_name(chart, key): v for key, v in zip(closed.coeffs, closedv[k])}
             self._agree(core["closedness"], want, ident)
-            want = {key_name(chart, k): evaluate(v, p) for k, v in maxwell.items()}
+            want = {key_name(chart, key): v for key, v in zip(maxwell.coeffs, maxwellv[k])}
             self._agree(core["maxwell"], want, ident)
-            trace = scalar_curvature(h, p) - TRACE_IDENTITY_SIGN * n2 / 6.0
-            assert core["trace"]["scal - s*|F|^2/6"] == pytest.approx(trace, rel=1e-10, abs=1e-10)
+            assert core["trace"]["scal - s*|F|^2/6"] == pytest.approx(traces[k], rel=1e-10, abs=1e-10)
 
     @staticmethod
     def _agree(core: dict, want: dict, label: str, rtol: float = 1e-10):
@@ -447,7 +475,7 @@ class TestJetCore:
         pts = random_points(rng, 3, 3)
         m.check_signature(pts)
         r = range(3)
-        h = np.array([m.matrix_at(p) for p in pts])
+        h = matrix_values(m.entries, pts)
         dh = np.array([[[[evaluate(diff(m.entries[i][j], k), p) for j in r] for i in r] for k in r]
                        for p in pts])
         ddh = np.array([[[[[evaluate(diff(diff(m.entries[i][j], k), l), p) for j in r] for i in r]
@@ -457,7 +485,7 @@ class TestJetCore:
         ric = np.zeros((3, 3, 3))
         for c, (i, j) in enumerate((i, j) for i in r for j in r if i <= j):
             ric[:, i, j] = ric[:, j, i] = ein[:, c]
-        want = np.array([[[evaluate(e, p) for e in row] for row in ricci(m)] for p in pts])
+        want = matrix_values(ricci(m), pts)
         assert np.max(np.abs(ric - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_flux_algebra_on_dense_data(self):
@@ -507,23 +535,25 @@ class TestJetCore:
         bg = background(which)
         h, phi, chart = bg.metric(), bg.flux_form(), bg.chart
 
+        phifn, hfn = form_fn(phi), matrix_fn(h)
+
         def fluxfn(p):
-            return flux_tensor(phi.evaluate(p), 11)
+            return flux_tensor(phifn(p), 11)
 
         pts = bg.sample(2, seed=9)
         for k, (p, core) in enumerate(zip(pts, core_components(bg, pts))):
-            g = h.matrix_at(p)
+            g = hfn(p)
             want = {key_name(chart, x): v for x, v in fd_closedness(fluxfn, p, self.H).items()}
             scale = max(1.0, float(np.max(np.abs(fluxfn(p)))))
             self._agree(core["closedness"], want, which, self.MAXWELL_RTOL * scale)
             if "maxwell" in families:
                 want = {key_name(chart, a): v
-                        for a, v in fd_maxwell(h.matrix_at, fluxfn, p, self.H).items()}
+                        for a, v in fd_maxwell(hfn, fluxfn, p, self.H).items()}
                 scale = max(1.0, max(abs(v) for v in numeric_star(g, fluxfn(p)).values()))
                 self._agree(core["maxwell"], want, which, self.MAXWELL_RTOL * scale)
             if k or "einstein" not in families:
                 continue  # the 11-dimensional FD Ricci costs about a second per point
-            ein = fd_einstein(h.matrix_at, fluxfn, p, self.H)
+            ein = fd_einstein(hfn, fluxfn, p, self.H)
             want = {f"({chart.names[i]},{chart.names[j]})": ein[i, j]
                     for i in range(11) for j in range(i, 11)}
             scale = max(1.0, float(np.max(np.abs(g))))

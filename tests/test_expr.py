@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_scalar, rng_for
+from conftest import count_plans, random_scalar, rng_for
 from oracles import central_diff
 
 from sugra.expr import (
@@ -173,6 +173,20 @@ class TestEval:
                 fn = sympy.lambdify(symbols, sympy.diff(sym, x), "math")
                 for k, p in enumerate(pts):
                     assert got[k, i] == pytest.approx(fn(*p), rel=1e-10)
+
+    def test_compile_expr_plans_once(self, monkeypatch):
+        """A compiled expression gives evaluate's values, and its walk is laid
+        out once, when it is compiled, however often it is called."""
+        rng = rng_for("compileonce")
+        pts = [tuple(rng.uniform(0.2, 1.0, size=5)) for _ in range(100)]
+        exprs = [random_scalar(W5, rng) for _ in range(20)]
+        want = [[evaluate(e, p) for p in pts] for e in exprs]
+        built = count_plans(monkeypatch)
+        for e, values in zip(exprs, want):
+            before = built[0]
+            fn = compile_expr(e)
+            assert [fn(p) for p in pts] == values
+            assert built[0] - before == 1
 
     def test_shared_nodes_are_evaluated_once(self):
         # 2^61 - 1 tree nodes but 61 distinct ones

@@ -1,11 +1,15 @@
 """Wedge, exterior derivative, interior product, inner products, Hodge star."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import flat_metric, random_form, random_points, rng_for
+from conftest import flat_metric, random_form, random_points, rng_for, values
 
-from sugra.expr import Chart, add, const, coord, evaluate, intpow, mul, parse, _as_expr
+from sugra.expr import (Chart, add, const, coord, cos, evaluate, evaluate_points, intpow, mul, parse, sin,
+                        _as_expr)
 from sugra.forms import (
     ChartMismatch,
     DegreeError,
@@ -56,13 +60,10 @@ def twisted_walker_metric() -> Metric:
 
 def form_values_equal(a: KForm, b: KForm, pts, tol=1e-9):
     zero = _as_expr(0.0)
-    keys = set(a.coeffs) | set(b.coeffs)
-    worst = 0.0
-    for p in pts:
-        for k in keys:
-            va = evaluate(a.coeffs.get(k, zero), p)
-            vb = evaluate(b.coeffs.get(k, zero), p)
-            worst = max(worst, abs(va - vb))
+    keys = sorted(set(a.coeffs) | set(b.coeffs))
+    va = evaluate_points([a.coeffs.get(k, zero) for k in keys], pts)
+    vb = evaluate_points([b.coeffs.get(k, zero) for k in keys], pts)
+    worst = float(np.max(np.abs(va - vb), initial=0.0))
     return worst <= tol, worst
 
 
@@ -152,8 +153,7 @@ class TestExteriorDerivative:
         for _ in range(8):
             a = random_form(W5, 2, rng, polynomial_only=True)
             dd = ext_d(ext_d(a))
-            for p in pts:
-                assert max(map(abs, dd.evaluate(p).values()), default=0.0) <= 1e-9
+            assert np.all(np.abs(evaluate_points(list(dd.coeffs.values()), pts)) <= 1e-9)
 
     def test_leibniz(self):
         rng = rng_for("leibniz")
@@ -165,6 +165,50 @@ class TestExteriorDerivative:
             rhs = wedge(ext_d(a), b) + wedge(a, ext_d(b)).scale(const((-1.0) ** ka))
             ok, worst = form_values_equal(lhs, rhs, pts, 1e-9)
             assert ok, f"Leibniz violated by {worst}"
+
+
+C4 = Chart(("p", "q", "r", "s"))
+C4_POINTS = [(0.3, -0.7, 1.1, 0.2), (-1.2, 0.5, 0.0, 0.9), (0.8, 0.8, -0.4, -1.5)]
+
+# Scalars on C4 of moderate size at C4_POINTS: sums, products, sines and
+# cosines of up to six coordinates, their squares and cubes, and integers.
+SCALARS = st.recursive(
+    st.one_of(st.integers(0, 3).map(coord), st.integers(-3, 3).map(const),
+              st.tuples(st.integers(0, 3).map(coord), st.integers(2, 3)).map(lambda t: intpow(*t))),
+    lambda kids: st.one_of(st.tuples(kids, kids).map(lambda t: add(*t)),
+                           st.tuples(kids, kids).map(lambda t: mul(*t)),
+                           kids.map(sin), kids.map(cos)),
+    max_leaves=6)
+
+
+@st.composite
+def c4_forms(draw, degree: int) -> KForm:
+    keys = list(itertools.combinations(range(4), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+    return KForm(C4, degree, {k: draw(SCALARS) for k in chosen})
+
+
+
+
+class TestProperties:
+    """Laws of the exterior derivative on random forms over a 4-chart."""
+
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(st.integers(0, 2).flatmap(c4_forms))
+    def test_d_squared_is_zero(self, a):
+        dd = ext_d(ext_d(a))
+        ok, worst = form_values_equal(dd, zero_form(C4, a.degree + 2), C4_POINTS)
+        assert ok, worst
+
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(st.integers(0, 3).flatmap(lambda k: st.tuples(c4_forms(k), c4_forms(3 - k))))
+    def test_graded_leibniz(self, pair):
+        """``d(a ^ b) = da ^ b + (-1)^k a ^ db`` for a k-form a."""
+        a, b = pair
+        lhs = ext_d(wedge(a, b))
+        rhs = wedge(ext_d(a), b) + wedge(a, ext_d(b)).scale(const((-1.0) ** a.degree))
+        ok, worst = form_values_equal(lhs, rhs, C4_POINTS)
+        assert ok, worst
 
 
 class TestInterior:
@@ -209,21 +253,21 @@ class TestInnerProduct:
     def test_du_is_null_on_walker_chart(self):
         m = walker_metric(WalkerData.pp_wave(parse("x1^2", W5)))
         du = coordinate_form(W5, "u")
-        for p in random_points(rng_for("null"), 5, 5):
-            assert form_inner(du, du, m, p) == pytest.approx(0.0, abs=1e-12)
+        pts = random_points(rng_for("null"), 5, 5)
+        assert form_inner(du, du, m, pts) == pytest.approx([0.0] * 5, abs=1e-12)
 
     def test_flat_kahler_norm_is_three(self):
         g = flat_metric(R6, (0, 6))
         delta = (monomial_form(R6, 1.0, ("y1", "y2"))
                  + monomial_form(R6, 1.0, ("y3", "y4"))
                  + monomial_form(R6, 1.0, ("y5", "y6")))
-        assert form_inner(delta, delta, g, (0.1,) * 6) == pytest.approx(3.0)
+        assert form_inner(delta, delta, g, [(0.1,) * 6]) == pytest.approx([3.0])
 
     def test_two_form_on_negative_block(self):
         ch3 = Chart(("x1", "x2", "x3"))
         rho = flat_metric(ch3, (0, 3))
         a = monomial_form(ch3, 1.0, ("x1", "x2"))
-        assert form_inner(a, a, rho, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
+        assert form_inner(a, a, rho, [(0.0, 0.0, 0.0)]) == pytest.approx([1.0])
 
     def test_sign_alternates_with_degree_on_negative_block(self):
         g = flat_metric(R6, (0, 6))
@@ -231,20 +275,21 @@ class TestInnerProduct:
         p = (0.3,) * 6
         for k in range(5):
             a = random_form(R6, k, rng, nkeys=2)
-            n = form_inner(a, a, g, p)
+            n = form_inner(a, a, g, [p])[0]
             if abs(n) > 1e-12:
                 assert np.sign(n) == (-1.0) ** k
 
     def test_degree_mismatch(self):
         g = flat_metric(R6, (0, 6))
         with pytest.raises(DegreeError):
-            form_inner(coordinate_form(R6, "y1"), monomial_form(R6, 1.0, ("y1", "y2")), g, (0,) * 6)
+            form_inner(coordinate_form(R6, "y1"), monomial_form(R6, 1.0, ("y1", "y2")), g, [(0,) * 6])
 
     def test_singular_metric_reported(self):
         ch = Chart(("a", "b"))
         m = Metric(ch, [[coord(0), 0.0], [0.0, 1.0]], (2, 0))
-        with pytest.raises(SingularMetricError):
-            form_inner(coordinate_form(ch, "a"), coordinate_form(ch, "a"), m, (0.0, 1.0))
+        with pytest.raises(SingularMetricError, match=r"singular at \(0\.0, 1\.0\)"):
+            form_inner(coordinate_form(ch, "a"), coordinate_form(ch, "a"), m,
+                       [(1.0, 1.0), (0.0, 1.0), (0.0, 2.0)])
 
 
 class TestHodge:
@@ -266,10 +311,10 @@ class TestHodge:
             a = random_form(chart, k, rng)
             b = random_form(chart, k, rng)
             lhs = wedge(a, hodge(b, m))
-            for p in pts:
-                lv = lhs.evaluate(p).get(tuple(range(chart.dim)), 0.0)
-                rv = form_inner(a, b, m, p) * vol.evaluate(p)[tuple(range(chart.dim))]
-                assert abs(lv - rv) < 1e-9
+            top = tuple(range(chart.dim))
+            lv = values(lhs.coeffs.get(top, const(0.0)), pts)
+            rv = form_inner(a, b, m, pts) * values(vol.coeffs[top], pts)
+            assert np.all(np.abs(lv - rv) < 1e-9)
 
     @pytest.mark.parametrize("signature", [(1, 4), (0, 6), (1, 10)])
     def test_double_star_law(self, signature):
@@ -296,10 +341,9 @@ class TestHodge:
             a = random_form(W5, k, rng)
             b = random_form(W5, k, rng)
             lhs = wedge(a, hodge(b, m))
-            for p in pts:
-                lv = lhs.evaluate(p).get((0, 1, 2, 3, 4), 0.0)
-                rv = form_inner(a, b, m, p) * vol.evaluate(p)[(0, 1, 2, 3, 4)]
-                assert abs(lv - rv) < 1e-9
+            lv = values(lhs.coeffs.get((0, 1, 2, 3, 4), const(0.0)), pts)
+            rv = form_inner(a, b, m, pts) * values(vol.coeffs[(0, 1, 2, 3, 4)], pts)
+            assert np.all(np.abs(lv - rv) < 1e-9)
 
     @pytest.mark.parametrize("build", [chain_metric, twisted_walker_metric])
     def test_identities_on_non_diagonal_metric(self, build):
@@ -316,10 +360,9 @@ class TestHodge:
             a = random_form(chart, k, rng, nkeys=2)
             b = a + random_form(chart, k, rng, nkeys=2)
             lhs = wedge(a, hodge(b, m))
-            for p in pts:
-                lv = lhs.evaluate(p).get(top, 0.0)
-                rv = form_inner(a, b, m, p) * vol.evaluate(p)[top]
-                assert abs(lv - rv) < 1e-9 * max(1.0, abs(rv)), (k, p)
+            lv = values(lhs.coeffs.get(top, const(0.0)), pts)
+            rv = form_inner(a, b, m, pts) * values(vol.coeffs[top], pts)
+            assert np.all(np.abs(lv - rv) < 1e-9 * np.maximum(1.0, np.abs(rv))), (k, lv - rv)
             ss = hodge(hodge(a, m), m)
             sign = (-1.0) ** (k * (n - k) + q)
             ok, worst = form_values_equal(ss, a.scale(const(sign)), pts, 1e-9)
@@ -363,10 +406,9 @@ class TestHodge:
                 a = random_form(chart, k, rng)
                 b = random_form(chart, k, rng)
                 lhs = wedge(a, hodge(b, m))
-                for p in pts:
-                    lv = lhs.evaluate(p).get(top, 0.0)
-                    rv = form_inner(a, b, m, p) * vol.evaluate(p)[top]
-                    assert abs(lv - rv) < 1e-8
+                lv = values(lhs.coeffs.get(top, const(0.0)), pts)
+                rv = form_inner(a, b, m, pts) * values(vol.coeffs[top], pts)
+                assert np.all(np.abs(lv - rv) < 1e-8)
 
 
 class TestProductIdentities:
@@ -422,10 +464,10 @@ class TestProductIdentities:
             a5 = random_form(W5, kt, rng)
             b6 = random_form(R6, k, rng)
             big = wedge(embed_form(a5, C11, 0), embed_form(b6, C11, 5))
-            for p in pts:
-                lhs = form_inner(big, big, h, p)
-                rhs = form_inner(a5, a5, gl, tuple(p[:5])) * form_inner(b6, b6, gr, tuple(p[5:]))
-                assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+            lhs = form_inner(big, big, h, pts)
+            rhs = (form_inner(a5, a5, gl, [p[:5] for p in pts])
+                   * form_inner(b6, b6, gr, [p[5:] for p in pts]))
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_star_of_mixed_product(self):
         gl, gr, h = self._product()

@@ -8,11 +8,11 @@ never shares the symbolic derivative path.
 import numpy as np
 import pytest
 
-from conftest import flat_metric, random_points, rng_for
-from oracles import fd_christoffel, fd_ricci
+from conftest import flat_metric, matrix_fn, random_points, random_scalar, rng_for, values
+from oracles import fd_christoffel, fd_ricci, jet_ricci
 
-from sugra.expr import Chart, add, const, coord, diff, div, evaluate, intpow, mul, neg, parse
-from sugra.forms import FormError, Metric
+from sugra.expr import Chart, add, const, coord, diff, div, evaluate, intpow, mul, neg, parse, to_text
+from sugra.forms import FormError, Metric, matrix_values, sym_inverse
 from sugra.geometry import (
     WALKER_CHART,
     ProductStructure,
@@ -32,9 +32,7 @@ R6 = Chart(("y1", "y2", "y3", "y4", "y5", "y6"))
 
 
 def ricci_at(m, p):
-    ric = ricci(m)
-    n = m.dim
-    return np.array([[evaluate(ric[i][j], p) for j in range(n)] for i in range(n)])
+    return matrix_values(ricci(m), [p])[0]
 
 
 def ads5_metric(big_l=2.0):
@@ -54,6 +52,64 @@ def sphere2_metric(k_curv=1.0, negative=True):
     s = neg(lam) if negative else lam
     rows = [[s, 0.0], [0.0, s]]
     return Metric(ch, rows, (0, 2) if negative else (2, 0))
+
+
+def dense_metric(chart: Chart, signature: tuple[int, int], rng) -> Metric:
+    """+-3 on the diagonal (the first ``signature[0]`` positive) plus 0.2
+    times a random scalar in every entry, so no entry vanishes."""
+    n = chart.dim
+    rows = [[const(0.0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            base = (3.0 if i < signature[0] else -3.0) if i == j else 0.0
+            rows[i][j] = add(base, mul(0.2, random_scalar(chart, rng)))
+    return Metric(chart, rows, signature)
+
+
+class TestSympyOracle:
+    """``sym_inverse`` and ``ricci`` on dense metrics, a Riemannian 3x3 and a
+    Lorentzian 4x4, against sympy, which reads the metric's printed entries
+    and inverts and differentiates them on its own."""
+
+    CASES = {"riemann-3": (Chart(("a", "b", "c")), (0, 3)),
+             "lorentz-4": (Chart(("t", "x", "y", "z")), (1, 3))}
+
+    def _case(self, name):
+        sympy = pytest.importorskip("sympy")
+        chart, signature = self.CASES[name]
+        rng = rng_for(f"sympy-{name}")
+        m = dense_metric(chart, signature, rng)
+        pts = random_points(rng, 4, chart.dim)
+        m.check_signature(pts)
+        xs = sympy.symbols(chart.names)
+        g = sympy.Matrix([[sympy.sympify(to_text(e, chart)) for e in row] for row in m.entries])
+        return sympy, m, pts, xs, g
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_sym_inverse(self, name):
+        sympy, m, pts, xs, g = self._case(name)
+        inv, det = sym_inverse(m.entries)
+        got, got_det = matrix_values(inv, pts), values(det, pts)
+        at = matrix_values(m.entries, pts)
+        assert np.max(np.abs(got - np.linalg.inv(at))) < 1e-12
+        assert got_det == pytest.approx(np.linalg.det(at), rel=1e-12)
+        for p, gi, d in zip(pts, got, got_det):
+            exact = g.subs(dict(zip(xs, p)))
+            assert np.max(np.abs(np.array(exact.inv(), dtype=float) - gi)) < 1e-12
+            assert float(exact.det()) == pytest.approx(d, rel=1e-12)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_ricci(self, name):
+        sympy, m, pts, xs, g = self._case(name)
+        n = len(xs)
+        dg = [[[sympy.diff(g[i, j], x) for j in range(n)] for i in range(n)] for x in xs]
+        ddg = [[[[sympy.diff(e, y) for e in row] for row in d] for d in dg] for y in xs]
+        jet = sympy.lambdify(xs, [g.tolist(), dg, ddg], "math")
+        for p, got in zip(pts, matrix_values(ricci(m), pts)):
+            want = jet_ricci(*(np.array(a, dtype=float) for a in jet(*p)))
+            scale = float(np.max(np.abs(want)))
+            assert scale > 1e-3  # curved: the comparison is not between zeros
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
 
 
 class TestChristoffel:
@@ -80,7 +136,7 @@ class TestChristoffel:
         H = parse("1/6 * u^2 * (x1^2+x2^2+x3^2)", W5)
         m = walker_metric(WalkerData.pp_wave(H))
         sym = christoffel(m)
-        fn = m.matrix_at
+        fn = matrix_fn(m)
         for p in random_points(rng_for("walkerfd"), 3, 5):
             gam = fd_christoffel(fn, p)
             sym_gam = np.zeros((5, 5, 5))
@@ -93,7 +149,7 @@ class TestChristoffel:
     def test_ads_against_fd_oracle(self):
         m = ads5_metric()
         sym = christoffel(m)
-        fn = m.matrix_at
+        fn = matrix_fn(m)
         for p in random_points(rng_for("adsfd"), 3, 5, lo=0.5, hi=1.4):
             gam = fd_christoffel(fn, p)
             sym_gam = np.zeros((5, 5, 5))
@@ -109,8 +165,8 @@ class TestChristoffel:
         m = walker_metric(WalkerData.pp_wave(H))
         sym = christoffel(m)
         full = np.zeros((5, 5, 5), dtype=object)
-        for p in random_points(rng_for("nabla"), 10, 5):
-            g = m.matrix_at(p)
+        pts = random_points(rng_for("nabla"), 10, 5)
+        for p, g in zip(pts, matrix_values(m.entries, pts)):
             gam = np.zeros((5, 5, 5))
             for (k, i, j), e in sym.items():
                 v = evaluate(e, p)
@@ -134,7 +190,7 @@ class TestRicci:
             want = np.zeros((5, 5))
             want[0, 0] = 3.0
             assert np.max(np.abs(R - want)) < 1e-12
-        fn = m.matrix_at
+        fn = matrix_fn(m)
         p = (0.4, 0.8, -0.3, 0.9, 0.1)
         assert np.max(np.abs(fd_ricci(fn, p) - ricci_at(m, p))) < 1e-5
 
@@ -159,22 +215,22 @@ class TestRicci:
     def test_ads_einstein_constant(self):
         big_l = 2.0
         m = ads5_metric(big_l)
-        for p in random_points(rng_for("adsric"), 4, 5, lo=0.5, hi=1.4):
+        pts = random_points(rng_for("adsric"), 4, 5, lo=0.5, hi=1.4)
+        for p, g in zip(pts, matrix_values(m.entries, pts)):
             R = ricci_at(m, p)
-            g = m.matrix_at(p)
             assert np.max(np.abs(R - (4.0 / big_l ** 2) * g)) < 1e-10
-        fn = m.matrix_at
+        fn = matrix_fn(m)
         p = (0.3, 0.7, -0.2, 0.5, 1.1)
         assert np.max(np.abs(fd_ricci(fn, p) - ricci_at(m, p))) < 1e-5
 
     def test_round_sphere_negative_definite(self):
         """g = -g_round has Ric = -g (Einstein constant -1 for K = 1)."""
         m = sphere2_metric(1.0, negative=True)
-        for p in random_points(rng_for("sph"), 5, 2, lo=-0.7, hi=0.7):
+        pts = random_points(rng_for("sph"), 5, 2, lo=-0.7, hi=0.7)
+        for p, g in zip(pts, matrix_values(m.entries, pts)):
             R = ricci_at(m, p)
-            g = m.matrix_at(p)
             assert np.max(np.abs(R + g)) < 1e-10
-        fn = m.matrix_at
+        fn = matrix_fn(m)
         assert np.max(np.abs(fd_ricci(fn, (0.2, -0.4)) - ricci_at(m, (0.2, -0.4)))) < 1e-5
 
     def test_ricci_invariant_under_overall_sign_flip(self):
@@ -205,20 +261,20 @@ class TestRicci:
 class TestScalarCurvature:
     def test_flat(self):
         h = product_metric(ProductStructure(flat_metric(W5, (1, 4)), flat_metric(R6, (0, 6))))
-        assert scalar_curvature(h, (0.1,) * 11) == 0.0
+        assert scalar_curvature(h, [(0.1,) * 11]).tolist() == [0.0]
 
     def test_ppwave_scalar_vanishes(self):
         m = walker_metric(WalkerData.pp_wave(parse("x1^2+u*x2^2", W5)))
-        for p in random_points(rng_for("scal0"), 4, 5):
-            assert abs(scalar_curvature(m, p)) < 1e-12
+        pts = random_points(rng_for("scal0"), 4, 5)
+        assert np.all(np.abs(scalar_curvature(m, pts)) < 1e-12)
 
     def test_einstein_blocks_trace(self):
         """AdS5 (L=2) gives Scal = 20/L^2 = 5; the negative-definite round
         sphere gives Scal = -2K per sphere."""
         m = ads5_metric(2.0)
-        assert scalar_curvature(m, (0.1, 0.2, 0.3, 0.4, 1.0)) == pytest.approx(5.0, abs=1e-10)
+        assert scalar_curvature(m, [(0.1, 0.2, 0.3, 0.4, 1.0)]) == pytest.approx([5.0], abs=1e-10)
         s = sphere2_metric(1.0, negative=True)
-        assert scalar_curvature(s, (0.2, 0.1)) == pytest.approx(-2.0, abs=1e-10)
+        assert scalar_curvature(s, [(0.2, 0.1)]) == pytest.approx([-2.0], abs=1e-10)
 
 
 class TestLaplaceBeltrami:
@@ -284,11 +340,11 @@ class TestWalkerConstructor:
     def test_ricci_endomorphism_is_null(self):
         m = walker_metric(WalkerData.pp_wave(parse("1/6*u^2*(x1^2+x2^2+x3^2)", W5)))
         rng = rng_for("ricnull")
-        for p in random_points(rng, 3, 5):
-            for _ in range(5):
-                x = rng.uniform(-1, 1, size=5)
-                y = rng.uniform(-1, 1, size=5)
-                assert abs(ricci_endomorphism_pairing(m, p, x, y)) < 1e-12
+        pts = random_points(rng, 3, 5)
+        for _ in range(15):  # each pair at every point
+            x = rng.uniform(-1, 1, size=5)
+            y = rng.uniform(-1, 1, size=5)
+            assert np.all(np.abs(ricci_endomorphism_pairing(m, pts, x, y)) < 1e-12)
 
 
 class TestProductStructure:
@@ -315,11 +371,12 @@ class TestProductStructure:
         gr = bg.product.riemann
         ric_l = ricci(gl)
         ric_r = ricci(gr)
-        for p in bg.sample(3, seed=5):
+        pts = bg.sample(3, seed=5)
+        gls = matrix_values(gl.entries, [p[:5] for p in pts])
+        grs = matrix_values(gr.entries, [p[5:] for p in pts])
+        for p, gl_v, gr_v in zip(pts, gls, grs):
             R = ricci_at(h, p)
             p5, p6 = tuple(p[:5]), tuple(p[5:])
-            gl_v = gl.matrix_at(p5)
-            gr_v = gr.matrix_at(p6)
             # Lorentz block: +c^2/2 = 1; Riemann block: -c^2/2 = -1 (K = 1)
             assert np.max(np.abs(R[:5, :5] - 1.0 * gl_v)) < 1e-10
             assert np.max(np.abs(R[5:, 5:] + 1.0 * gr_v)) < 1e-10
@@ -334,6 +391,6 @@ class TestProductStructure:
         from sugra.catalog import build
         bg = build("kahler-theta")
         h = bg.metric()
-        fn = h.matrix_at
+        fn = matrix_fn(h)
         p = bg.sample(1, seed=9)[0]
         assert np.max(np.abs(fd_ricci(fn, p) - ricci_at(h, p))) < 1e-5
