@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_points, rng_for
 
-from sugra.expr import add, const, coord, evaluate, exp, intpow, mul, parse, sin
+from sugra.expr import add, const, coord, evaluate, evaluate_points, exp, intpow, mul, parse, sin
 from sugra.forms import matrix_values
 from sugra.geometry import (
     WALKER_CHART,
@@ -228,19 +228,18 @@ class TestMetricCompatibility:
         h = bg.metric()
         sym = christoffel(h)
         pts = bg.sample(7, seed=13)
-        for p, g in zip(pts, matrix_values(h.entries, pts)):
+        kij = [(k, i, j) for k in range(11) for i in range(11) for j in range(i, 11)]
+        gams = evaluate_points(list(sym.values()), pts)
+        dgs = evaluate_points([diff(h.entries[i][j], k) for k, i, j in kij], pts)
+        for g, gv, dgv in zip(matrix_values(h.entries, pts), gams, dgs):
             gam = {}
-            for (k, i, j), e in sym.items():
-                v = evaluate(e, p)
+            for (k, i, j), v in zip(sym, gv):
                 gam[(k, i, j)] = v
                 gam[(k, j, i)] = v
             worst = 0.0
-            for k in range(11):
-                for i in range(11):
-                    for j in range(i, 11):
-                        dg = evaluate(diff(h.entries[i][j], k), p)
-                        conn = sum(gam.get((l, k, i), 0.0) * g[l, j]
-                                   + gam.get((l, k, j), 0.0) * g[i, l]
-                                   for l in range(11))
-                        worst = max(worst, abs(dg - conn))
+            for (k, i, j), dg in zip(kij, dgv):
+                conn = sum(gam.get((l, k, i), 0.0) * g[l, j]
+                           + gam.get((l, k, j), 0.0) * g[i, l]
+                           for l in range(11))
+                worst = max(worst, abs(dg - conn))
             assert worst < 1e-8, f"{ident}: nabla h residual {worst}"

@@ -170,8 +170,9 @@ class TestExteriorDerivative:
 C4 = Chart(("p", "q", "r", "s"))
 C4_POINTS = [(0.3, -0.7, 1.1, 0.2), (-1.2, 0.5, 0.0, 0.9), (0.8, 0.8, -0.4, -1.5)]
 
-# Scalars on C4 of moderate size at C4_POINTS: sums, products, sines and
-# cosines of up to six coordinates, their squares and cubes, and integers.
+# Scalars on C4: sums, products, sines and cosines of at most six leaves
+# (coordinates, their squares and cubes, small integers), so their values
+# and derivatives at C4_POINTS stay small enough for an absolute 1e-9.
 SCALARS = st.recursive(
     st.one_of(st.integers(0, 3).map(coord), st.integers(-3, 3).map(const),
               st.tuples(st.integers(0, 3).map(coord), st.integers(2, 3)).map(lambda t: intpow(*t))),
@@ -186,8 +187,6 @@ def c4_forms(draw, degree: int) -> KForm:
     keys = list(itertools.combinations(range(4), degree))
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
     return KForm(C4, degree, {k: draw(SCALARS) for k in chosen})
-
-
 
 
 class TestProperties:
