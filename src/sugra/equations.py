@@ -41,12 +41,12 @@ from .forms import (
     FormError,
     KForm,
     Metric,
-    check_signature_values,
     embed_form,
     ext_d,
     form_inner,
     hodge,
     perm_sign,
+    solve_blocks,
     wedge,
     zero_form,
     _components,
@@ -468,43 +468,11 @@ class _Contractions:
 
     def _metric(self, tape: np.ndarray, points) -> None:
         """``h^-1`` and ``sqrt|det h|`` into the tape, per connected block of h
-        (stacks of equal-sized blocks), after checking the signature on the
-        blocks' eigenvalues.  Blocks of size 1 and 2 are solved in closed
-        form: a 1x1 block is its eigenvalue and its reciprocal is its
-        inverse; ``[[a, b], [b, d]]`` has ``det = a*d - b*b``, the adjugate
-        over det as inverse, and the eigenvalues ``m + sign(m) hypot((a-d)/2,
-        b)`` (``m = (a+d)/2``, the one of larger size) and det over that one.
-        Larger blocks go to LAPACK."""
-        z = len(points)
-        eigs, solved = [], []
-        for src, dst in self.blocks:
-            k, v = len(src[0]), tape[src]  # v: (blocks, k, k, points)
-            if k == 1:
-                v = v[:, 0, 0]
-                eigs.append(v)
-            elif k == 2:
-                a, b, d = v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]
-                v = (a, b, d, a * d - b * b)
-                half = (a + d) / 2
-                large = half + np.copysign(np.hypot((a - d) / 2, b), half)
-                eigs += [large, np.divide(v[3], large, out=np.zeros_like(large), where=large != 0.0)]
-            else:
-                v = v.transpose(3, 0, 1, 2)
-                eigs.append(np.linalg.eigvalsh(v).reshape(z, -1).T)
-            solved.append((k, v, dst))
-        check_signature_values(np.concatenate(eigs).T, self.signature, points)
-        det = np.ones(z)
-        for k, v, dst in solved:
-            if k == 1:
-                block = v
-                tape[dst[:, 0, 0]] = 1.0 / v
-            elif k == 2:
-                a, b, d, block = v
-                tape[dst[:, 0, 0]], tape[dst[:, 1, 1]] = d / block, a / block
-                tape[dst[:, 0, 1]] = tape[dst[:, 1, 0]] = -b / block
-            else:
-                tape[dst] = np.linalg.inv(v).transpose(1, 2, 3, 0)
-                block = np.linalg.det(v).T
+        (stacks of equal-sized blocks), by :func:`solve_blocks`."""
+        stacks = [tape[src].transpose(0, 3, 1, 2) for src, _ in self.blocks]
+        det = np.ones(len(points))
+        for (_, dst), (inv, block) in zip(self.blocks, solve_blocks(stacks, self.signature, points)):
+            tape[dst] = inv.transpose(0, 2, 3, 1)
             det = det * np.prod(block, axis=0)
         tape[self.sqrt_det] = np.sqrt(np.abs(det))
 
@@ -516,11 +484,12 @@ class _Contractions:
         tape[:self.one] = values.T
         tape[self.one], tape[self.zero] = 1.0, 0.0
         self._metric(tape, points)
-        for ia, ib, coef, starts, lo, hi in self.ops:
-            p = tape[ia]
-            p *= tape[ib]
-            p *= coef
-            tape[lo:hi] = np.add.reduceat(p, starts, axis=0)
+        with np.errstate(all="ignore"):  # a non-finite result is refused below
+            for ia, ib, coef, starts, lo, hi in self.ops:
+                p = tape[ia]
+                p *= tape[ib]
+                p *= coef
+                tape[lo:hi] = np.add.reduceat(p, starts, axis=0)
         out = {name: tape[cols].T for name, cols in self.outputs.items()}
         for name, a in out.items():
             bad = ~np.isfinite(a).all(axis=1)

@@ -297,9 +297,7 @@ class Metric:
 
     def check_signature(self, points: Iterable[Sequence[float]]) -> None:
         """Verify invertibility and the declared count of negative eigenvalues."""
-        points = list(points)
-        check_signature_values(np.linalg.eigvalsh(matrix_values(self.entries, points)),
-                               self.signature, points)
+        metric_values(self, list(points))
 
     def __repr__(self):
         return f"<Metric {self.signature} on {self.chart.names}>"
@@ -315,15 +313,47 @@ def matrix_values(entries, points) -> np.ndarray:
     return out.reshape(-1, n, n)
 
 
-def inverse_values(values: np.ndarray, points) -> np.ndarray:
-    """Inverses of metric values at ``points`` (one matrix per point, as
-    from :func:`matrix_values`); a singular one raises
-    :class:`SingularMetricError` naming the first point where it is."""
-    try:
-        return np.linalg.inv(values)
-    except np.linalg.LinAlgError:  # LAPACK's zero pivot is a zero det
-        first = next(p for p, g in zip(points, values) if np.linalg.det(g) == 0.0)
-        raise SingularMetricError(f"metric is singular at {tuple(first)}") from None
+def solve_blocks(stacks, signature: tuple[int, int], points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Inverse and determinant of each stack of equal-sized symmetric blocks
+    (shape ``(m, points, k, k)``), after checking the eigenvalues of all the
+    blocks together against ``signature`` at each point.  Blocks of size 1
+    and 2 are solved in closed form: a 1x1 block is its eigenvalue and its
+    reciprocal is its inverse; ``[[a, b], [b, d]]`` has ``det = a*d - b*b``,
+    the adjugate over det as inverse, and the eigenvalues ``m + sign(m)
+    hypot((a-d)/2, b)`` (``m = (a+d)/2``, the one of larger size) and det
+    over that one.  Larger blocks go to LAPACK."""
+    eigs, solved = [], []
+    for v in stacks:
+        k = v.shape[-1]
+        if k == 1:
+            det, adj = v[..., 0, 0], np.ones_like(v)
+            eigs.append(det)
+        elif k == 2:
+            a, b, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 1]
+            det, adj = a * d - b * b, np.stack([d, -b, -b, a], axis=-1).reshape(v.shape)
+            half = (a + d) / 2
+            large = half + np.copysign(np.hypot((a - d) / 2, b), half)
+            eigs += [large, np.divide(det, large, out=np.zeros_like(large), where=large != 0.0)]
+        else:
+            det, adj = np.linalg.det(v), None
+            eigs.append(np.linalg.eigvalsh(v).transpose(0, 2, 1).reshape(-1, v.shape[1]))
+        solved.append((v, adj, det))
+    check_signature_values(np.concatenate(eigs).T, signature, points)
+    return [(np.linalg.inv(v) if adj is None else adj / det[..., None, None], det) for v, adj, det in solved]
+
+
+def metric_values(m: Metric, points) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``m`` and of its inverse at ``points``, each of shape
+    ``(len(points), n, n)``, solved per connected block by
+    :func:`solve_blocks`; a point where the signature fails raises."""
+    h = matrix_values(m.entries, points)
+    blocks = _components(m.entries, m.dim)
+    index = [np.array([b for b in blocks if len(b) == k]) for k in sorted({len(b) for b in blocks})]
+    stacks = [h[:, i[:, :, None], i[:, None, :]].transpose(1, 0, 2, 3) for i in index]
+    hinv = np.zeros_like(h)
+    for i, (inv, _) in zip(index, solve_blocks(stacks, m.signature, points)):
+        hinv[:, i[:, :, None], i[:, None, :]] = inv.transpose(1, 0, 2, 3)
+    return h, hinv
 
 
 def check_signature_values(vals: np.ndarray, signature: tuple[int, int], points) -> None:
@@ -464,7 +494,7 @@ def form_inner(a: KForm, b: KForm, m: Metric, points) -> np.ndarray:
     total = np.zeros(len(points))
     if a.is_zero or b.is_zero:
         return total
-    hinv = inverse_values(matrix_values(m.entries, points), points)
+    hinv = metric_values(m, points)[1]
     values = evaluate_points(list(a.coeffs.values()) + list(b.coeffs.values()), points)
     av, bv = values[:, :len(a.coeffs)], values[:, len(a.coeffs):]
     for i, ka in enumerate(a.coeffs):

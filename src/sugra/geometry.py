@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import Chart, Expr, add, diff, evaluate_points, gradient, is_zero, mul, neg, _as_expr
-from .forms import FormError, Metric, inverse_values, matrix_values, sym_inverse
+from .forms import FormError, Metric, matrix_values, metric_values, sym_inverse
 
 __all__ = [
     "ProductStructure",
@@ -151,7 +151,7 @@ def ricci(m: Metric, block: Optional[tuple[int, ...]] = None):
 
 def scalar_curvature(m: Metric, points) -> np.ndarray:
     """Trace of the Ricci tensor with the inverse metric at each of ``points``."""
-    hinv = inverse_values(matrix_values(m.entries, points), points)
+    hinv = metric_values(m, points)[1]
     return np.sum((hinv * matrix_values(ricci(m), points)).reshape(len(hinv), -1), axis=1)
 
 
@@ -315,6 +315,6 @@ def ricci_endomorphism_pairing(m: Metric, points, x: np.ndarray, y: np.ndarray) 
     Vanishing for all X, Y is the defining property of a totally
     Ricci-isotropic metric.
     """
-    h = matrix_values(m.entries, points)
-    ric = inverse_values(h, points) @ matrix_values(ricci(m), points)
+    h, hinv = metric_values(m, points)
+    ric = hinv @ matrix_values(ricci(m), points)
     return np.einsum("pi,pij,pj->p", ric @ np.asarray(x), h, ric @ np.asarray(y))

@@ -285,6 +285,17 @@ class TestCli:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, factor", [("alpha-ppwave", "1e308"), ("kahler-theta", "1e200")])
+    def test_overflowing_flux_exit_2(self, capsys, name, factor):
+        """Contractions that overflow are one error line and exit 2, with no
+        numpy warning before it."""
+        argv = ["verify", str(SHIPPED / f"{name}.bg"), "--points", "3", "--perturb", f"flux:{factor}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite einstein residual at (")
+        assert captured.err.count("\n") == 1
+
     def test_json_report_deterministic(self, capsys):
         args = ["verify", "beta-nu-ppwave", "--points", "20", "--json"]
         assert main(args) == 0

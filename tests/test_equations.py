@@ -28,8 +28,8 @@ from sugra.forms import (
     form_inner,
     hodge,
     interior,
-    inverse_values,
     matrix_values,
+    metric_values,
     monomial_form,
     wedge,
 )
@@ -235,7 +235,7 @@ class TestResidualOperators:
         h = bg.metric()
         phi = bg.flux_form()
         pts = random_points(rng, 4, 11)
-        hinv = inverse_values(matrix_values(h.entries, pts), pts)
+        hinv = metric_values(h, pts)[1]
         total = np.zeros(len(pts))
         iotas = []
         for i in range(11):
@@ -476,10 +476,10 @@ class TestJetCore:
         m.check_signature(pts)
         r = range(3)
         h = matrix_values(m.entries, pts)
-        dh = np.array([[[[evaluate(diff(m.entries[i][j], k), p) for j in r] for i in r] for k in r]
-                       for p in pts])
-        ddh = np.array([[[[[evaluate(diff(diff(m.entries[i][j], k), l), p) for j in r] for i in r]
-                          for l in r] for k in r] for p in pts])
+        dh = evaluate_points([diff(m.entries[i][j], k) for k in r for i in r for j in r],
+                             pts).reshape(-1, 3, 3, 3)
+        ddh = evaluate_points([diff(diff(m.entries[i][j], k), l) for k in r for l in r for i in r for j in r],
+                              pts).reshape(-1, 3, 3, 3, 3)
         core, values = self._dense_core({"h": h, "dh": dh, "ddh": ddh}, (1, 2))
         ein = core.residuals(pts, values)["einstein"]  # no flux: the Ricci tensor
         ric = np.zeros((3, 3, 3))
@@ -741,8 +741,10 @@ class TestStreamedPlans:
 
 
 class TestClosedFormBlocks:
-    """Metric blocks of size 2 are solved in closed form, checked against
-    ``numpy.linalg`` as an oracle; larger blocks still go to LAPACK."""
+    """Metric blocks of size 1 and 2 are solved in closed form by
+    ``solve_blocks``, checked against ``numpy.linalg`` as an oracle through
+    both of its callers, the jet core and ``metric_values``; larger blocks
+    still go to LAPACK."""
 
     EDGES = [
         [[1.7, 1.0], [1.0, 0.0]], [[-2.3, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],  # Walker (u,v)
@@ -755,6 +757,12 @@ class TestClosedFormBlocks:
         [[1.0, 1.0], [1.0, 1.0 + 1e-14]], [[1.0, 1.0], [1.0, 1.0 + 1e-9]],  # det near 0
         [[1e-13, 0.0], [0.0, -1.0]], [[-3.0, 1e-7], [1e-7, 2e-15]],
     ]
+    EDGES_1 = [[[0.0]], [[1e-13]], [[-1e-13]], [[1e-11]], [[-1e8]], [[2.5]]]
+    EDGES_3 = [
+        [[1.7, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]],  # a Walker pair split by a zero row
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]], [[0.0] * 3] * 3,  # det = 0
+        [[-2.0, 0.1, 0.2], [0.1, -3.0, 0.3], [0.2, 0.3, -1.0]],
+    ]
 
     @staticmethod
     def _outcome(run):
@@ -764,25 +772,57 @@ class TestClosedFormBlocks:
             return type(err), str(err)
         return None
 
+    def _agrees(self, m, signature, p, solve):
+        """``solve()`` gives an inverse and |det| (None: not compared) of
+        ``m``, or refuses it exactly where numpy's eigenvalues fail the
+        signature, with the same message."""
+        solved = []
+        got = self._outcome(lambda: solved.append(solve()))
+        want = self._outcome(lambda: check_signature_values(np.linalg.eigvalsh(m[None]), signature, [p]))
+        assert got == want, (m, signature)
+        if got is None:
+            (inv, det), = solved
+            cond = np.linalg.cond(m)
+            assert np.allclose(inv, np.linalg.inv(m), rtol=1e-12 * cond, atol=0.0), m
+            assert det is None or abs(det - abs(np.linalg.det(m))) <= 1e-12 * cond * abs(det), m
+
+    @staticmethod
+    def _library(m, signature, p):
+        """The inverse of the constant metric ``m`` at ``p`` from
+        ``metric_values``: a zero entry is a literal zero there, so zero
+        off-diagonal entries split the matrix into smaller blocks."""
+        chart = Chart(tuple(f"c{i}" for i in range(len(m))))
+        g = Metric(chart, [[const(float(x)) for x in row] for row in m], signature)
+        h, hinv = metric_values(g, [p])
+        assert np.array_equal(h[0], m)
+        return hinv[0], None
+
     def test_against_numpy_linalg(self):
         rng = rng_for("closed2x2")
         stacks = np.concatenate([np.array(self.EDGES), rng.uniform(-2.0, 2.0, size=(200, 2, 2))])
         stacks = (stacks + stacks.transpose(0, 2, 1)) / 2
-        points = [(float(k),) for k in range(len(stacks))]
         for signature in ((2, 0), (1, 1), (0, 2)):
             core, values = TestJetCore._dense_core({"h": stacks}, signature)
             (_, dst), = core.blocks
-            for k, (m, p) in enumerate(zip(stacks, points)):
+            for k, m in enumerate(stacks):
                 tape = np.empty((core.ncols, 1))
                 tape[:core.one], tape[core.one], tape[core.zero] = values[k:k + 1].T, 1.0, 0.0
-                got = self._outcome(lambda: core._metric(tape, [p]))
-                want = self._outcome(lambda: check_signature_values(np.linalg.eigvalsh(m[None]), signature, [p]))
-                assert got == want, (m, signature)
-                if got is not None:
-                    continue
-                inv, det = tape[dst][0, :, :, 0], tape[core.sqrt_det, 0] ** 2
-                assert np.allclose(inv, np.linalg.inv(m), rtol=1e-12 * np.linalg.cond(m), atol=0.0), m
-                assert abs(det - abs(np.linalg.det(m))) <= 1e-12 * np.linalg.cond(m) * abs(det), m
+
+                def jet_core(p=(float(k),)):
+                    core._metric(tape, [p])
+                    return tape[dst][0, :, :, 0], tape[core.sqrt_det, 0] ** 2
+
+                self._agrees(m, signature, (float(k),), jet_core)
+                p = (float(k), 0.0)
+                self._agrees(m, signature, p, lambda: self._library(m, signature, p))
+        # the library entry on 1x1 and 3x3 metrics (3x3: LAPACK, or split blocks)
+        for edges, n in ((self.EDGES_1, 1), (self.EDGES_3, 3)):
+            mats = np.concatenate([np.array(edges), rng.uniform(-2.0, 2.0, size=(50, n, n))])
+            mats = (mats + mats.transpose(0, 2, 1)) / 2
+            for q in range(n + 1):
+                for k, m in enumerate(mats):
+                    p = (float(k),) + (0.0,) * (n - 1)
+                    self._agrees(m, (n - q, q), p, lambda: self._library(m, (n - q, q), p))
         # a Walker block [[H, 1], [1, 0]] has the exact inverse [[0, 1], [1, -H]] and |det| 1
         core, values = TestJetCore._dense_core({"h": np.array([[[1.7, 1.0], [1.0, 0.0]]])}, (1, 1))
         (_, dst), = core.blocks
@@ -793,18 +833,39 @@ class TestClosedFormBlocks:
         assert tape[core.sqrt_det, 0] == 1.0
 
     def test_catalog_verify_needs_no_lapack(self, monkeypatch):
-        bgs = [build(ident) for ident in catalog_ids()]
-        stress = tri6_background()  # its Riemannian block has a 4-chain
-
         def lapack(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
-        for name in ("eigvalsh", "inv", "det"):
+        for name in ("eigvalsh", "inv"):
             monkeypatch.setattr(np.linalg, name, lapack)
+        bgs = [build(ident) for ident in catalog_ids()]  # the builds' norms take Gram minors by det
+        stress = tri6_background()  # its Riemannian block has a 4-chain
+        monkeypatch.setattr(np.linalg, "det", lapack)
         for bg in bgs:
             assert len(verify(bg, count=20, seed=3).rows) == 10
         with pytest.raises(AssertionError, match="LAPACK called"):
             verify(stress, count=5, seed=3)
+
+    def test_library_needs_no_lapack(self, monkeypatch):
+        """form_inner, scalar_curvature and Metric.check_signature solve a
+        metric whose blocks are all 2x2 or smaller without LAPACK."""
+        m = walker_metric(WalkerData(
+            rho=tuple(tuple(parse(e, W5) for e in row) for row in (
+                ("-(1 + 0.1 * x1^2)", "0.1 * x1 * x2", "0"), ("0.1 * x1 * x2", "-(1 + 0.1 * x2^2)", "0"),
+                ("0", "0", "-(1 + 0.1 * x3^2)"))),
+            a=(const(0.0),) * 3, h=parse("x1^2 + u * x2^2", W5)))
+        pts = random_points(rng_for("nolapack"), 6, 5)
+        a = monomial_form(W5, parse("1 + x1", W5), ("u", "x1")) + monomial_form(W5, 1.0, ("x2", "x3"))
+        b = coordinate_form(W5, "x1") + coordinate_form(W5, "v")
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eigvalsh", "inv"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        m.check_signature(pts)
+        for x in (form_inner(a, a, m, pts), form_inner(b, b, m, pts), scalar_curvature(m, pts)):
+            assert x.shape == (len(pts),) and np.isfinite(x).all()
 
 
 class TestSamplePlans:

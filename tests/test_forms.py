@@ -1,6 +1,8 @@
 """Wedge, exterior derivative, interior product, inner products, Hodge star."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,9 +288,16 @@ class TestInnerProduct:
     def test_singular_metric_reported(self):
         ch = Chart(("a", "b"))
         m = Metric(ch, [[coord(0), 0.0], [0.0, 1.0]], (2, 0))
-        with pytest.raises(SingularMetricError, match=r"singular at \(0\.0, 1\.0\)"):
+        with pytest.raises(SingularMetricError, match=r"degenerate at \(0\.0, 1\.0\)"):
             form_inner(coordinate_form(ch, "a"), coordinate_form(ch, "a"), m,
                        [(1.0, 1.0), (0.0, 1.0), (0.0, 2.0)])
+
+    def test_wrong_signature_reported(self):
+        ch = Chart(("a", "b"))
+        m = Metric(ch, [[coord(0), 0.1], [0.1, 1.0]], (2, 0))
+        with pytest.raises(FormError, match=r"1 negative eigenvalues at \(-1\.0, 1\.0\), declared 0"):
+            form_inner(coordinate_form(ch, "a"), coordinate_form(ch, "a"), m,
+                       [(1.0, 1.0), (-1.0, 1.0), (-2.0, 1.0)])
 
 
 class TestHodge:
@@ -506,6 +515,31 @@ class TestMetricValidation:
         bad = Metric(W5, [[1.0 if i == j else 0.0 for j in range(5)] for i in range(5)], (1, 4))
         with pytest.raises(Exception):
             bad.check_signature([(0.1,) * 5])
+
+    def test_linalg_only_in_the_shared_solver(self):
+        """Every numeric metric solve goes through ``forms.solve_blocks``:
+        ``np.linalg`` appears nowhere else in the package, apart from the
+        Gram-minor determinants of ``_gram_det``."""
+        allowed = {("solve_blocks", "det"), ("solve_blocks", "eigvalsh"), ("solve_blocks", "inv"),
+                   ("_gram_det", "det")}
+        uses = set()
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "linalg":
+                uses.add((where, node.attr))
+                return
+            if isinstance(node, ast.Attribute) and node.attr == "linalg" or \
+                    isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node):
+                uses.add((where, ast.unparse(node)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted((Path(__file__).resolve().parent.parent / "src" / "sugra").glob("*.py")):
+            visit(ast.parse(path.read_text()), path.name)
+        assert uses <= allowed, uses - allowed
 
     def test_zero_form_representable_and_skipped(self):
         z = zero_form(W5, 2)

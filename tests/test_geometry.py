@@ -5,14 +5,18 @@ every curvature value here: it differentiates metric values numerically and
 never shares the symbolic derivative path.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from conftest import flat_metric, matrix_fn, random_points, random_scalar, rng_for, values
+from conftest import flat_metric, matrix_fn, random_form, random_points, random_scalar, rng_for, values
 from oracles import fd_christoffel, fd_ricci, jet_ricci
 
-from sugra.expr import Chart, add, const, coord, diff, div, evaluate, intpow, mul, neg, parse, to_text
-from sugra.forms import FormError, Metric, matrix_values, sym_inverse
+from sugra.expr import (Chart, add, const, coord, diff, div, evaluate, evaluate_points, intpow, mul, neg, parse,
+                        to_text)
+from sugra.forms import FormError, Metric, hodge, matrix_values, sym_inverse
 from sugra.geometry import (
     WALKER_CHART,
     ProductStructure,
@@ -67,7 +71,7 @@ def dense_metric(chart: Chart, signature: tuple[int, int], rng) -> Metric:
 
 
 class TestSympyOracle:
-    """``sym_inverse`` and ``ricci`` on dense metrics, a Riemannian 3x3 and a
+    """``sym_inverse``, ``ricci`` and ``hodge`` on dense metrics, a Riemannian 3x3 and a
     Lorentzian 4x4, against sympy, which reads the metric's printed entries
     and inverts and differentiates them on its own."""
 
@@ -110,6 +114,40 @@ class TestSympyOracle:
             scale = float(np.max(np.abs(want)))
             assert scale > 1e-3  # curved: the comparison is not between zeros
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
+
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_hodge(self, name):
+        """The star of a 1-form and of a 2-form against ``(*a)_J = sqrt|g|
+        a^I eps_IJ / k!``, with sympy's inverse, determinant and Levi-Civita
+        symbol at each point."""
+        sympy, m, pts, xs, g = self._case(name)
+        n = len(xs)
+        rng = rng_for(f"sympy-hodge-{name}")
+        for k in (1, 2):
+            a = random_form(m.chart, k, rng)
+            star = hodge(a, m)
+            coeffs = {key: sympy.sympify(to_text(e, m.chart)) for key, e in a.items()}
+            comps = list(itertools.combinations(range(n), n - k))
+            got = np.zeros((len(pts), len(comps)))
+            if not star.is_zero:
+                got[:, [comps.index(c) for c in star.coeffs]] = evaluate_points(list(star.coeffs.values()), pts)
+            for p, row in zip(pts, got):
+                at = dict(zip(xs, p))
+                exact = g.subs(at)
+                ginv = np.array(exact.inv(), dtype=float)
+                vol = float(sympy.sqrt(abs(exact.det())))
+                up = np.zeros((n,) * k)
+                for key, c in coeffs.items():
+                    for perm in itertools.permutations(key):
+                        up[perm] = int(sympy.LeviCivita(*(key.index(i) for i in perm))) * float(c.subs(at))
+                for axis in range(k):
+                    up = np.moveaxis(np.tensordot(ginv, up, axes=(1, axis)), 0, axis)
+                want = np.array([vol / math.factorial(k) * sum(
+                    up[i] * int(sympy.LeviCivita(*(i + c))) for i in itertools.product(range(n), repeat=k))
+                    for c in comps])
+                assert np.max(np.abs(want)) > 1e-3  # not a comparison between zeros
+                assert np.max(np.abs(row - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 class TestChristoffel:
@@ -166,19 +204,14 @@ class TestChristoffel:
         sym = christoffel(m)
         full = np.zeros((5, 5, 5), dtype=object)
         pts = random_points(rng_for("nabla"), 10, 5)
-        for p, g in zip(pts, matrix_values(m.entries, pts)):
-            gam = np.zeros((5, 5, 5))
-            for (k, i, j), e in sym.items():
-                v = evaluate(e, p)
-                gam[k, i, j] = v
-                gam[k, j, i] = v
-            for k in range(5):
-                for i in range(5):
-                    for j in range(5):
-                        dg = evaluate(diff(m.entries[i][j], k), p)
-                        conn = sum(gam[l, k, i] * g[l, j] + gam[l, k, j] * g[i, l]
-                                   for l in range(5))
-                        assert abs(dg - conn) < 1e-8
+        g = matrix_values(m.entries, pts)
+        gam = np.zeros((len(pts), 5, 5, 5))
+        for (k, i, j), v in zip(sym, evaluate_points(list(sym.values()), pts).T):
+            gam[:, k, i, j] = gam[:, k, j, i] = v
+        r = range(5)
+        dg = evaluate_points([diff(m.entries[i][j], k) for k in r for i in r for j in r], pts)
+        conn = np.einsum("plki,plj->pkij", gam, g) + np.einsum("plkj,pil->pkij", gam, g)
+        assert np.max(np.abs(dg - conn.reshape(len(pts), -1))) < 1e-8
 
 
 class TestRicci:
