@@ -808,8 +808,8 @@ class TestClosedFormBlocks:
                 tape = np.empty((core.ncols, 1))
                 tape[:core.one], tape[core.one], tape[core.zero] = values[k:k + 1].T, 1.0, 0.0
 
-                def jet_core(p=(float(k),)):
-                    core._metric(tape, [p])
+                def jet_core():
+                    core._metric(tape, [(float(k),)])
                     return tape[dst][0, :, :, 0], tape[core.sqrt_det, 0] ** 2
 
                 self._agrees(m, signature, (float(k),), jet_core)

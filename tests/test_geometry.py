@@ -71,9 +71,10 @@ def dense_metric(chart: Chart, signature: tuple[int, int], rng) -> Metric:
 
 
 class TestSympyOracle:
-    """``sym_inverse``, ``ricci`` and ``hodge`` on dense metrics, a Riemannian 3x3 and a
-    Lorentzian 4x4, against sympy, which reads the metric's printed entries
-    and inverts and differentiates them on its own."""
+    """``sym_inverse``, ``ricci`` and ``hodge`` on dense metrics, a
+    Riemannian 3x3 and a Lorentzian 4x4, against sympy, which reads the
+    metric's printed entries and inverts and differentiates them on its
+    own."""
 
     CASES = {"riemann-3": (Chart(("a", "b", "c")), (0, 3)),
              "lorentz-4": (Chart(("t", "x", "y", "z")), (1, 3))}
@@ -115,7 +116,6 @@ class TestSympyOracle:
             assert scale > 1e-3  # curved: the comparison is not between zeros
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
 
-
     @pytest.mark.parametrize("name", CASES)
     def test_hodge(self, name):
         """The star of a 1-form and of a 2-form against ``(*a)_J = sqrt|g|
@@ -137,7 +137,7 @@ class TestSympyOracle:
                 exact = g.subs(at)
                 ginv = np.array(exact.inv(), dtype=float)
                 vol = float(sympy.sqrt(abs(exact.det())))
-                up = np.zeros((n,) * k)
+                up = np.zeros((n,) * k)  # a_I, then raised one slot at a time
                 for key, c in coeffs.items():
                     for perm in itertools.permutations(key):
                         up[perm] = int(sympy.LeviCivita(*(key.index(i) for i in perm))) * float(c.subs(at))
@@ -202,7 +202,6 @@ class TestChristoffel:
         H = parse("u*x1^2 + x2^2*x3", W5)
         m = walker_metric(WalkerData.pp_wave(H))
         sym = christoffel(m)
-        full = np.zeros((5, 5, 5), dtype=object)
         pts = random_points(rng_for("nabla"), 10, 5)
         g = matrix_values(m.entries, pts)
         gam = np.zeros((len(pts), 5, 5, 5))
