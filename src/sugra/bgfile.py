@@ -43,7 +43,7 @@ from typing import Optional
 from .expr import Chart, Expr, ParseError, const, is_zero, parse, to_text
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
-from .equations import _PIECES, Background, FluxSpec
+from .equations import _PIECES, DEFAULT_TOL, Background, FluxSpec
 
 __all__ = ["BgFileError", "BlockViolationError", "parse_background_file",
            "parse_background_text", "render_background"]
@@ -258,7 +258,9 @@ def parse_background_text(text: str, path: str = "") -> Background:
 def render_background(bg: Background, header: str = "") -> str:
     """Serialize a background to the file format (used to ship the catalog
     entries as files; re-parsing reproduces the same residual tables).  The
-    ``tol`` line is the background's own tolerance, 1e-08 if it has none."""
+    ``tol`` line is the background's own tolerance, ``DEFAULT_TOL`` (1e-08)
+    if it has none.  A file cannot state a sample predicate, so the
+    background's ``predicate`` is dropped."""
     gl = bg.product.lorentz
     gr = bg.product.riemann
     lines: list[str] = []
@@ -302,5 +304,5 @@ def render_background(bg: Background, header: str = "") -> str:
     all_names = gl.chart.names + gr.chart.names
     for name, (lo, hi) in zip(all_names, bg.box):
         lines.append(f"{name} = {lo!r} {hi!r}")
-    lines.append(f"tol = {1e-8 if bg.tolerance is None else bg.tolerance!r}")
+    lines.append(f"tol = {DEFAULT_TOL if bg.tolerance is None else bg.tolerance!r}")
     return "\n".join(lines) + "\n"

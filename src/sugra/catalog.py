@@ -175,17 +175,14 @@ def solve_walker_H(rhs: Expr, chart: Chart = WALKER_CHART) -> Expr:
 
 R6_CHART = Chart(("y1", "y2", "y3", "y4", "y5", "y6"))
 BETA_R6_CHART = Chart(("t", "y2", "y3", "y4", "y5", "y6"))
+RHO3_CHART = Chart(_X_NAMES)
 
 
 def _flat_riemann(chart: Chart = R6_CHART) -> Metric:
-    rows = [[const(-1.0) if i == j else const(0.0) for j in range(6)] for i in range(6)]
-    return Metric(chart, rows, (0, 6))
-
-
-def _rho3_metric() -> Metric:
-    ch = Chart(_X_NAMES)
-    rows = [[const(-1.0) if i == j else const(0.0) for j in range(3)] for i in range(3)]
-    return Metric(ch, rows, (0, 3))
+    """The flat negative-definite metric: the 6-block, or on ``RHO3_CHART``."""
+    n = chart.dim
+    rows = [[const(-1.0) if i == j else const(0.0) for j in range(n)] for i in range(n)]
+    return Metric(chart, rows, (0, n))
 
 
 def _du() -> KForm:
@@ -198,23 +195,8 @@ def _walker_box(y_ranges=None):
     return box
 
 
-def _apply_param_perturbs(params: dict, perturb: dict, allowed: set[str]) -> dict:
-    out = dict(params)
-    for key, factor in perturb.items():
-        if key == "H" or key == "c":
-            continue
-        if key not in allowed:
-            raise CatalogError(f"unknown perturbation key {key!r}; known: {sorted(allowed | {'H', 'c'})}")
-        if not isinstance(out[key], (int, float)):
-            raise CatalogError(f"parameter {key!r} is not numeric and cannot be scaled")
-        out[key] = out[key] * factor
-    return out
-
-
 def _walker_background(ident, summary, h_profile, flux, riemann, box, perturb,
                        predicate=None) -> Background:
-    if "c" in perturb:
-        raise CatalogError(f"perturbation 'c' does not apply to {ident!r}")
     if "H" in perturb:
         h_profile = mul(const(perturb["H"]), h_profile)
     g5 = walker_metric(WalkerData.pp_wave(h_profile))
@@ -237,7 +219,7 @@ def _build_alpha_ppwave(params, perturb):
     fu = parse(params["f"], WALKER_CHART) if isinstance(params["f"], str) else params["f"]
     if depends_on(fu, (1, 2, 3, 4)):
         raise CatalogError("profile function f must depend on u only")
-    rho3 = _rho3_metric()
+    rho3 = _flat_riemann(RHO3_CHART)
     vol_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, _X_NAMES))  # -1
     rhs = mul(const(vol_norm), fu, fu)
     h_profile = solve_walker_H(rhs)
@@ -253,7 +235,7 @@ def _build_beta_nu_ppwave(params, perturb):
     riemann = _flat_riemann(BETA_R6_CHART)
     beta = monomial_form(WALKER_CHART, 1.0, ("u", "x1", "x2"))
     nu = coordinate_form(BETA_R6_CHART, "t")
-    rho3 = _rho3_metric()
+    rho3 = _flat_riemann(RHO3_CHART)
     omega_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, ("x1", "x2")))  # +1
     nu_norm = _norm_on(riemann, nu)  # -1
     h_profile = solve_walker_H(const(omega_norm * nu_norm))
@@ -277,7 +259,7 @@ def _build_gamma_delta_ppwave(params, perturb):
     riemann = _flat_riemann()
     gamma = monomial_form(WALKER_CHART, 1.0, ("u", "x1"))
     delta = _kahler_form_flat(R6_CHART)
-    rho3 = _rho3_metric()
+    rho3 = _flat_riemann(RHO3_CHART)
     zeta_norm = _norm_on(rho3, coordinate_form(rho3.chart, "x1"))  # -1
     delta_norm = _norm_on(riemann, delta)  # +3
     h_profile = solve_walker_H(const(zeta_norm * delta_norm))
@@ -307,7 +289,7 @@ def _build_varpi_epsilon_ppwave(params, perturb):
 def _build_general_combined(params, perturb):
     f1, f2, f3, f4 = (params[k] for k in ("f1", "f2", "f3", "f4"))
     riemann = _flat_riemann()
-    rho3 = _rho3_metric()
+    rho3 = _flat_riemann(RHO3_CHART)
     alpha = monomial_form(WALKER_CHART, f1, ("u", "x1", "x2", "x3"))
     beta = monomial_form(WALKER_CHART, f2, ("u", "x1", "x2"))
     nu = coordinate_form(R6_CHART, "y3")
@@ -365,7 +347,7 @@ def _build_alphabeta_poly(params, perturb):
           + coordinate_form(R6_CHART, "y2").scale(sqrt(add(big_l ** 2, neg(intpow(y1, 2))))))
     alpha = monomial_form(WALKER_CHART, f, ("u", "x1", "x2", "x3"))
     beta = monomial_form(WALKER_CHART, 1.0, ("u", "x2", "x3"))
-    rho3 = _rho3_metric()
+    rho3 = _flat_riemann(RHO3_CHART)
     omega_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, ("x2", "x3")))  # +1
     center = tuple([0.1] + [0.0] * 5)
     nu_norm = float(form_inner(nu, nu, riemann, [center])[0])  # -L^2, constant
@@ -391,19 +373,13 @@ def _build_kahler_theta(params, perturb):
     c = math.sqrt(2.0 * big_k)
     big_l = 2.0 / math.sqrt(big_k)
     c_eff = c * perturb.get("c", 1.0)
-    if "H" in perturb:
-        raise CatalogError("perturbation 'H' does not apply to 'kahler-theta'")
 
     lchart = Chart(("t", "x1", "x2", "x3", "z"))
     z = coord(4)
     conf = div(const(big_l ** 2), intpow(z, 2))
     ldiag = [conf, neg(conf), neg(conf), neg(conf), neg(conf)]
     lrows = [[ldiag[i] if i == j else const(0.0) for j in range(5)] for i in range(5)]
-
-    def lorentz_singular(p5):
-        return abs(p5[4]) < 0.05
-
-    lorentz = Metric(lchart, lrows, (1, 4), lorentz_singular)
+    lorentz = Metric(lchart, lrows, (1, 4))
 
     rchart = R6_CHART
     lams = []
@@ -426,6 +402,7 @@ def _build_kahler_theta(params, perturb):
     return Background(
         ps, flux, box, "kahler-theta",
         "anti-de-Sitter space times three round 2-spheres with Kaehler 4-form flux",
+        predicate=lambda p: abs(p[4]) < 0.05,  # the horizon z = 0
     )
 
 
@@ -486,7 +463,8 @@ def get_entry(ident: str) -> CatalogEntry:
 def build(ident: str, params: Optional[dict] = None,
           perturb: Optional[dict] = None) -> Background:
     """Construct a catalog background, optionally overriding parameters and
-    applying multiplicative perturbations (e.g. ``{"H": 1.1}``)."""
+    applying multiplicative perturbations (e.g. ``{"H": 1.1}``) to the
+    entry's ``perturb_key`` or its numeric parameters; any other key is refused."""
     entry = get_entry(ident)
     merged = entry.default_params()
     for k, v in (params or {}).items():
@@ -494,5 +472,10 @@ def build(ident: str, params: Optional[dict] = None,
             raise CatalogError(f"{ident!r} has no parameter {k!r}; knows {sorted(merged)}")
         merged[k] = v
     perturb = dict(perturb or {})
-    merged = _apply_param_perturbs(merged, perturb, set(merged))
+    known = sorted({entry.perturb_key} | {k for k, v in merged.items() if isinstance(v, (int, float))})
+    for key, factor in perturb.items():
+        if key not in known:
+            raise CatalogError(f"unknown perturbation key {key!r}; known: {known}")
+        if key in merged:
+            merged[key] = merged[key] * factor
     return entry.builder(merged, perturb)

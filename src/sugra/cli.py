@@ -41,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .bgfile import BgFileError, parse_background_file
 from .catalog import CatalogError, catalog_ids, get_entry, build
-from .equations import _PIECES, Background, VerificationResult, verify
+from .equations import _PIECES, DEFAULT_TOL, Background, VerificationResult, verify
 from .expr import ExprError
 from .forms import FormError
 
@@ -182,7 +182,7 @@ def _cmd_verify(args) -> int:
         return 2
     tol = args.tol
     if tol is None:
-        tol = 1e-8 if bg.tolerance is None else bg.tolerance
+        tol = DEFAULT_TOL if bg.tolerance is None else bg.tolerance
     t0 = time.monotonic()
     try:
         result = verify(bg, count=args.points, seed=seed, tol=tol)

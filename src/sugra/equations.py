@@ -60,6 +60,7 @@ __all__ = [
     "VerificationResult",
     "ReducedCaseDiagnosis",
     "TRACE_IDENTITY_SIGN",
+    "DEFAULT_TOL",
     "assemble_flux",
     "flux_norm_sq",
     "flux_norm_sq_pieces",
@@ -82,6 +83,9 @@ __all__ = [
 #: the flipped ("mostly plus") metric convention.  The trace check below
 #: uses this pinned sign and additionally reports the signed discrepancy.
 TRACE_IDENTITY_SIGN = -1.0
+
+#: The residual tolerance of verify, the CLI and a rendered file, unless given.
+DEFAULT_TOL = 1e-8
 
 
 #: The flux ``phi*alpha + beta^nu + gamma^delta + varpi^eps + psi*theta``,
@@ -138,8 +142,9 @@ class FluxSpec:
 
 
 class Background:
-    """A candidate solution: block metric, flux pieces, a sample box, and
-    the residual ``tolerance`` it declares (a file's ``tol``), if any."""
+    """A candidate solution: block metric, flux pieces, a sample box, the
+    ``predicate`` that flags the points its sample plans skip (the only such
+    rule), and the residual ``tolerance`` it declares (a file's ``tol``)."""
 
     def __init__(self, product: ProductStructure, flux: FluxSpec,
                  box: Sequence[tuple[float, float]], ident: str = "",
@@ -175,14 +180,7 @@ class Background:
 
     def draws(self, count: int, seed: int) -> Iterator[tuple[float, ...]]:
         """The points of :meth:`sample`, drawn as they are taken."""
-        preds = [p for p in (self.predicate, self.metric().singular) if p is not None]
-        if not preds:
-            pred = None
-        elif len(preds) == 1:
-            pred = preds[0]
-        else:
-            pred = lambda pt: any(f(pt) for f in preds)
-        return draw_points(self.box, count, seed, pred)
+        return draw_points(self.box, count, seed, self.predicate)
 
 
 def sample_points(box, count: int, seed: int,
@@ -657,7 +655,7 @@ def trace_check(bg: Background, points) -> list[ResidualRow]:
 
 
 def verify(bg: Background, count: int = 100, seed: int = 42,
-           tol: float = 1e-8) -> VerificationResult:
+           tol: float = DEFAULT_TOL) -> VerificationResult:
     """Run all four residual families over a fresh seeded plan."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise FormError(f"tolerance must be finite and positive, got {tol!r}")
@@ -673,9 +671,10 @@ def verify(bg: Background, count: int = 100, seed: int = 42,
 # equations collapse to small systems on the factors (``_PATTERNS``), with
 # real constants kappa and lambda (k and l); *5 and *6 are the factor Hodge
 # stars.  Pattern 8 (phi*alpha + psi*theta) has no solution unless one term
-# vanishes.  Lorentzian pieces that share a coordinate 1-form factor (with
-# psi*theta = 0) satisfy the homogeneous system ``_PRODUCT_FACTOR``; any
-# other flux gets the jet core's full closedness and Maxwell rows.
+# vanishes.  Any other flux gets the jet core's closedness row, and its
+# Maxwell equation is the homogeneous system ``_PRODUCT_FACTOR`` when its
+# Lorentzian pieces share a coordinate 1-form factor (with psi*theta = 0),
+# the jet core's Maxwell row otherwise.
 # ---------------------------------------------------------------------------
 
 _FIT_ZERO_THRESHOLD = 1e-10
@@ -814,8 +813,9 @@ def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
     the residuals of that pattern's closedness/Maxwell system, fitting the
     constants kappa and lambda where the pattern demands proportionality.
 
-    Falls back to "general" (the jet core's closedness and Maxwell rows on
-    the product, as in :func:`verify`) when no pattern applies.  Fitted
+    Falls back to "product-factor" or "general" when no pattern applies;
+    both take the jet core's closedness row on the product, as in
+    :func:`verify`, and "general" its Maxwell row too.  Fitted
     constants below 1e-10 are declared zero and the stricter sub-system is
     checked.  The box (default ``[-1, 1]^11``) and the points must be 11
     wide.
@@ -868,16 +868,14 @@ def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
         # pieces, all with a coordinate 1-form factor in every component.
         shared = [set.intersection(*map(set, lo.coeffs)) for term, (lo, _) in pairs.items() if term != "theta"]
         common = set.intersection(*shared) if len(shared) > 1 and "theta" not in pairs else set()
+        case = "product-factor" if common else "general"
+        rows += [(_FULL_ROWS[r.equation], r.max_abs, r.mean_abs)
+                 for r in _residual_rows(bg, points, ("closedness",) if common else _FULL_ROWS)
+                 if r.block == "all"]
         if common:
-            case = "product-factor"
             note = f"Lorentzian pieces share the coordinate factor d{ps.lorentz.chart.names[min(common)]}"
-            rows.append((_FULL_ROWS["closedness"], *stats(ext_d(bg.flux_form()))))
             for text in _PRODUCT_FACTOR:
                 put(text)
-        else:
-            case = "general"
-            rows += [(_FULL_ROWS[r.equation], r.max_abs, r.mean_abs)
-                     for r in _residual_rows(bg, points, _FULL_ROWS) if r.block == "all"]
 
     return ReducedCaseDiagnosis(case=case, kappa=consts.get("k"), lam=consts.get("l"), rows=rows,
                                 consistent=consistent, note=note)

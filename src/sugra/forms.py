@@ -18,7 +18,7 @@ All objects are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -245,15 +245,12 @@ class Metric:
     """Symmetric matrix of expressions with a declared (p, q) signature.
 
     ``q`` counts negative eigenvalues; the sign of det equals (-1)^q, which
-    fixes the symbolic sqrt(|det|) used by the volume form.  An optional
-    ``singular`` predicate marks points too close to the metric's singular
-    set (True means the point must be avoided).
+    fixes the symbolic sqrt(|det|) used by the volume form.
     """
 
-    __slots__ = ("chart", "entries", "signature", "singular", "_inv")
+    __slots__ = ("chart", "entries", "signature", "_inv")
 
-    def __init__(self, chart: Chart, entries, signature: tuple[int, int],
-                 singular: Optional[Callable[[Sequence[float]], bool]] = None):
+    def __init__(self, chart: Chart, entries, signature: tuple[int, int]):
         n = chart.dim
         rows = [[_as_expr(entries[i][j]) for j in range(n)] for i in range(n)]
         # Symmetric storage: accept either triangle; when both are set the
@@ -271,7 +268,6 @@ class Metric:
         self.chart = chart
         self.entries = tuple(tuple(r) for r in rows)
         self.signature = (p, q)
-        self.singular = singular
         self._inv = None
 
     @property

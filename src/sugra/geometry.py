@@ -296,17 +296,7 @@ def product_metric(ps: ProductStructure) -> Metric:
         for j in range(6):
             e = ps.riemann.entries[i][j]
             rows[5 + i][5 + j] = e if is_zero(e) else remap_coords(e, table)
-
-    def singular(point):
-        checks = []
-        if ps.lorentz.singular is not None:
-            checks.append(ps.lorentz.singular(tuple(point[:5])))
-        if ps.riemann.singular is not None:
-            checks.append(ps.riemann.singular(tuple(point[5:])))
-        return any(checks)
-
-    has_pred = ps.lorentz.singular is not None or ps.riemann.singular is not None
-    return Metric(chart, rows, (1, 10), singular if has_pred else None)
+    return Metric(chart, rows, (1, 10))
 
 
 def ricci_endomorphism_pairing(m: Metric, points, x: np.ndarray, y: np.ndarray) -> np.ndarray:

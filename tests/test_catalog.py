@@ -16,7 +16,7 @@ from sugra.geometry import (
     scalar_curvature,
     walker_metric,
 )
-from sugra.equations import closedness_residual, flux_norm_sq, verify
+from sugra.equations import Background, closedness_residual, flux_norm_sq, sample_points, verify
 from sugra.catalog import (
     CATALOG,
     CatalogError,
@@ -188,6 +188,34 @@ class TestEntries:
         with pytest.raises(CatalogError):
             build("alpha-ppwave", perturb={"c": 1.1})
 
+    # An entry's perturbation keys: its perturb_key and its numeric parameters
+    # (alpha-ppwave's f is a profile expression, not a number).
+    PERTURB_KEYS = {
+        "alpha-ppwave": ["H"], "beta-nu-ppwave": ["H"], "gamma-delta-ppwave": ["H"],
+        "varpi-epsilon-ppwave": ["E", "H"], "general-combined": ["H", "f1", "f2", "f3", "f4"],
+        "alphabeta-trig": ["H", "kappa"], "alphabeta-poly": ["H", "L"], "kahler-theta": ["K", "c"],
+    }
+
+    @pytest.mark.parametrize("ident", ALL_IDS)
+    def test_perturbation_keys(self, ident, capsys):
+        """Each listed key builds; every other key is refused by an error
+        that lists exactly those keys, which the CLI prints as one line."""
+        from sugra.cli import main
+        known = self.PERTURB_KEYS[ident]
+        assert get_entry(ident).perturb_key in known
+        for key in known:
+            assert build(ident, perturb={key: 1.1}).ident == ident
+        params = [k for k, _ in get_entry(ident).defaults]
+        for key in sorted({"H", "c", "zz", *params} - set(known)):
+            message = f"unknown perturbation key {key!r}; known: {known}"
+            with pytest.raises(CatalogError) as err:
+                build(ident, perturb={key: 1.1})
+            assert str(err.value) == message
+            capsys.readouterr()
+            assert main(["verify", ident, "--points", "3", "--perturb", f"{key}:1.1"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n"
+
     def test_catalog_listing(self):
         ids = catalog_ids()
         assert ids == ALL_IDS
@@ -216,6 +244,39 @@ class TestWalkerGate:
             h_uu = bg.product.lorentz.entries[0][0]
             w = WalkerData.pp_wave(h_uu)
             validate_ricci_isotropic(w, [p[:5] for p in bg.sample(5, seed=3)])
+
+
+class TestSamplePredicate:
+    """``Background.predicate`` is the only rule for the points a plan skips."""
+
+    @pytest.mark.parametrize("ident", ALL_IDS)
+    def test_plans_skip_flagged_points(self, ident):
+        bg = build(ident)
+        pts = bg.sample(200, seed=11)
+        assert len(pts) == 200
+        if bg.predicate is not None:
+            assert not any(bg.predicate(p) for p in pts)
+
+    def test_alphabeta_poly_predicate_fires(self):
+        """At L = 0.1 the box is |y1| <= 0.07 and points with |y1| > 0.05
+        are flagged, so the plan differs from the unfiltered draws."""
+        bg = build("alphabeta-poly", params={"L": 0.1})
+        assert bg.box[5] == pytest.approx((-0.07, 0.07))
+        pts = bg.sample(200, seed=11)
+        assert max(abs(p[5]) for p in pts) <= 0.05
+        assert max(abs(p[5]) for p in sample_points(bg.box, 200, 11)) > 0.05
+
+    def test_kahler_theta_predicate_fires_across_the_horizon(self):
+        """The product on a box widened across z = 0 draws no point with
+        |z| < 0.05; the metric declares no rule of its own."""
+        bg = build("kahler-theta")
+        box = list(bg.box)
+        box[4] = (-1.0, 1.0)
+        wide = Background(bg.product, bg.flux, box, predicate=bg.predicate)
+        pts = wide.sample(200, seed=11)
+        assert min(abs(p[4]) for p in pts) >= 0.05
+        assert min(abs(p[4]) for p in sample_points(box, 200, 11)) < 0.05
+        assert Background(bg.product, bg.flux, box).predicate is None
 
 
 class TestMetricCompatibility:

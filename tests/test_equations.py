@@ -1,5 +1,6 @@
 """Flux assembly, norms, residual operators, reduced-case diagnostics."""
 
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -1045,6 +1046,27 @@ class TestDiagnostics:
             want = float(np.abs(evaluate_points(list(form.coeffs.values()), pts)).max())
             assert mx == pytest.approx(want, rel=1e-12, abs=1e-13), label
         assert d.rows[1][1] > 1.0
+
+    def test_product_factor_closedness_row_on_a_non_closed_flux(self):
+        """general-combined's pieces with beta = x3 du^dx1^dx2, so that dF
+        has the component -dx3^du^dx1^dx2^dy3: the diagnosis stays
+        product-factor, and its closedness row is the jet core's, whose
+        maximum the finite-difference oracle confirms."""
+        bg = build("general-combined")
+        fs = dataclasses.replace(bg.flux, beta=monomial_form(W5, parse("x3", W5), ("u", "x1", "x2")))
+        pts = bg.sample(10, seed=5)
+        d = diagnose_reduced_case(fs, bg.product, points=pts)
+        assert d.case == "product-factor"
+        label, mx, mean = d.rows[0]
+        assert label == "closedness: d(F) = 0"
+        changed = Background(bg.product, fs, bg.box)
+        row = closedness_residual(changed, pts)[0]
+        assert (mx, mean) == (row.max_abs, row.mean_abs)
+        phifn = form_fn(changed.flux_form())
+        want = max(max(abs(v) for v in fd_closedness(lambda p: flux_tensor(phifn(p), 11), p).values())
+                   for p in pts)
+        assert mx == pytest.approx(want, rel=1e-6)
+        assert mx == pytest.approx(1.0, rel=1e-12)
 
     def test_varpi_theta_pattern(self):
         """Pattern 7 with d psi = 2 varpi and d eps = 2 theta; *5 du is
