@@ -275,8 +275,8 @@ class TestSamplePredicate:
         wide = Background(bg.product, bg.flux, box, predicate=bg.predicate)
         pts = wide.sample(200, seed=11)
         assert min(abs(p[4]) for p in pts) >= 0.05
-        assert min(abs(p[4]) for p in sample_points(box, 200, 11)) < 0.05
-        assert Background(bg.product, bg.flux, box).predicate is None
+        bare = Background(bg.product, bg.flux, box).sample(200, seed=11)
+        assert min(abs(p[4]) for p in bare) < 0.05
 
 
 class TestMetricCompatibility:
