@@ -2,11 +2,19 @@
 flat-transverse polynomial solver that manufactures Walker profiles H from a
 prescribed Laplacian.
 
-Seven entries are plane-fronted-wave products (null flux with a du factor,
-Ricci-flat Riemannian block), one is a product of anti-de-Sitter space with
-a triple of round 2-spheres carrying a Kaehler 4-form flux.  Every numeric
-constant in a builder is either a documented default or computed in place
-from the factor-metric norms of the flux pieces.
+Seven entries are plane-fronted waves times a Ricci-flat Riemannian factor,
+with null flux ``F = du ^ Phi``.  Their builders declare the flux (and any
+factor metric, box or sample predicate other than flat R^6's); :func:`_ppwave`
+derives the profile H by one rule, the Einstein (u,u) equation
+``Lap_rho(H) = |Phi|^2``, every constant of which comes from factor-metric
+norms of the flux pieces (``alphabeta-trig`` gives its H: its ``|Phi|^2`` is
+not a polynomial).  The eighth is anti-de-Sitter space times three round
+2-spheres with a Kaehler 4-form flux.
+
+Each entry is declared once, as a :class:`CatalogEntry`.  :func:`build`
+checks its parameters and perturbation factors, passes the builder the
+parameters and the factor of the entry's perturbation key, and stamps the
+entry's ident and provenance on the background it returns.
 
 Note on ``alphabeta-poly``: its 1-form ``nu = -y1 dy1 + sqrt(L^2-y1^2) dy2``
 has constant norm and the right coderivative but is not closed, so the
@@ -20,28 +28,12 @@ coderivative exists on a flat block (it would need a function with both
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .expr import (
-    Chart,
-    Expr,
-    add,
-    coord,
-    const,
-    depends_on,
-    div,
-    exp,
-    intpow,
-    is_zero,
-    mul,
-    neg,
-    parse,
-    sin,
-    cos,
-    sqrt,
-)
-from .expr import Add, Coord, Div, IntPow, Mul, Neg
+from .expr import (Add, Chart, Coord, Div, Expr, IntPow, Mul, Neg, add, coord, const, cos,
+                   depends_on, div, exp, intpow, is_zero, mul, neg, parse, sin, sqrt)
 from .forms import KForm, Metric, coordinate_form, form_inner, hodge, monomial_form
 from .geometry import WALKER_CHART, ProductStructure, WalkerData, walker_metric
 from .equations import Background, FluxSpec
@@ -175,241 +167,166 @@ def solve_walker_H(rhs: Expr, chart: Chart = WALKER_CHART) -> Expr:
 
 R6_CHART = Chart(("y1", "y2", "y3", "y4", "y5", "y6"))
 BETA_R6_CHART = Chart(("t", "y2", "y3", "y4", "y5", "y6"))
-RHO3_CHART = Chart(_X_NAMES)
+
+
+def _diagonal(chart: Chart, diag, signature) -> Metric:
+    """The diagonal metric with entries ``diag`` on ``chart``."""
+    n = chart.dim
+    return Metric(chart, [[diag[i] if i == j else const(0.0) for j in range(n)]
+                          for i in range(n)], signature)
 
 
 def _flat_riemann(chart: Chart = R6_CHART) -> Metric:
-    """The flat negative-definite metric: the 6-block, or on ``RHO3_CHART``."""
-    n = chart.dim
-    rows = [[const(-1.0) if i == j else const(0.0) for j in range(n)] for i in range(n)]
-    return Metric(chart, rows, (0, n))
+    """The flat negative-definite 6-block."""
+    return _diagonal(chart, [const(-1.0)] * 6, (0, 6))
 
 
-def _du() -> KForm:
-    return coordinate_form(WALKER_CHART, "u")
+def _kahler_form(chart: Chart, weights) -> KForm:
+    """``sum_s weights[s] dy^(2s) ^ dy^(2s+1)``: a Kaehler form of three 2-planes."""
+    return KForm(chart, 2, {(2 * s, 2 * s + 1): w for s, w in enumerate(weights)})
 
 
-def _walker_box(y_ranges=None):
-    box = [(0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]
-    box += list(y_ranges) if y_ranges else [(-1.0, 1.0)] * 6
-    return box
-
-
-def _walker_background(ident, summary, h_profile, flux, riemann, box, perturb,
-                       predicate=None) -> Background:
-    if "H" in perturb:
-        h_profile = mul(const(perturb["H"]), h_profile)
-    g5 = walker_metric(WalkerData.pp_wave(h_profile))
-    ps = ProductStructure(g5, riemann)
-    return Background(ps, flux, box, ident, summary, predicate)
-
-
-# Transverse-block norms used by the profile equations, computed from the
-# factor metrics rather than hard-coded.
 def _norm_on(metric: Metric, form: KForm) -> float:
+    """``|form|^2`` on ``metric``, at one point (the norms used are constant)."""
     center = tuple(0.1 * (i + 1) for i in range(metric.dim))
     return float(form_inner(form, form, metric, [center])[0])
 
 
+def _ppwave(scale, flux, riemann=None, y_ranges=None, predicate=None,
+            profile=None) -> Background:
+    """The plane wave ``2 du dv - |dx|^2 + scale * H du^2`` times ``riemann``
+    (flat R^6 by default), carrying the null flux ``F = du ^ Phi``.
+
+    Unless ``profile`` is given, H solves the Einstein (u,u) equation
+    ``Lap_rho(H) = |Phi|^2``: each component ``c_K du^dx^K`` of a term's
+    Lorentzian piece adds ``c_K^2 |dx^K|^2 |hi|^2``, where ``hi`` is the
+    term's Riemannian piece and each norm is taken on its factor metric
+    (``|dx^K|^2`` on the flat wave, whose transverse block is rho).
+    """
+    riemann = riemann or _flat_riemann()
+    if profile is None:
+        flat = ProductStructure(walker_metric(WalkerData.pp_wave(0.0)), riemann)
+        rhs = []
+        for _, lo, hi in flux.terms(flat):
+            hi_norm = _norm_on(riemann, hi)
+            for key, c in lo.items():  # key[0] is u, the du of F = du ^ Phi
+                dx = KForm(WALKER_CHART, len(key) - 1, {key[1:]: 1.0})
+                rhs.append(mul(c, c, const(_norm_on(flat.lorentz, dx)), const(hi_norm)))
+        profile = solve_walker_H(add(*rhs))
+    g5 = walker_metric(WalkerData.pp_wave(mul(const(scale), profile)))
+    box = [(0.5, 1.5)] + [(-1.0, 1.0)] * 4 + list(y_ranges or [(-1.0, 1.0)] * 6)
+    return Background(ProductStructure(g5, riemann), flux, box, predicate=predicate)
+
+
 # ---------------------------------------------------------------------------
-# Builders.
+# Builders: each takes the entry's parameters and the factor of its
+# perturbation key (1.0 unperturbed).
 # ---------------------------------------------------------------------------
 
-def _build_alpha_ppwave(params, perturb):
-    fu = parse(params["f"], WALKER_CHART) if isinstance(params["f"], str) else params["f"]
+def _build_alpha_ppwave(params, scale):
+    f = params["f"]
+    fu = parse(f, WALKER_CHART) if isinstance(f, str) else const(float(f))
     if depends_on(fu, (1, 2, 3, 4)):
         raise CatalogError("profile function f must depend on u only")
-    rho3 = _flat_riemann(RHO3_CHART)
-    vol_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, _X_NAMES))  # -1
-    rhs = mul(const(vol_norm), fu, fu)
-    h_profile = solve_walker_H(rhs)
     alpha = monomial_form(WALKER_CHART, fu, ("u", "x1", "x2", "x3"))
-    flux = FluxSpec(alpha=alpha, phi=const(1.0))
-    return _walker_background(
-        "alpha-ppwave",
-        "plane wave with null volume flux f(u) du^dx1^dx2^dx3 over flat R^6",
-        h_profile, flux, _flat_riemann(), _walker_box(), perturb)
+    return _ppwave(scale, FluxSpec(alpha=alpha, phi=const(1.0)))
 
 
-def _build_beta_nu_ppwave(params, perturb):
-    riemann = _flat_riemann(BETA_R6_CHART)
+def _build_beta_nu_ppwave(params, scale):
     beta = monomial_form(WALKER_CHART, 1.0, ("u", "x1", "x2"))
     nu = coordinate_form(BETA_R6_CHART, "t")
-    rho3 = _flat_riemann(RHO3_CHART)
-    omega_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, ("x1", "x2")))  # +1
-    nu_norm = _norm_on(riemann, nu)  # -1
-    h_profile = solve_walker_H(const(omega_norm * nu_norm))
-    flux = FluxSpec(beta=beta, nu=nu)
-    return _walker_background(
-        "beta-nu-ppwave",
-        "plane wave with null 3-form flux du^dx1^dx2 wedged with dt on flat R x R^5",
-        h_profile, flux, riemann, _walker_box(), perturb)
+    return _ppwave(scale, FluxSpec(beta=beta, nu=nu), _flat_riemann(BETA_R6_CHART))
 
 
-def _kahler_form_flat(chart: Chart) -> KForm:
-    pairs = ((chart.names[0], chart.names[1]), (chart.names[2], chart.names[3]),
-             (chart.names[4], chart.names[5]))
-    out = monomial_form(chart, 1.0, pairs[0])
-    for p in pairs[1:]:
-        out = out + monomial_form(chart, 1.0, p)
-    return out
-
-
-def _build_gamma_delta_ppwave(params, perturb):
-    riemann = _flat_riemann()
+def _build_gamma_delta_ppwave(params, scale):
     gamma = monomial_form(WALKER_CHART, 1.0, ("u", "x1"))
-    delta = _kahler_form_flat(R6_CHART)
-    rho3 = _flat_riemann(RHO3_CHART)
-    zeta_norm = _norm_on(rho3, coordinate_form(rho3.chart, "x1"))  # -1
-    delta_norm = _norm_on(riemann, delta)  # +3
-    h_profile = solve_walker_H(const(zeta_norm * delta_norm))
-    flux = FluxSpec(gamma=gamma, delta=delta)
-    return _walker_background(
-        "gamma-delta-ppwave",
-        "plane wave with flux du^dx1 wedged with the flat Kaehler 2-form on R^6",
-        h_profile, flux, riemann, _walker_box(), perturb)
+    delta = _kahler_form(R6_CHART, (1.0, 1.0, 1.0))
+    return _ppwave(scale, FluxSpec(gamma=gamma, delta=delta))
 
 
-def _build_varpi_epsilon_ppwave(params, perturb):
+def _build_varpi_epsilon_ppwave(params, scale):
     e_const = params["E"]
     if e_const <= 0:
         raise CatalogError("E must be positive")
-    riemann = _flat_riemann()
-    varpi = _du()
+    varpi = coordinate_form(WALKER_CHART, "u")
     eps = monomial_form(R6_CHART, e_const, ("y1", "y2", "y3"))
-    eps_norm = _norm_on(riemann, eps)  # -E^2
-    h_profile = solve_walker_H(const(eps_norm))
-    flux = FluxSpec(varpi=varpi, eps=eps)
-    return _walker_background(
-        "varpi-epsilon-ppwave",
-        "plane wave with flux du wedged with a constant 3-form of norm -E^2 on flat R^6",
-        h_profile, flux, riemann, _walker_box(), perturb)
+    return _ppwave(scale, FluxSpec(varpi=varpi, eps=eps))
 
 
-def _build_general_combined(params, perturb):
+def _build_general_combined(params, scale):
     f1, f2, f3, f4 = (params[k] for k in ("f1", "f2", "f3", "f4"))
-    riemann = _flat_riemann()
-    rho3 = _flat_riemann(RHO3_CHART)
-    alpha = monomial_form(WALKER_CHART, f1, ("u", "x1", "x2", "x3"))
-    beta = monomial_form(WALKER_CHART, f2, ("u", "x1", "x2"))
-    nu = coordinate_form(R6_CHART, "y3")
-    gamma = monomial_form(WALKER_CHART, f3, ("u", "x1"))
-    delta = monomial_form(R6_CHART, 1.0, ("y2", "y3"))
-    varpi = _du().scale(const(f4))
-    eps = monomial_form(R6_CHART, 1.0, ("y1", "y2", "y3"))
-    rhs = (
-        _norm_on(rho3, monomial_form(rho3.chart, f1, _X_NAMES))
-        + _norm_on(rho3, monomial_form(rho3.chart, f2, ("x1", "x2"))) * _norm_on(riemann, nu)
-        + _norm_on(rho3, coordinate_form(rho3.chart, "x1")) * f3 ** 2 * _norm_on(riemann, delta)
-        + f4 ** 2 * _norm_on(riemann, eps)
-    )
-    h_profile = solve_walker_H(const(rhs))
-    flux = FluxSpec(alpha=alpha, beta=beta, nu=nu, gamma=gamma, delta=delta,
-                    varpi=varpi, eps=eps, phi=const(1.0))
-    return _walker_background(
-        "general-combined",
-        "plane wave carrying all four null flux terms with constant strengths f1..f4",
-        h_profile, flux, riemann, _walker_box(), perturb)
+    flux = FluxSpec(
+        alpha=monomial_form(WALKER_CHART, f1, ("u", "x1", "x2", "x3")), phi=const(1.0),
+        beta=monomial_form(WALKER_CHART, f2, ("u", "x1", "x2")),
+        nu=coordinate_form(R6_CHART, "y3"),
+        gamma=monomial_form(WALKER_CHART, f3, ("u", "x1")),
+        delta=monomial_form(R6_CHART, 1.0, ("y2", "y3")),
+        varpi=coordinate_form(WALKER_CHART, "u").scale(const(f4)),
+        eps=monomial_form(R6_CHART, 1.0, ("y1", "y2", "y3")))
+    return _ppwave(scale, flux)
 
 
-def _build_alphabeta_trig(params, perturb):
+def _build_alphabeta_trig(params, scale):
     kappa = params["kappa"]
     if kappa == 0:
         raise CatalogError("kappa must be nonzero")
-    riemann = _flat_riemann()
     x1 = coord(1)
     y1 = coord(0)  # on the 6-chart
     f = exp(x1)
-    phi = sin(y1)
     nu = coordinate_form(R6_CHART, "y1").scale(div(cos(y1), kappa))
     alpha = monomial_form(WALKER_CHART, f, ("u", "x1", "x2", "x3"))
     # omega = kappa * exp(x1) dx2^dx3 pairs with d(beta) = -kappa * alpha and
     # keeps the assembled flux closed.
     beta = monomial_form(WALKER_CHART, mul(const(kappa), f), ("u", "x2", "x3"))
-    h_profile = mul(const(0.25), exp(mul(2.0, x1)))
-    flux = FluxSpec(alpha=alpha, phi=phi, beta=beta, nu=nu)
-    box = _walker_box([(-3.0, 3.0)] + [(-1.0, 1.0)] * 5)
-    return _walker_background(
-        "alphabeta-trig",
-        "plane wave with coupled sin/cos flux pair on a circle factor (exp profile)",
-        h_profile, flux, riemann, box, perturb)
+    flux = FluxSpec(alpha=alpha, phi=sin(y1), beta=beta, nu=nu)
+    # The profile is given: |Phi|^2 = -exp(2 x1) is not a polynomial in x, and
+    # the Riemannian norms sin(y1)^2 and -cos(y1)^2 are constant only summed.
+    return _ppwave(scale, flux, y_ranges=[(-3.0, 3.0)] + [(-1.0, 1.0)] * 5,
+                   profile=mul(const(0.25), exp(mul(2.0, x1))))
 
 
-def _build_alphabeta_poly(params, perturb):
+def _build_alphabeta_poly(params, scale):
     big_l = params["L"]
     if big_l <= 0:
         raise CatalogError("L must be positive")
-    riemann = _flat_riemann()
-    x1 = coord(1)
     y1 = coord(0)
-    f = x1
     nu = (coordinate_form(R6_CHART, "y1").scale(neg(y1))
           + coordinate_form(R6_CHART, "y2").scale(sqrt(add(big_l ** 2, neg(intpow(y1, 2))))))
-    alpha = monomial_form(WALKER_CHART, f, ("u", "x1", "x2", "x3"))
+    alpha = monomial_form(WALKER_CHART, coord(1), ("u", "x1", "x2", "x3"))
     beta = monomial_form(WALKER_CHART, 1.0, ("u", "x2", "x3"))
-    rho3 = _flat_riemann(RHO3_CHART)
-    omega_norm = _norm_on(rho3, monomial_form(rho3.chart, 1.0, ("x2", "x3")))  # +1
-    center = tuple([0.1] + [0.0] * 5)
-    nu_norm = float(form_inner(nu, nu, riemann, [center])[0])  # -L^2, constant
-    rhs = add(const(omega_norm * nu_norm), neg(intpow(x1, 2)))
-    h_profile = solve_walker_H(rhs)
-
-    margin = 0.05
-    def predicate(point):
-        return abs(point[5]) > big_l - margin
-
     flux = FluxSpec(alpha=alpha, phi=const(1.0), beta=beta, nu=nu)
-    box = _walker_box([(-0.7 * big_l, 0.7 * big_l)] + [(-1.0, 1.0)] * 5)
-    return _walker_background(
-        "alphabeta-poly",
-        "plane wave with quartic profile and constant-norm (non-closed) 1-form on a slab",
-        h_profile, flux, riemann, box, perturb, predicate=predicate)
+    return _ppwave(scale, flux, y_ranges=[(-0.7 * big_l, 0.7 * big_l)] + [(-1.0, 1.0)] * 5,
+                   predicate=lambda p: abs(p[5]) > big_l - 0.05)  # 0.05 short of |y1| = L
 
 
-def _build_kahler_theta(params, perturb):
+def _build_kahler_theta(params, scale):
     big_k = params["K"]
     if big_k <= 0:
         raise CatalogError("K must be positive")
     c = math.sqrt(2.0 * big_k)
     big_l = 2.0 / math.sqrt(big_k)
-    c_eff = c * perturb.get("c", 1.0)
 
-    lchart = Chart(("t", "x1", "x2", "x3", "z"))
-    z = coord(4)
-    conf = div(const(big_l ** 2), intpow(z, 2))
-    ldiag = [conf, neg(conf), neg(conf), neg(conf), neg(conf)]
-    lrows = [[ldiag[i] if i == j else const(0.0) for j in range(5)] for i in range(5)]
-    lorentz = Metric(lchart, lrows, (1, 4))
+    conf = div(const(big_l ** 2), intpow(coord(4), 2))
+    lorentz = _diagonal(Chart(("t", "x1", "x2", "x3", "z")),
+                        [conf, neg(conf), neg(conf), neg(conf), neg(conf)], (1, 4))
+    r2 = [add(1.0, intpow(coord(2 * s), 2), intpow(coord(2 * s + 1), 2)) for s in range(3)]
+    lams = [div(const(4.0 / big_k), intpow(r, 2)) for r in r2]
+    riemann = _diagonal(R6_CHART, [neg(lam) for lam in lams for _ in range(2)], (0, 6))
+    theta = hodge(_kahler_form(R6_CHART, lams), riemann).scale(const(c * scale))
 
-    rchart = R6_CHART
-    lams = []
-    for s in range(3):
-        a, b = coord(2 * s), coord(2 * s + 1)
-        r2 = add(1.0, intpow(a, 2), intpow(b, 2))
-        lams.append(div(const(4.0 / big_k), intpow(r2, 2)))
-    rdiag = [neg(lams[0]), neg(lams[0]), neg(lams[1]), neg(lams[1]), neg(lams[2]), neg(lams[2])]
-    rrows = [[rdiag[i] if i == j else const(0.0) for j in range(6)] for i in range(6)]
-    riemann = Metric(rchart, rrows, (0, 6))
-
-    omega = monomial_form(rchart, lams[0], ("y1", "y2"))
-    omega = omega + monomial_form(rchart, lams[1], ("y3", "y4"))
-    omega = omega + monomial_form(rchart, lams[2], ("y5", "y6"))
-    theta = hodge(omega, riemann).scale(const(c_eff))
-
-    ps = ProductStructure(lorentz, riemann)
-    flux = FluxSpec(theta=theta, psi=const(1.0))
     box = ([(-1.0, 1.0)] * 4 + [(0.6, 1.6)]) + [(-0.8, 0.8)] * 6
-    return Background(
-        ps, flux, box, "kahler-theta",
-        "anti-de-Sitter space times three round 2-spheres with Kaehler 4-form flux",
-        predicate=lambda p: abs(p[4]) < 0.05,  # the horizon z = 0
-    )
+    return Background(ProductStructure(lorentz, riemann), FluxSpec(theta=theta, psi=const(1.0)),
+                      box, predicate=lambda p: abs(p[4]) < 0.05)  # the horizon z = 0
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog id: its summary (the listing), provenance (the report),
+    parameter defaults, builder and perturbation key."""
+
     ident: str
     summary: str
+    provenance: str
     defaults: tuple
     builder: Callable
     perturb_key: str
@@ -422,28 +339,36 @@ CATALOG: dict[str, CatalogEntry] = {
     e.ident: e for e in [
         CatalogEntry("alpha-ppwave",
                      "plane wave, null volume flux f(u) du^dx1^dx2^dx3, flat R^6",
+                     "plane wave with null volume flux f(u) du^dx1^dx2^dx3 over flat R^6",
                      (("f", "u"),), _build_alpha_ppwave, "H"),
         CatalogEntry("beta-nu-ppwave",
                      "plane wave, null flux du^dx1^dx2 ^ dt, flat R x R^5",
+                     "plane wave with null 3-form flux du^dx1^dx2 wedged with dt on flat R x R^5",
                      (), _build_beta_nu_ppwave, "H"),
         CatalogEntry("gamma-delta-ppwave",
                      "plane wave, flux du^dx1 ^ flat Kaehler 2-form, flat R^6",
+                     "plane wave with flux du^dx1 wedged with the flat Kaehler 2-form on R^6",
                      (), _build_gamma_delta_ppwave, "H"),
         CatalogEntry("varpi-epsilon-ppwave",
                      "plane wave, flux du ^ (E dy1^dy2^dy3), flat R^6",
+                     "plane wave with flux du wedged with a constant 3-form of norm -E^2 on flat R^6",
                      (("E", 1.0),), _build_varpi_epsilon_ppwave, "H"),
         CatalogEntry("general-combined",
                      "plane wave, all four null flux terms with strengths f1..f4",
+                     "plane wave carrying all four null flux terms with constant strengths f1..f4",
                      (("f1", 1.0), ("f2", 1.0), ("f3", 1.0), ("f4", 1.0)),
                      _build_general_combined, "H"),
         CatalogEntry("alphabeta-trig",
                      "plane wave, coupled sin/cos flux pair, circle factor",
+                     "plane wave with coupled sin/cos flux pair on a circle factor (exp profile)",
                      (("kappa", 1.0),), _build_alphabeta_trig, "H"),
         CatalogEntry("alphabeta-poly",
                      "plane wave, quartic profile, constant-norm 1-form on a slab",
+                     "plane wave with quartic profile and constant-norm (non-closed) 1-form on a slab",
                      (("L", 1.0),), _build_alphabeta_poly, "H"),
         CatalogEntry("kahler-theta",
                      "AdS5 x (S^2)^3 with Kaehler 4-form flux, c^2 = 2K = 8/L^2",
+                     "anti-de-Sitter space times three round 2-spheres with Kaehler 4-form flux",
                      (("K", 1.0),), _build_kahler_theta, "c"),
     ]
 }
@@ -460,11 +385,26 @@ def get_entry(ident: str) -> CatalogEntry:
         raise CatalogError(f"unknown catalog id {ident!r}; known: {', '.join(CATALOG)}") from None
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _check_value(what: str, name: str, value, text: bool = False) -> None:
+    """Refuse a value that is not a finite number (or text, where allowed)."""
+    if not (_is_number(value) and math.isfinite(value) or text and isinstance(value, str)):
+        wants = "expression text or a finite number" if text else "a finite number"
+        raise CatalogError(f"{what} {name!r} must be {wants}, got {value!r}")
+
+
 def build(ident: str, params: Optional[dict] = None,
           perturb: Optional[dict] = None) -> Background:
     """Construct a catalog background, optionally overriding parameters and
     applying multiplicative perturbations (e.g. ``{"H": 1.1}``) to the
-    entry's ``perturb_key`` or its numeric parameters; any other key is refused."""
+    entry's ``perturb_key`` or its numeric parameters; any other key is refused.
+
+    Every factor, and every parameter after perturbation, must be a finite
+    number (a parameter whose default is expression text may also be text);
+    anything else raises one :class:`CatalogError` that names it."""
     entry = get_entry(ident)
     merged = entry.default_params()
     for k, v in (params or {}).items():
@@ -472,10 +412,16 @@ def build(ident: str, params: Optional[dict] = None,
             raise CatalogError(f"{ident!r} has no parameter {k!r}; knows {sorted(merged)}")
         merged[k] = v
     perturb = dict(perturb or {})
-    known = sorted({entry.perturb_key} | {k for k, v in merged.items() if isinstance(v, (int, float))})
+    known = sorted({entry.perturb_key} | {k for k, v in merged.items() if _is_number(v)})
     for key, factor in perturb.items():
         if key not in known:
             raise CatalogError(f"unknown perturbation key {key!r}; known: {known}")
+        _check_value("perturbation factor", key, factor)
         if key in merged:
             merged[key] = merged[key] * factor
-    return entry.builder(merged, perturb)
+    text = {k for k, v in entry.defaults if isinstance(v, str)}
+    for k, v in merged.items():
+        _check_value("parameter", k, v, k in text)
+    bg = entry.builder(merged, perturb.get(entry.perturb_key, 1.0))
+    bg.ident, bg.provenance = entry.ident, entry.provenance
+    return bg

@@ -280,12 +280,6 @@ class VerificationResult:
     def verdict(self) -> bool:
         return all(r.max_abs < self.tolerance for r in self.rows)
 
-    def row(self, equation: str, block: str) -> ResidualRow:
-        for r in self.rows:
-            if r.equation == equation and r.block == block:
-                return r
-        raise KeyError((equation, block))
-
 
 #: Working memory of one batch of points, in bytes: the plan's tape and the
 #: terms of its largest contraction set the points per batch.

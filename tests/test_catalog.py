@@ -1,5 +1,7 @@
 """Catalog builders, the polynomial profile solver, and entry-level checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,39 @@ class TestEntries:
         with pytest.raises(CatalogError):
             build("alpha-ppwave", perturb={"c": 1.1})
 
+    @pytest.mark.parametrize("ident, params, perturb, message", [
+        ("alpha-ppwave", {"f": None}, None,
+         "parameter 'f' must be expression text or a finite number, got None"),
+        ("alpha-ppwave", {"f": math.inf}, None,
+         "parameter 'f' must be expression text or a finite number, got inf"),
+        ("varpi-epsilon-ppwave", {"E": "2"}, None, "parameter 'E' must be a finite number, got '2'"),
+        ("kahler-theta", {"K": None}, None, "parameter 'K' must be a finite number, got None"),
+        ("general-combined", {"f1": "x"}, None, "parameter 'f1' must be a finite number, got 'x'"),
+        ("alphabeta-poly", {"L": math.nan}, None, "parameter 'L' must be a finite number, got nan"),
+        ("kahler-theta", {"K": math.inf}, None, "parameter 'K' must be a finite number, got inf"),
+        ("alphabeta-trig", {"kappa": math.nan}, None,
+         "parameter 'kappa' must be a finite number, got nan"),
+        ("alphabeta-trig", {"kappa": True}, None, "parameter 'kappa' must be a finite number, got True"),
+        ("varpi-epsilon-ppwave", {"E": 1e308}, {"E": 10.0},
+         "parameter 'E' must be a finite number, got inf"),
+        ("alpha-ppwave", None, {"H": math.nan}, "perturbation factor 'H' must be a finite number, got nan"),
+        ("kahler-theta", None, {"c": "2"}, "perturbation factor 'c' must be a finite number, got '2'"),
+    ])
+    def test_bad_parameter_is_one_catalog_error(self, ident, params, perturb, message):
+        """A parameter (after perturbation) or factor that is not a finite
+        number is refused before the builder runs, by one error naming it."""
+        with pytest.raises(CatalogError) as err:
+            build(ident, params=params, perturb=perturb)
+        assert str(err.value) == message
+
+    def test_numeric_alpha_profile_function(self):
+        """A number for f is the constant profile function f(u) = f."""
+        bg = build("alpha-ppwave", params={"f": 2.0})
+        assert bg.flux.alpha.coeffs[(0, 1, 2, 3)].value == 2.0
+        assert verify(bg, count=50, seed=42, tol=1e-8).verdict
+        scaled = build("alpha-ppwave", params={"f": 2.0}, perturb={"f": 1.5})
+        assert scaled.flux.alpha.coeffs[(0, 1, 2, 3)].value == 3.0
+
     # An entry's perturbation keys: its perturb_key and its numeric parameters
     # (alpha-ppwave's f is a profile expression, not a number).
     PERTURB_KEYS = {
@@ -234,6 +269,30 @@ class TestEntries:
         rb = verify(b, count=10, seed=1, tol=1e-8)
         for x, y in zip(ra.rows, rb.rows):
             assert x.max_abs == y.max_abs
+
+
+class TestDerivedProfiles:
+    """Each plane wave's profile H, derived from its flux by the one rule
+    Lap_rho(H) = |Phi|^2 (given for alphabeta-trig), against its closed
+    form at 20 points, away from the defaults where there are parameters."""
+
+    @pytest.mark.parametrize("ident, params, closed_form", [
+        ("alpha-ppwave", {}, lambda u, x: u ** 2 * (x @ x) / 6),
+        ("alpha-ppwave", {"f": 2.0}, lambda u, x: 4.0 * (x @ x) / 6),
+        ("beta-nu-ppwave", {}, lambda u, x: (x @ x) / 6),
+        ("gamma-delta-ppwave", {}, lambda u, x: (x @ x) / 2),
+        ("varpi-epsilon-ppwave", {"E": 1.7}, lambda u, x: 1.7 ** 2 * (x @ x) / 6),
+        ("general-combined", {"f1": 1.1, "f2": 0.7, "f3": 1.3, "f4": 0.4},
+         lambda u, x: (1.1 ** 2 + 0.7 ** 2 + 1.3 ** 2 + 0.4 ** 2) * (x @ x) / 6),
+        ("alphabeta-poly", {"L": 0.8}, lambda u, x: 0.8 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
+        ("alphabeta-trig", {"kappa": 1.7}, lambda u, x: np.exp(2 * x[0]) / 4),
+    ])
+    def test_profile_matches_its_closed_form(self, ident, params, closed_form):
+        bg = build(ident, params=params)
+        pts = bg.sample(20, seed=9)
+        got = evaluate_points([bg.product.lorentz.entries[0][0]], pts)[:, 0]
+        want = [closed_form(p[0], np.array(p[1:4])) for p in pts]
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestWalkerGate:
