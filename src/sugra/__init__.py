@@ -63,4 +63,4 @@ from .equations import (
 )
 from .catalog import CATALOG, build, catalog_ids, solve_walker_H
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

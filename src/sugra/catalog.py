@@ -32,8 +32,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .expr import (Add, Chart, Coord, Div, Expr, IntPow, Mul, Neg, add, coord, const, cos,
-                   depends_on, div, exp, intpow, is_zero, mul, neg, parse, sin, sqrt)
+from .expr import (Add, Chart, Coord, Div, Expr, ExprError, IntPow, Mul, Neg, add, coord, const, cos,
+                   depends_on, div, evaluate, exp, intpow, is_zero, mul, neg, parse, sin, sqrt)
 from .forms import KForm, Metric, coordinate_form, form_inner, hodge, monomial_form
 from .geometry import WALKER_CHART, ProductStructure, WalkerData, walker_metric
 from .equations import Background, FluxSpec
@@ -186,10 +186,12 @@ def _kahler_form(chart: Chart, weights) -> KForm:
     return KForm(chart, 2, {(2 * s, 2 * s + 1): w for s, w in enumerate(weights)})
 
 
-def _norm_on(metric: Metric, form: KForm) -> float:
-    """``|form|^2`` on ``metric``, at one point (the norms used are constant)."""
-    center = tuple(0.1 * (i + 1) for i in range(metric.dim))
-    return float(form_inner(form, form, metric, [center])[0])
+def _norm_on(metric: Metric, form: KForm, box) -> float:
+    """``|form|^2`` on ``metric`` at one point of its sample ``box`` (the
+    norms used are constant): ``0.1 * (i + 1)`` in coordinate i, moved to the
+    nearest end of the coordinate's range where it lies outside."""
+    point = tuple(min(max(0.1 * (i + 1), lo), hi) for i, (lo, hi) in enumerate(box))
+    return float(form_inner(form, form, metric, [point])[0])
 
 
 def _ppwave(scale, flux, riemann=None, y_ranges=None, predicate=None,
@@ -204,17 +206,17 @@ def _ppwave(scale, flux, riemann=None, y_ranges=None, predicate=None,
     (``|dx^K|^2`` on the flat wave, whose transverse block is rho).
     """
     riemann = riemann or _flat_riemann()
+    box = [(0.5, 1.5)] + [(-1.0, 1.0)] * 4 + list(y_ranges or [(-1.0, 1.0)] * 6)
     if profile is None:
         flat = ProductStructure(walker_metric(WalkerData.pp_wave(0.0)), riemann)
         rhs = []
         for _, lo, hi in flux.terms(flat):
-            hi_norm = _norm_on(riemann, hi)
+            hi_norm = _norm_on(riemann, hi, box[5:])
             for key, c in lo.items():  # key[0] is u, the du of F = du ^ Phi
                 dx = KForm(WALKER_CHART, len(key) - 1, {key[1:]: 1.0})
-                rhs.append(mul(c, c, const(_norm_on(flat.lorentz, dx)), const(hi_norm)))
+                rhs.append(mul(c, c, const(_norm_on(flat.lorentz, dx, box[:5])), const(hi_norm)))
         profile = solve_walker_H(add(*rhs))
     g5 = walker_metric(WalkerData.pp_wave(mul(const(scale), profile)))
-    box = [(0.5, 1.5)] + [(-1.0, 1.0)] * 4 + list(y_ranges or [(-1.0, 1.0)] * 6)
     return Background(ProductStructure(g5, riemann), flux, box, predicate=predicate)
 
 
@@ -225,7 +227,11 @@ def _ppwave(scale, flux, riemann=None, y_ranges=None, predicate=None,
 
 def _build_alpha_ppwave(params, scale):
     f = params["f"]
-    fu = parse(f, WALKER_CHART) if isinstance(f, str) else const(float(f))
+    try:  # text that parses, with a finite value at u = 1 (the middle of the box)
+        fu = parse(f, WALKER_CHART) if isinstance(f, str) else const(float(f))
+        evaluate(fu, (1.0, 0.0, 0.0, 0.0, 0.0))
+    except ExprError as err:
+        raise CatalogError(f"parameter 'f' is not a profile function: {err}") from None
     if depends_on(fu, (1, 2, 3, 4)):
         raise CatalogError("profile function f must depend on u only")
     alpha = monomial_form(WALKER_CHART, fu, ("u", "x1", "x2", "x3"))

@@ -45,6 +45,7 @@ from .forms import (
     ext_d,
     form_inner,
     hodge,
+    metric_values,
     perm_sign,
     solve_blocks,
     wedge,
@@ -250,11 +251,15 @@ def flux_norm_sq_pieces(fs: FluxSpec, ps: ProductStructure, points) -> np.ndarra
     ``phi^2 |alpha|^2 + |beta|^2 |nu|^2 + |gamma|^2 |delta|^2
     + |varpi|^2 |eps|^2 + psi^2 |theta|^2``
 
-    with each factor norm taken in its own block metric.
+    with each factor norm taken in its own block metric, solved once.
     """
     p5, p6 = [tuple(p[:5]) for p in points], [tuple(p[5:]) for p in points]
-    return sum((form_inner(lo, lo, ps.lorentz, p5) * form_inner(hi, hi, ps.riemann, p6)
-                for _, lo, hi in fs.terms(ps)), np.zeros(len(p5)))
+    terms = fs.terms(ps)
+    if not terms:
+        return np.zeros(len(p5))
+    inv5, inv6 = metric_values(ps.lorentz, p5)[1], metric_values(ps.riemann, p6)[1]
+    return sum((form_inner(lo, lo, ps.lorentz, p5, inv5) * form_inner(hi, hi, ps.riemann, p6, inv6)
+                for _, lo, hi in terms), np.zeros(len(p5)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +286,10 @@ class VerificationResult:
         return all(r.max_abs < self.tolerance for r in self.rows)
 
 
-#: Working memory of one batch of points, in bytes: the plan's tape and the
-#: terms of its largest contraction set the points per batch.
-_BATCH_BYTES = 1 << 20
+#: Working memory of one batch of points, in bytes: the contraction tape and
+#: the terms of its largest stage set the points per batch (``core.batch``),
+#: and the walk's live values set the points per walk (``_Jets.chunk``).
+_BATCH_BYTES = 1 << 18
 
 
 def _pick(pos):
@@ -494,15 +500,20 @@ class _Jets:
     """The jets of one background: :meth:`values` evaluates their entries
     at a batch of points, and ``residuals`` (of :class:`_Contractions`)
     derives the four residual families from those values, by contractions
-    planned once over the structurally nonzero entries; :meth:`evaluate`
-    does both.
+    planned once over the structurally nonzero entries.
 
     Only symbolically nonzero entries are kept, of five tables: the metric
     jet ``h_ij, d_k h_ij, d_k d_l h_ij`` and the flux jet ``F_K, d_l F_K``,
     all on the 11 coordinates.  The flux is differentiated once, and
-    closedness and F^F/2 are contractions of these tables too.  A batch
-    holds as many points as a fixed memory budget allows for the plan's tape
-    and its largest stage (``_BATCH_BYTES``): ``core.batch``.
+    closedness and F^F/2 are contractions of these tables too.
+
+    Both sizes follow from the plans under the memory budget
+    ``_BATCH_BYTES``.  A contraction batch, ``core.batch``, holds the tape
+    and the largest stage.  A walk, ``chunk`` points, holds the walk's live
+    values, the entries and the points: as many points as fit in the budget
+    or in 8 bytes per walk step, whichever is larger (a walk costs about the
+    same whatever its size, so a long plan walks long chunks), and never
+    fewer than ``core.batch``.
     """
 
     def __init__(self, bg: Background):
@@ -521,6 +532,8 @@ class _Jets:
         self.core = _Contractions(self.jets, len(self.exprs), 11, h.signature, _components(h.entries, 11))
         self.residuals = self.core.residuals
         self.rows = self._layout(self.core.keys)
+        walk = 8 * (self.plan.live + len(self.exprs) + 11)  # bytes per point
+        self.chunk = max(self.core.batch, max(_BATCH_BYTES, 8 * len(self.plan.steps)) // walk)
 
     def _put(self, table: str, expr: Expr, slots: dict) -> None:
         """Add ``expr`` to the entries; its value, times the sign, is the
@@ -577,47 +590,48 @@ class _Jets:
             raise EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
                                   err.expr, err.point) from None
 
-    def evaluate(self, points: list) -> dict[str, np.ndarray]:
-        """The residual families at a batch of points from the values there.
-        Of a domain error and a signature failure, the one at the earlier
-        point is raised."""
-        try:
-            values = self.values(points)
-        except EvalDomainError as err:
-            head = points[:next((k for k, p in enumerate(points) if p == err.point), 0)]
-            if head:  # the points before the domain error evaluate
-                self.residuals(head, self.values(head))
-            raise
-        return self.residuals(points, values)
-
 
 def _residual_rows(bg: Background, points: Iterable, equations) -> list[ResidualRow]:
-    """Rows of the given residual families over the points, which are taken,
-    evaluated, contracted and reduced one batch (``core.batch`` points) at a
-    time, so memory does not grow with the plan.  Per row, the reduction
-    keeps the first maximum of ``|value|`` in point-then-component order
-    (``argmax`` in a batch, a strict ``>`` across batches) and the sum of
-    ``|value|``."""
+    """Rows of the given residual families over the points, which are taken
+    and evaluated one walk chunk (``chunk`` points) at a time, then
+    contracted and reduced one batch (``core.batch`` points) at a time, so
+    memory does not grow with the plan.  Per row, the reduction keeps the
+    first maximum of ``|value|`` in point-then-component order (``argmax``
+    in a batch, a strict ``>`` across batches) and adds the per-point sums
+    of ``|value|`` in point order, so no size changes a row.  Of a domain
+    error and a signature failure, the one at the earlier point is raised."""
     jets = _Jets(bg)
     layout = [row for row in jets.rows if row[0] in equations]
+    families = {row[0] for row in layout}
     worst = [(-1.0, (), 0)] * len(layout)  # (max, point, component); -1 is below any |value|
     sums = [0.0] * len(layout)
 
-    def reduce(batch: list) -> None:  # its arrays die before the next batch is drawn
-        out = jets.evaluate(batch)
+    def reduce(batch: list, values: np.ndarray) -> None:
+        res = jets.residuals(batch, values)
+        out = {name: np.abs(res[name], order="C") for name in families}
         for r, (equation, _, columns, _) in enumerate(layout):
             if columns:
-                a = np.abs(out[equation][:, columns])
+                a = out[equation][:, columns]  # C order: each point's sum is taken alike in any batch
                 point, comp = divmod(int(np.argmax(a)), a.shape[1])
                 if a[point, comp] > worst[r][0]:
                     worst[r] = (float(a[point, comp]), batch[point], comp)
-                sums[r] += float(a.sum())
+                per_point = a.sum(axis=1)
+                per_point[0] += sums[r]
+                sums[r] = float(np.cumsum(per_point)[-1])
 
-    points, count = iter(points), 0
-    while batch := [tuple(p) for p in itertools.islice(points, jets.core.batch)]:
-        reduce(batch)
-        count += len(batch)
-        del batch  # so that one batch of points is held at a time
+    points, count, failure = iter(points), 0, None
+    while failure is None and (chunk := [tuple(p) for p in itertools.islice(points, jets.chunk)]):
+        try:
+            values = jets.values(chunk)
+        except EvalDomainError as err:  # the points before it are contracted first
+            failure, chunk = err, chunk[:next((k for k, p in enumerate(chunk) if p == err.point), 0)]
+            values = jets.values(chunk)
+        for lo in range(0, len(chunk), jets.core.batch):
+            reduce(chunk[lo:lo + jets.core.batch], values[lo:lo + jets.core.batch])
+        count += len(chunk)
+        del chunk, values  # so that one chunk of points is held at a time
+    if failure is not None:
+        raise failure
     return [ResidualRow(equation, block, top, total / (count * len(columns)), point, names[comp])
             if columns and count else ResidualRow(equation, block, 0.0, 0.0, (), "(none)")
             for (equation, block, columns, names), (top, point, comp), total in zip(layout, worst, sums)]

@@ -634,8 +634,9 @@ class _Plan:
     ``exprs`` (distinct by identity, so shared subtrees cost once), children
     first, are the slots of the walk: constants are filled in up front, and
     every other node is a step ``(slot, node, child slots)``.  A node's
-    values are dropped after the step of its last use (``last``), and
-    ``cols`` maps a slot to the output columns it fills."""
+    values are dropped after the step of its last use (``last``), so at
+    most ``live`` slots hold values at once, and ``cols`` maps a slot to
+    the output columns it fills."""
 
     def __init__(self, exprs: Sequence[Expr]):
         index = _distinct_nodes(exprs)
@@ -650,6 +651,15 @@ class _Plan:
         self.cols: dict[int, list[int]] = {}
         for c, e in enumerate(self.exprs):
             self.cols.setdefault(index[e], []).append(c)
+
+    @functools.cached_property
+    def live(self) -> int:
+        """The most slots that hold values at once during a walk."""
+        most = alive = 0
+        for i, _, kids in self.steps:  # a step's value, then the values it drops
+            most = max(most, alive := alive + 1)
+            alive -= sum(self.last[k] == i for k in {i} | {k for k in kids if self.consts[k] is None})
+        return most
 
     def values(self, points) -> np.ndarray:
         """Every expression at every point, shape ``(len(points),

@@ -475,12 +475,14 @@ def _gram_det(hinv: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]):
     return np.linalg.det(sub)
 
 
-def form_inner(a: KForm, b: KForm, m: Metric, points) -> np.ndarray:
+def form_inner(a: KForm, b: KForm, m: Metric, points, hinv: Optional[np.ndarray] = None) -> np.ndarray:
     """Metric inner product of two equal-degree forms at each of ``points``.
 
     For increasing-index coefficients this is the double sum of Gram minors
     of the inverse metric; it reduces to the usual ``1/k!`` component sum.
-    The terms are added in key order, point by point.
+    The terms are added in key order, point by point.  ``hinv``, if given,
+    is ``m``'s inverse at ``points`` from :func:`metric_values`, solved once
+    for several products.
     """
     _same_chart(a, b)
     if a.chart.names != m.chart.names:
@@ -490,7 +492,8 @@ def form_inner(a: KForm, b: KForm, m: Metric, points) -> np.ndarray:
     total = np.zeros(len(points))
     if a.is_zero or b.is_zero:
         return total
-    hinv = metric_values(m, points)[1]
+    if hinv is None:
+        hinv = metric_values(m, points)[1]
     values = evaluate_points(list(a.coeffs.values()) + list(b.coeffs.values()), points)
     av, bv = values[:, :len(a.coeffs)], values[:, len(a.coeffs):]
     for i, ka in enumerate(a.coeffs):

@@ -207,10 +207,16 @@ class TestEntries:
          "parameter 'E' must be a finite number, got inf"),
         ("alpha-ppwave", None, {"H": math.nan}, "perturbation factor 'H' must be a finite number, got nan"),
         ("kahler-theta", None, {"c": "2"}, "perturbation factor 'c' must be a finite number, got '2'"),
+        ("alpha-ppwave", {"f": "(("}, None, "parameter 'f' is not a profile function: "
+         "expected a value, found 'end of input' (at position 2: '((')"),
+        ("alpha-ppwave", {"f": "sqrt(-1)"}, None,
+         "parameter 'f' is not a profile function: square root of a negative value"),
     ])
     def test_bad_parameter_is_one_catalog_error(self, ident, params, perturb, message):
         """A parameter (after perturbation) or factor that is not a finite
-        number is refused before the builder runs, by one error naming it."""
+        number is refused before the builder runs, and profile text that does
+        not parse or has no finite value by the builder, by one error naming
+        it."""
         with pytest.raises(CatalogError) as err:
             build(ident, params=params, perturb=perturb)
         assert str(err.value) == message
@@ -285,6 +291,8 @@ class TestDerivedProfiles:
         ("general-combined", {"f1": 1.1, "f2": 0.7, "f3": 1.3, "f4": 0.4},
          lambda u, x: (1.1 ** 2 + 0.7 ** 2 + 1.3 ** 2 + 0.4 ** 2) * (x @ x) / 6),
         ("alphabeta-poly", {"L": 0.8}, lambda u, x: 0.8 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
+        # |nu|^2 is taken inside the box |y1| <= 0.056, not at y1 = 0.1 > L
+        ("alphabeta-poly", {"L": 0.08}, lambda u, x: 0.08 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
         ("alphabeta-trig", {"kappa": 1.7}, lambda u, x: np.exp(2 * x[0]) / 4),
     ])
     def test_profile_matches_its_closed_form(self, ident, params, closed_form):

@@ -13,9 +13,11 @@ import pytest
 
 from conftest import (count_plans, flat_metric, form_fn, matrix_fn, random_form, random_points,
                       random_scalar, rng_for)
+from dense import cp3_background
 from oracles import fd_closedness, fd_einstein, fd_maxwell, flux_contractions, flux_tensor, numeric_star
 
 import sugra.equations
+import sugra.expr
 import sugra.forms
 import sugra.geometry
 from sugra.expr import (Chart, EvalDomainError, add, const, coord, diff, evaluate, evaluate_points,
@@ -159,6 +161,28 @@ class TestFluxNorm:
             pts = bg.sample(4, seed=11)
             a = flux_norm_sq(bg, pts)
             assert a == pytest.approx(flux_norm_sq_pieces(bg.flux, bg.product, pts), rel=1e-8, abs=1e-8)
+
+    def test_pieces_route_solves_each_factor_metric_once(self, monkeypatch):
+        """general-combined has four flux terms on two factor metrics: each
+        metric is solved once, and the norm equals the sum of the separate
+        ``form_inner`` products bit for bit."""
+        bg = build("general-combined")
+        ps, pts = bg.product, bg.sample(50, seed=11)
+        want = sum((form_inner(lo, lo, ps.lorentz, [p[:5] for p in pts])
+                    * form_inner(hi, hi, ps.riemann, [p[5:] for p in pts])
+                    for _, lo, hi in bg.flux.terms(ps)), np.zeros(len(pts)))
+        solved, solve = [], sugra.forms.metric_values
+
+        def counted(m, points):
+            solved.append(m)
+            return solve(m, points)
+
+        for module in (sugra.forms, sugra.equations):
+            monkeypatch.setattr(module, "metric_values", counted)
+        got = flux_norm_sq_pieces(bg.flux, ps, pts)
+        assert len(bg.flux.terms(ps)) == 4
+        assert len(solved) == 2 and solved[0] is ps.lorentz and solved[1] is ps.riemann
+        assert np.array_equal(got, want)
 
 
 class TestNullContraction:
@@ -674,7 +698,8 @@ class TestJetCore:
 
 
 class TestStreamedPlans:
-    """``verify`` draws, evaluates, contracts and reduces one batch at a time."""
+    """``verify`` draws and evaluates one walk chunk at a time, and contracts
+    and reduces it one batch at a time."""
 
     def test_memory_does_not_grow_with_the_plan(self):
         bg = build("kahler-theta")
@@ -689,22 +714,25 @@ class TestStreamedPlans:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
-    def test_one_batch_in_flight(self, monkeypatch):
-        """Points drawn but not yet contracted never exceed ``core.batch``,
-        and the jet values are never evaluated for more than one batch."""
+    def test_one_chunk_in_flight(self, monkeypatch):
+        """Points drawn but not yet contracted never exceed one walk chunk,
+        the jet values are evaluated one chunk at a time, and the
+        contractions take at most ``core.batch`` points each."""
         bg = build("kahler-theta")
-        size = _Jets(bg).core.batch
-        drawn, contracted, evaluated = [0], [0], []
+        jets = _Jets(bg)
+        chunk, size = jets.chunk, jets.core.batch
+        assert chunk > size
+        drawn, contracted, evaluated = [0], [], []
         draws, residuals, values = Background.draws, _Contractions.residuals, _Jets.values
 
         def counted_draws(self, count, seed):
             for p in draws(self, count, seed):
                 drawn[0] += 1
-                assert drawn[0] - contracted[0] <= size
+                assert drawn[0] - sum(contracted) <= chunk
                 yield p
 
         def counted_residuals(self, points, vals):
-            contracted[0] += len(points)
+            contracted.append(len(points))
             return residuals(self, points, vals)
 
         def counted_values(self, points):
@@ -714,22 +742,42 @@ class TestStreamedPlans:
         monkeypatch.setattr(Background, "draws", counted_draws)
         monkeypatch.setattr(_Contractions, "residuals", counted_residuals)
         monkeypatch.setattr(_Jets, "values", counted_values)
-        count = 3 * size + 7
+        count = 2 * chunk + 7
         verify(bg, count=count, seed=5)
-        assert drawn[0] == contracted[0] == sum(evaluated) == count
-        assert max(evaluated) == size
+        assert drawn[0] == sum(contracted) == sum(evaluated) == count
+        assert evaluated == [chunk, chunk, 7]
+        assert max(contracted) == size
 
-    @pytest.mark.parametrize("wrong, bad", [(3, 9), (3, "next batch"), (9, 3), ("next batch", 3)])
+    def test_walks_once_per_chunk(self, monkeypatch):
+        """kahler-theta at 1,500 points walks its plan once per walk chunk,
+        and at most 8 times: the count of one walk per 193-point contraction
+        batch under a 1 MiB budget."""
+        run, walks = sugra.expr._Plan._run, []
+
+        def counted(self, pts):
+            walks.append(len(pts))
+            return run(self, pts)
+
+        bg = build("kahler-theta")
+        chunk = _Jets(bg).chunk
+        monkeypatch.setattr(sugra.expr._Plan, "_run", counted)
+        verify(bg, count=1500, seed=42)
+        assert len(walks) == -(-1500 // chunk) <= 8
+
+    @pytest.mark.parametrize("wrong, bad", [(3, 9), (3, "next batch"), (9, 3), ("next batch", 3),
+                                            (3, "next chunk"), ("next chunk", 3)])
     def test_first_failing_point_is_reported(self, wrong, bad):
         """A signature failure at one point and a domain error at another:
-        the earlier of the two is raised, in one batch or across two."""
+        the earlier of the two is raised, in one batch, across two batches of
+        a walk chunk, or across two chunks."""
         lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
         edits = {"g(y1,y1) = ": "g(y1,y1) = y1", "g(y2,y2) = ": "g(y2,y2) = -sqrt(y3)"}
         bg = parse_background_text("\n".join(next((new for old, new in edits.items() if ln.startswith(old)), ln)
                                              for ln in lines) + "\n")
-        size = _Jets(bg).core.batch
-        wrong, bad = (size + 2 if k == "next batch" else k for k in (wrong, bad))
-        pts = [list(p) for p in sample_points(bg.box, size + 20, 7)]
+        jets = _Jets(bg)
+        later = {"next batch": jets.core.batch + 2, "next chunk": jets.chunk + 2}
+        wrong, bad = (later.get(k, k) for k in (wrong, bad))
+        pts = [list(p) for p in sample_points(bg.box, jets.chunk + 20, 7)]
         for p in pts:
             p[5], p[7] = -0.5, 1.0
         pts[wrong][5], pts[bad][7] = 0.5, -1.0
@@ -739,6 +787,28 @@ class TestStreamedPlans:
         first = min(wrong, bad)
         assert isinstance(err.value, EvalDomainError) == (first == bad)
         assert f"{pts[first]}" in str(err.value)
+
+
+class TestDenseMetric:
+    """AdS5 x CP^3 (``tests/dense.py``), an exact background whose dense
+    6-block makes a plan of about 135,000 steps."""
+
+    def test_cp3_passes_and_walks_long_chunks(self, monkeypatch):
+        """Every row is at most 1e-8, and a walk covers many contraction
+        batches: the plan's length, not the budget, sizes the chunk."""
+        made = []
+
+        class Recorded(_Jets):
+            def __init__(self, bg):
+                super().__init__(bg)
+                made.append(self)
+
+        monkeypatch.setattr(sugra.equations, "_Jets", Recorded)
+        res = verify(cp3_background(), count=20, seed=42)
+        assert [r for r in res.rows if not r.max_abs <= 1e-8] == []
+        jets, = made
+        steps, live, entries = len(jets.plan.steps), jets.plan.live, len(jets.exprs)
+        assert jets.chunk >= steps // (live + entries + 11) > 20 * jets.core.batch
 
 
 class TestClosedFormBlocks:

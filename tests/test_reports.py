@@ -16,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
+import sugra.equations
 from sugra.catalog import catalog_ids
-from sugra.cli import main
+from sugra.cli import _resolve_target, main
 
-REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+ROOT = Path(__file__).resolve().parent.parent
+REPORTS = ROOT / "tests" / "data" / "reports"
 
 
 def test_one_stored_report_per_catalog_id():
@@ -34,3 +36,20 @@ def test_report_matches_the_stored_bytes(ident, capsys):
     assert out.encode() == stored
     assert err == ""
     assert code == {"pass": 0, "fail": 1}[json.loads(stored)["verdict"]]
+
+
+@pytest.mark.parametrize("target", ["kahler-theta", str(ROOT / "perfbench" / "stress-offdiag.bg")])
+def test_report_bytes_do_not_depend_on_the_memory_budget(target, monkeypatch, capsys):
+    """At 300 points, contraction batches of at most 4 points, and one walk
+    and one batch for the whole plan, give the report of the default budget
+    byte for byte: each row's sum of ``|value|`` is taken point by point."""
+    def run(budget):
+        monkeypatch.setattr(sugra.equations, "_BATCH_BYTES", budget)
+        main(["verify", target, "--json", "--points", "300", "--seed", "42"])
+        return sugra.equations._Jets(_resolve_target(target, {})), capsys.readouterr().out
+
+    _, want = run(sugra.equations._BATCH_BYTES)
+    small, out = run(1 << 14)
+    assert small.core.batch <= 4 < small.chunk and out == want
+    whole, out = run(1 << 40)
+    assert whole.core.batch >= 300 and out == want
