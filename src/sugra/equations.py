@@ -608,10 +608,11 @@ def _residual_rows(bg: Background, points: Iterable, equations) -> list[Residual
 
     def reduce(batch: list, values: np.ndarray) -> None:
         res = jets.residuals(batch, values)
+        # C order, so that each point's sum over its row is taken alike in any batch
         out = {name: np.abs(res[name], order="C") for name in families}
         for r, (equation, _, columns, _) in enumerate(layout):
             if columns:
-                a = out[equation][:, columns]  # C order: each point's sum is taken alike in any batch
+                a = out[equation][:, columns]
                 point, comp = divmod(int(np.argmax(a)), a.shape[1])
                 if a[point, comp] > worst[r][0]:
                     worst[r] = (float(a[point, comp]), batch[point], comp)
