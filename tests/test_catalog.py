@@ -291,9 +291,9 @@ class TestDerivedProfiles:
         ("general-combined", {"f1": 1.1, "f2": 0.7, "f3": 1.3, "f4": 0.4},
          lambda u, x: (1.1 ** 2 + 0.7 ** 2 + 1.3 ** 2 + 0.4 ** 2) * (x @ x) / 6),
         ("alphabeta-poly", {"L": 0.8}, lambda u, x: 0.8 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
+        ("alphabeta-trig", {"kappa": 1.7}, lambda u, x: np.exp(2 * x[0]) / 4),
         # |nu|^2 is taken inside the box |y1| <= 0.056, not at y1 = 0.1 > L
         ("alphabeta-poly", {"L": 0.08}, lambda u, x: 0.08 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
-        ("alphabeta-trig", {"kappa": 1.7}, lambda u, x: np.exp(2 * x[0]) / 4),
     ])
     def test_profile_matches_its_closed_form(self, ident, params, closed_form):
         bg = build(ident, params=params)
