@@ -40,7 +40,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .expr import Chart, Expr, ParseError, const, is_zero, parse, to_text
+from .expr import Chart, Expr, ExprError, const, is_zero, parse, to_text
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
 from .equations import _PIECES, DEFAULT_TOL, Background, FluxSpec
@@ -72,7 +72,7 @@ def _parse_block_expr(text: str, own: Chart, other: Chart, line: int, path: str,
                       what: str) -> Expr:
     try:
         return parse(text, own)
-    except ParseError as err:
+    except ExprError as err:
         ident = re.search(r"unknown identifier '(\w+)'", str(err))
         if ident and ident.group(1) in other.names:
             raise BlockViolationError(

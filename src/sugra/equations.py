@@ -169,9 +169,13 @@ class Background:
         self.predicate = predicate
         self.chart = chart
         self.tolerance = tolerance
+        self._metric: Optional[Metric] = None
 
     def metric(self) -> Metric:
-        return product_metric(self.product)
+        """The product metric, built on first use and kept with this background."""
+        if self._metric is None:
+            self._metric = product_metric(self.product)
+        return self._metric
 
     def flux_form(self) -> KForm:
         return assemble_flux(self.flux, self.product)

@@ -579,7 +579,10 @@ def intpow(base, exponent: int) -> Expr:
     if isinstance(base, Const):
         if base.value == 0.0 and exponent < 0:
             raise ExprError("zero base with negative exponent")
-        return Const(base.value ** exponent)
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:
+            raise ExprError(f"constant power {base.value!r}^{exponent} overflows") from None
     return IntPow(base, exponent)
 
 

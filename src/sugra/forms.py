@@ -248,7 +248,7 @@ class Metric:
     fixes the symbolic sqrt(|det|) used by the volume form.
     """
 
-    __slots__ = ("chart", "entries", "signature", "_inv")
+    __slots__ = ("chart", "entries", "signature", "_memo")
 
     def __init__(self, chart: Chart, entries, signature: tuple[int, int]):
         n = chart.dim
@@ -268,22 +268,26 @@ class Metric:
         self.chart = chart
         self.entries = tuple(tuple(r) for r in rows)
         self.signature = (p, q)
-        self._inv = None
+        self._memo: dict = {}
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
+    def derived(self, key, build):
+        """``build()``, computed once per ``key`` and kept with this metric:
+        the symbolic inverse here, the connection and Ricci tensor of each
+        block in :mod:`sugra.geometry`."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     # -- symbolic inverse -------------------------------------------------
     def inverse_entries(self):
-        if self._inv is None:
-            self._inv = sym_inverse(self.entries)
-        return self._inv[0]
+        return self.derived("inverse", lambda: sym_inverse(self.entries))[0]
 
     def det_expr(self) -> Expr:
-        if self._inv is None:
-            self._inv = sym_inverse(self.entries)
-        return self._inv[1]
+        return self.derived("inverse", lambda: sym_inverse(self.entries))[1]
 
     def sqrt_abs_det(self) -> Expr:
         det = self.det_expr()
@@ -567,6 +571,10 @@ def restrict_form(a: KForm, small: Chart, offset: int) -> KForm:
     for key, val in a.coeffs.items():
         if any(i not in table for i in key):
             raise FormError(f"component {key} lies outside the block at offset {offset}")
-        coeffs[tuple(table[i] for i in key)] = remap_coords(val, table)
+        try:
+            coeffs[tuple(table[i] for i in key)] = remap_coords(val, table)
+        except KeyError as err:
+            raise FormError(f"component {key} depends on {a.chart.names[err.args[0]]!r}, "
+                            f"outside the block at offset {offset}") from None
     return KForm(small, a.degree, coeffs)
 

@@ -24,12 +24,13 @@ Curvature is assembled symbolically and compared only by evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Chart, Expr, add, diff, evaluate_points, gradient, is_zero, mul, neg, _as_expr
+from .expr import (_ZERO, Chart, Expr, _as_expr, add, diff, evaluate_points, gradient, is_zero, mul, neg,
+                   remap_coords)
 from .forms import FormError, Metric, matrix_values, metric_values, sym_inverse
 
 __all__ = [
@@ -48,16 +49,40 @@ __all__ = [
 WALKER_CHART = Chart(("u", "x1", "x2", "x3", "v"))
 
 
-def _block_inverse(m: Metric, block: Optional[tuple[int, ...]]):
-    """Inverse of the submetric on ``block``, or of the whole metric."""
-    if block is None:
-        return m.inverse_entries()
-    entries = [[m.entries[i][j] for j in block] for i in block]
-    inv, _det = sym_inverse(entries)
-    return inv
+def _on_metric(fn):
+    """``fn(m, block)``, built once per block and kept on the metric ``m``, so
+    it lives exactly as long as the metric does."""
+    @functools.wraps(fn)
+    def kept(m: Metric, block: Optional[tuple[int, ...]] = None):
+        return m.derived((fn.__name__, block), lambda: fn(m, block))
+    return kept
 
 
-@lru_cache(maxsize=None)
+@_on_metric
+def _connection(m: Metric, block: Optional[tuple[int, ...]] = None):
+    """``(idx, inv, G)``: the coordinates of ``block`` (all of them if None),
+    the inverse of the submetric on them, and its nonzero Christoffel
+    symbols ``G[k][i][j] = G^k_{ij}`` with both lower orders present (each
+    ``G[k][i]`` is a dict in ascending ``j``).  Indices are positions inside
+    ``idx``; the other coordinates are parameters.
+    """
+    idx = block if block is not None else tuple(range(m.dim))
+    r = range(len(idx))
+    inv = m.inverse_entries() if block is None else sym_inverse([[m.entries[i][j] for j in idx] for i in idx])[0]
+    # dg[b][c][a] = d_{idx[a]} g_{idx[b] idx[c]}
+    dg = [[gradient(m.entries[b][c], idx) for c in idx] for b in idx]
+    G = [[{} for _ in r] for _ in r]
+    for i in r:
+        for j in r[i:]:
+            # 2 G_{l i j} = d_i g_{j l} + d_j g_{i l} - d_l g_{i j}, kept where nonzero
+            lower = [(l, c) for l in r if not is_zero(c := add(dg[j][l][i], dg[i][l][j], neg(dg[i][j][l])))]
+            for k in r:
+                g = add(*[mul(0.5, inv[k][l], c) for l, c in lower if not is_zero(inv[k][l])])
+                if not is_zero(g):
+                    G[k][i][j] = G[k][j][i] = g
+    return idx, inv, G
+
+
 def christoffel(m: Metric, block: Optional[tuple[int, ...]] = None):
     """Christoffel symbols of the second kind as a sparse dict (k, i, j) -> Expr.
 
@@ -67,37 +92,11 @@ def christoffel(m: Metric, block: Optional[tuple[int, ...]] = None):
     positions inside ``block``), treating the remaining coordinates as
     parameters.
     """
-    idx = block if block is not None else tuple(range(m.dim))
-    nb = len(idx)
-    inv_local = _block_inverse(m, block)
-    # dg[b][c][a] = d_{idx[a]} g_{idx[b] idx[c]}
-    dg = [[gradient(m.entries[b][c], idx) for c in idx] for b in idx]
-    out: dict[tuple[int, int, int], Expr] = {}
-    for k in range(nb):
-        row = inv_local[k]
-        for i in range(nb):
-            for j in range(i, nb):
-                terms = []
-                for l in range(nb):
-                    if is_zero(row[l]):
-                        continue
-                    inner = add(dg[j][l][i], dg[i][l][j], neg(dg[i][j][l]))
-                    if is_zero(inner):
-                        continue
-                    terms.append(mul(0.5, row[l], inner))
-                val = add(*terms)
-                if not is_zero(val):
-                    out[(k, i, j)] = val
-    return out
+    _, _, G = _connection(m, block)
+    return {(k, i, j): e for k, gk in enumerate(G) for i, row in enumerate(gk) for j, e in row.items() if i <= j}
 
 
-def _gamma(sym, k, i, j):
-    if i > j:
-        i, j = j, i
-    return sym.get((k, i, j))
-
-
-@lru_cache(maxsize=None)
+@_on_metric
 def ricci(m: Metric, block: Optional[tuple[int, ...]] = None):
     """Ricci tensor as a dense tuple-of-tuples of expressions (symmetric).
 
@@ -105,48 +104,19 @@ def ricci(m: Metric, block: Optional[tuple[int, ...]] = None):
     coordinates (other coordinates treated as parameters); the returned
     matrix is still full-size with zeros outside the block.
     """
-    idx = block if block is not None else tuple(range(m.dim))
-    nb = len(idx)
-    sym = christoffel(m, block)
-    # trace_gamma[l] = sum_k G^k_{k l}
-    trace_gamma = [add(*[g for k in range(nb) if (g := _gamma(sym, k, k, l)) is not None])
-                   for l in range(nb)]
-    n = m.dim
-    zero = _as_expr(0.0)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    for a in range(nb):
-        for b in range(a, nb):
-            terms = []
-            # d_k G^k_{a b}
-            for k in range(nb):
-                g = _gamma(sym, k, a, b)
-                if g is not None:
-                    d = diff(g, idx[k])
-                    if not is_zero(d):
-                        terms.append(d)
-            # - d_a (sum_k G^k_{k b})
-            d = diff(trace_gamma[b], idx[a])
-            if not is_zero(d):
-                terms.append(neg(d))
-            # + G^k_{k l} G^l_{a b}
-            for l in range(nb):
-                g2 = _gamma(sym, l, a, b)
-                if g2 is None or is_zero(trace_gamma[l]):
-                    continue
-                terms.append(mul(trace_gamma[l], g2))
-            # - G^k_{a l} G^l_{k b}
-            for (k, i, j), g1 in sym.items():
-                for (x, y) in ((i, j), (j, i)) if i != j else ((i, j),):
-                    if x != a:
-                        continue
-                    l = y
-                    g2 = _gamma(sym, l, k, b)
-                    if g2 is not None:
-                        terms.append(neg(mul(g1, g2)))
-            val = add(*terms)
-            rows[idx[a]][idx[b]] = val
-            rows[idx[b]][idx[a]] = val
-    return tuple(tuple(r) for r in rows)
+    idx, _, G = _connection(m, block)
+    r = range(len(idx))
+    trace = [add(*[G[k][k][l] for k in r if l in G[k][k]]) for l in r]  # G^k_{k l}
+    rows = [[_ZERO] * m.dim for _ in range(m.dim)]
+    for a in r:
+        for b in r[a:]:
+            val = add(*[diff(G[k][a][b], idx[k]) for k in r if b in G[k][a]],  # d_k G^k_{a b}
+                      neg(diff(trace[b], idx[a])),  # - d_a G^k_{k b}
+                      *[mul(trace[l], G[l][a][b]) for l in r if b in G[l][a]],  # + G^k_{k l} G^l_{a b}
+                      # - G^k_{a l} G^l_{k b}
+                      *[neg(mul(g, G[l][k][b])) for k in r for l, g in G[k][a].items() if b in G[l][k]])
+            rows[idx[a]][idx[b]] = rows[idx[b]][idx[a]] = val
+    return tuple(tuple(row) for row in rows)
 
 
 def scalar_curvature(m: Metric, points) -> np.ndarray:
@@ -160,26 +130,12 @@ def laplace_beltrami(m: Metric, s: Expr, block: Optional[tuple[int, ...]] = None
     applied to the scalar ``s``:
     ``sum_{ij} g^{ij} (d_i d_j s - G^k_{ij} d_k s)``.
     """
-    idx = block if block is not None else tuple(range(m.dim))
-    nb = len(idx)
-    inv_local = _block_inverse(m, block)
-    sym = christoffel(m, block)
+    idx, inv, G = _connection(m, block)
+    r = range(len(idx))
     ds = gradient(s, idx)
-    terms = []
-    for a in range(nb):
-        for b in range(nb):
-            g = inv_local[a][b]
-            if is_zero(g):
-                continue
-            inner = [diff(ds[b], idx[a])]
-            for k in range(nb):
-                gam = _gamma(sym, k, a, b)
-                if gam is not None and not is_zero(ds[k]):
-                    inner.append(neg(mul(gam, ds[k])))
-            val = add(*inner)
-            if not is_zero(val):
-                terms.append(mul(g, val))
-    return add(*terms)
+    return add(*[mul(inv[a][b], add(diff(ds[b], idx[a]),
+                                    *[neg(mul(G[k][a][b], ds[k])) for k in r if b in G[k][a]]))
+                 for a in r for b in r])
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +236,12 @@ class ProductStructure:
         return Chart(self.lorentz.chart.names + self.riemann.chart.names)
 
 
-@lru_cache(maxsize=None)
 def product_metric(ps: ProductStructure) -> Metric:
     """Block-diagonal 11x11 metric of signature (1, 10)."""
-    from .expr import remap_coords
-
-    chart = ps.chart
-    zero = _as_expr(0.0)
-    rows = [[zero for _ in range(11)] for _ in range(11)]
-    for i in range(5):
-        for j in range(5):
-            rows[i][j] = ps.lorentz.entries[i][j]
-    table = {i: i + 5 for i in range(6)}
-    for i in range(6):
-        for j in range(6):
-            e = ps.riemann.entries[i][j]
-            rows[5 + i][5 + j] = e if is_zero(e) else remap_coords(e, table)
-    return Metric(chart, rows, (1, 10))
+    shift = {i: i + 5 for i in range(6)}
+    rows = ([list(row) + [_ZERO] * 6 for row in ps.lorentz.entries]
+            + [[_ZERO] * 5 + [remap_coords(e, shift) for e in row] for row in ps.riemann.entries])
+    return Metric(ps.chart, rows, (1, 10))
 
 
 def ricci_endomorphism_pairing(m: Metric, points, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -242,6 +242,15 @@ class TestCli:
                      id="duplicate-range"),
         pytest.param("lorentz = ", "lorentz = u x1 x2 x3 v\nlorentz = u x1 x2 x3 v",
                      "{path}:4: duplicate lorentz chart", id="duplicate-chart"),
+        # constants the parser folds: an overflow was a traceback and exit 1,
+        # a zero denominator an error with no file line
+        *[pytest.param("g(u,u) = ", f"g(u,u) = {value}", "{path}:7: metric entry g(u,u): " + message,
+                       id=f"fold-{value}")
+          for value, message in [("2^1024", "constant power 2.0^1024 overflows"),
+                                 ("10^400", "constant power 10.0^400 overflows"),
+                                 ("(1e200)^2", "constant power 1e+200^2 overflows"),
+                                 ("1/0", "denominator is the literal zero"),
+                                 ("0^-1", "zero base with negative exponent")]],
     ])
     def test_bad_background_exit_2(self, tmp_path, capsys, entry, replacement, message):
         lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()

@@ -503,9 +503,15 @@ class TestEmbedding:
         assert ok, worst
 
     def test_restrict_detects_escape(self):
-        du = coordinate_form(C11, "u")
-        with pytest.raises(Exception):
-            restrict_form(du, R6, 5)
+        """A component off the block, or a coefficient that depends on a
+        coordinate off the block, is a FormError naming what escaped."""
+        cases = [(coordinate_form(C11, "u"), "component (0,) lies outside the block at offset 5"),
+                 (KForm(C11, 1, {(5,): mul(coord(0), sin(coord(6)))}),
+                  "component (5,) depends on 'u', outside the block at offset 5")]
+        for form, message in cases:
+            with pytest.raises(FormError) as err:
+                restrict_form(form, R6, 5)
+            assert str(err.value) == message
 
 
 class TestMetricValidation:

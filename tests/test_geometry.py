@@ -5,8 +5,12 @@ every curvature value here: it differentiates metric values numerically and
 never shares the symbolic derivative path.
 """
 
+import gc
 import itertools
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ import pytest
 from conftest import flat_metric, matrix_fn, random_form, random_points, random_scalar, rng_for, values
 from oracles import fd_christoffel, fd_ricci, jet_ricci
 
+from sugra.catalog import build, catalog_ids
+from sugra.equations import verify
 from sugra.expr import (Chart, add, const, coord, diff, div, evaluate, evaluate_points, intpow, mul, neg, parse,
                         to_text)
 from sugra.forms import FormError, Metric, hodge, matrix_values, sym_inverse
@@ -158,15 +164,11 @@ class TestChristoffel:
         H = parse("1/6 * u^2 * (x1^2+x2^2+x3^2)", W5)
         m = walker_metric(WalkerData.pp_wave(H))
         sym = christoffel(m)
-        rng = rng_for("walkergam")
-        for p in random_points(rng, 5, 5):
-            hu = evaluate(diff(H, 0), p)
-            got = evaluate(sym[(4, 0, 0)], p)  # G^v_uu
-            assert got == pytest.approx(0.5 * hu, abs=1e-12)
-            for i in (1, 2, 3):
-                hi = evaluate(diff(H, i), p)
-                assert evaluate(sym[(4, 0, i)], p) == pytest.approx(0.5 * hi, abs=1e-12)
-                assert evaluate(sym[(i, 0, 0)], p) == pytest.approx(0.5 * hi, abs=1e-12)
+        pts = random_points(rng_for("walkergam"), 5, 5)
+        # G^v_uu = H_u / 2, and G^v_ui = G^i_uu = H_i / 2 for i = x1, x2, x3
+        got = evaluate_points([sym[(4, 0, i)] for i in range(4)] + [sym[(i, 0, 0)] for i in (1, 2, 3)], pts)
+        dh = evaluate_points([diff(H, i) for i in range(4)] + [diff(H, i) for i in (1, 2, 3)], pts)
+        assert np.max(np.abs(got - 0.5 * dh)) < 1e-12
         expected = {(4, 0, 0), (4, 0, 1), (4, 0, 2), (4, 0, 3), (1, 0, 0), (2, 0, 0), (3, 0, 0)}
         assert set(sym) == expected
 
@@ -288,6 +290,70 @@ class TestRicci:
     def test_flat_product_is_flat(self):
         h = product_metric(ProductStructure(flat_metric(W5, (1, 4)), flat_metric(R6, (0, 6))))
         assert np.max(np.abs(ricci_at(h, (0.2,) * 11))) == 0.0
+
+
+def curvature_values() -> dict:
+    """Christoffel keys and values, and Ricci and Laplace-Beltrami values, at
+    two points: for each catalog product metric (the Laplacian of h_uu), and
+    for a Walker metric with a curved transverse block, whole and on the
+    block (1, 2, 3) (the Laplacian of its profile)."""
+    cases = {}
+    for ident in catalog_ids():
+        bg = build(ident)
+        h = bg.metric()
+        cases[ident] = (h, None, h.entries[0][0], bg.sample(2, 7))
+    rho = [["-1 - x1^2", "0.1*u*x2", "0"], ["0.1*u*x2", "-2 + 0.1*x3", "0"], ["0", "0", "-1 - 0.2*x1*x2"]]
+    w = WalkerData(rho=tuple(tuple(parse(e, W5) for e in row) for row in rho),
+                   a=(parse("x1*u", W5), parse("0", W5), parse("x3^2", W5)),
+                   h=parse("u^2*x1*x2 + sin(x3)*x1^2 + v*x2", W5))
+    pts = random_points(rng_for("curvature"), 2, 5, lo=0.2, hi=0.6)
+    for block in (None, (1, 2, 3)):
+        cases[f"walker-{block}"] = (walker_metric(w), block, w.h, pts)
+    out = {}
+    for name, (m, block, s, pts) in cases.items():
+        sym = christoffel(m, block)
+        out[name] = {"keys": [list(k) for k in sym],
+                     "christoffel": evaluate_points(list(sym.values()), pts).tolist(),
+                     "ricci": matrix_values(ricci(m, block), pts).tolist(),
+                     "laplace": evaluate_points([laplace_beltrami(m, s, block)], pts)[:, 0].tolist()}
+    return out
+
+
+class TestConnectionTable:
+    """``christoffel``, ``ricci`` and ``laplace_beltrami`` read one connection
+    table, kept on its metric."""
+
+    def test_values_match_the_stored_table(self):
+        """Keys and values, bit for bit, as stored in ``tests/data/curvature.json``
+        from the code before the connection table.  A change that moves them
+        on purpose regenerates the file, from the root of the repository:
+
+            PYTHONPATH=src:tests python -c "import json, test_geometry as t; \\
+                print(json.dumps(t.curvature_values()))" > tests/data/curvature.json
+        """
+        stored = json.loads((Path(__file__).parent / "data" / "curvature.json").read_text())
+        assert curvature_values() == stored
+
+    def test_caches_live_only_as_long_as_their_metric(self):
+        """Building, verifying and taking Ricci of many backgrounds keeps
+        nothing once they are gone."""
+        def once():
+            bg = build("kahler-theta")
+            verify(bg, count=3)
+            ricci(bg.metric())
+
+        once()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(6):
+                once()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20, f"{kept} bytes kept"
 
 
 class TestScalarCurvature:
