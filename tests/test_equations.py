@@ -1,6 +1,7 @@
 """Flux assembly, norms, residual operators, reduced-case diagnostics."""
 
 import dataclasses
+import gc
 import itertools
 import random
 import subprocess
@@ -706,6 +707,10 @@ class TestStreamedPlans:
         verify(bg, count=5, seed=1)  # caches filled outside the measurement
         peaks = []
         for count in (1500, 6000):
+            # A full collection empties the free lists, whose reuse tracemalloc
+            # does not see; one at the start of each window keeps a collection
+            # that falls in one window only from adding their refill to its peak.
+            gc.collect()
             tracemalloc.start()
             try:
                 verify(bg, count=count, seed=11)
