@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
     vp.add_argument("--json", action="store_true", help="print JSON to stdout")
     vp.add_argument("--timing", action="store_true",
                     help="include wall-clock millis in the report (breaks byte determinism)")
+    # argparse would read "-1e-8" or "-inf" as an option: its negative-number
+    # pattern, a private attribute with no public setting, matches "-1" and "-0.5" only.
+    vp._negative_number_matcher = re.compile(r"^-(\.?\d|inf$|nan$)", re.IGNORECASE)
     ap.error = lp.error = vp.error = _refuse
     try:
         args = ap.parse_args(argv)

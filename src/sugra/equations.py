@@ -500,10 +500,10 @@ class _Contractions:
                 p *= coef
                 tape[lo:hi] = np.add.reduceat(p, starts, axis=0)
         out = {name: tape[cols].T for name, cols in self.outputs.items()}
-        for name, a in out.items():
-            bad = ~np.isfinite(a).all(axis=1)
-            if bad.any():
-                raise FormError(f"non-finite {name} residual at {points[int(np.argmax(bad))]}")
+        bad = np.column_stack([~np.isfinite(a).all(axis=1) for a in out.values()])  # point, family
+        if bad.any():  # the first point where any family fails, then the first family there
+            point, family = divmod(int(np.argmax(bad)), bad.shape[1])
+            raise FormError(f"non-finite {list(out)[family]} residual at {points[point]}")
         return out
 
 
@@ -592,14 +592,14 @@ class _Jets:
         rows.append(("trace", "all", [0], ["scal - s*|F|^2/6"]))
         return rows
 
-    def values(self, points) -> np.ndarray:
-        """Every entry at every point, shape ``(len(points), entries)``; a
-        domain error names its subexpression in the background's chart."""
-        try:
-            return self.plan.values(points)
-        except EvalDomainError as err:
-            raise EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
-                                  err.expr, err.point) from None
+    def values(self, points) -> tuple[np.ndarray, EvalDomainError | None]:
+        """Every entry at the points before the first failing one, from one
+        walk, and the domain error there (named in the chart), or None."""
+        values, err = self.plan.walk(points)
+        if err is not None:
+            err = EvalDomainError(f"{err}: {to_text(err.expr, self.chart)} at {err.point}",
+                                  err.expr, err.point)
+        return values, err
 
 
 def _residual_rows(bg: Background, points: Iterable, equations) -> list[ResidualRow]:
@@ -633,11 +633,8 @@ def _residual_rows(bg: Background, points: Iterable, equations) -> list[Residual
 
     points, count, failure = iter(points), 0, None
     while failure is None and (chunk := [tuple(p) for p in itertools.islice(points, jets.chunk)]):
-        try:
-            values = jets.values(chunk)
-        except EvalDomainError as err:  # the points before it are contracted first
-            failure, chunk = err, chunk[:next((k for k, p in enumerate(chunk) if p == err.point), 0)]
-            values = jets.values(chunk)
+        values, failure = jets.values(chunk)  # the points before a domain error are contracted first
+        del chunk[len(values):]
         for lo in range(0, len(chunk), jets.core.batch):
             reduce(chunk[lo:lo + jets.core.batch], values[lo:lo + jets.core.batch])
         count += len(chunk)

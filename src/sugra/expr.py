@@ -97,12 +97,13 @@ class EvalDomainError(ExprError):
 
 
 class _OutOfDomain(Exception):
-    """Raised by ``_np`` with a message and the index of the first bad point."""
+    """Raised by ``_np``: a message, the first bad point and all the values."""
 
 
-def _check(bad, message: str) -> None:
+def _checked(values, bad, message: str):
     if np.count_nonzero(bad):
-        raise _OutOfDomain(message, int(np.argmax(bad)))
+        raise _OutOfDomain(message, int(np.argmax(bad)), values)
+    return values
 
 
 class ParseError(ExprError):
@@ -371,8 +372,7 @@ class Div(Expr):
         return div(add(mul(dn, self.den), neg(mul(self.num, dd))), intpow(self.den, 2))
 
     def _np(self, pts, num, den):
-        _check(den == 0.0, "division by zero")
-        return num / den
+        return _checked(num / den, den == 0.0, "division by zero")
 
     def _children(self):
         return (self.num, self.den)
@@ -398,7 +398,7 @@ class IntPow(Expr):
 
     def _np(self, pts, base):
         if self.exponent < 0:
-            _check(base == 0.0, "zero raised to a negative power")
+            return _checked(base ** self.exponent, base == 0.0, "zero raised to a negative power")
         return base ** self.exponent
 
     def _children(self):
@@ -435,8 +435,7 @@ class Sqrt(_Func):
         return _ZERO if is_zero(da) else div(da, mul(Const(2.0), self))
 
     def _np(self, pts, arg):
-        _check(arg < 0.0, "square root of a negative value")
-        return np.sqrt(arg)
+        return _checked(np.sqrt(arg), arg < 0.0, "square root of a negative value")
 
 
 class Exp(_Func):
@@ -666,41 +665,35 @@ class _Plan:
 
     def values(self, points) -> np.ndarray:
         """Every expression at every point, shape ``(len(points),
-        len(exprs))``.  Each node is computed for all points with numpy and
-        its values dropped after their last use.  A domain error names the
-        first point where any node fails, and the first node failing there.
-        """
-        pts = np.asarray(points, dtype=float)
-        n, failure, out = len(pts), None, np.empty((0, len(self.exprs)))
-        while n:  # after a domain error, search the points before it for another
-            try:
-                out = self._run(pts[:n])
-                break
-            except _OutOfDomain as err:
-                failure = err.args
-                n = failure[1]
-        bad = ~np.isfinite(out)
-        if np.count_nonzero(bad):
-            first = int(np.argmax(bad.any(axis=1)))
-            raise EvalDomainError("non-finite value", self.exprs[int(np.argmax(bad[first]))],
-                                  tuple(pts[first].tolist()))
+        len(exprs))``; the error of :meth:`walk`, if any, is raised."""
+        out, failure = self.walk(points)
         if failure is not None:
-            message, first, node = failure
-            raise EvalDomainError(message, node, tuple(pts[first].tolist()))
+            raise failure
         return out
 
-    def _run(self, pts: np.ndarray) -> np.ndarray:
-        """One walk at the rows of ``pts``; the first failing node raises
-        ``_OutOfDomain(message, first bad point, node)``."""
+    def walk(self, points) -> tuple[np.ndarray, EvalDomainError | None]:
+        """One walk: each node is computed for all points with numpy and its
+        values dropped after their last use.  Returns the rows before the
+        first point where a node leaves its domain or a value is not finite,
+        and the error naming it and the first node failing there, or None."""
+        pts = np.asarray(points, dtype=float)
         out = np.empty((len(pts), len(self.exprs)))
+        if not len(pts):
+            return out, None
         vals, last, cols = self.consts[:], self.last, self.cols
+        first, failure = len(pts), None
         for i, c in cols.items():
             if vals[i] is not None:
                 out[:, c] = vals[i]
         with np.errstate(all="ignore"):
             try:
                 for i, node, kids in self.steps:
-                    v = node._np(pts, *[vals[k] for k in kids])
+                    try:
+                        v = node._np(pts, *[vals[k] for k in kids])
+                    except _OutOfDomain as err:  # a later node may fail at an earlier point
+                        message, bad, v = err.args
+                        if bad < first:
+                            first, failure = bad, EvalDomainError(message, node, tuple(pts[bad].tolist()))
                     for c in cols.get(i, ()):
                         out[:, c] = v
                     if last[i] != i:
@@ -708,12 +701,15 @@ class _Plan:
                     for k in kids:
                         if last[k] == i:
                             vals[k] = None
-            except _OutOfDomain as err:
-                raise _OutOfDomain(*err.args, node) from None
             except IndexError:
                 raise ExprError(f"points of length {pts.shape[1]} have no coordinate "
                                 f"{node.index}") from None
-        return out
+        bad = ~np.isfinite(out[:first])
+        if np.count_nonzero(bad):
+            first = int(np.argmax(bad.any(axis=1)))
+            failure = EvalDomainError("non-finite value", self.exprs[int(np.argmax(bad[first]))],
+                                      tuple(pts[first].tolist()))
+        return out[:first], failure
 
 
 def _distinct_nodes(exprs: Sequence[Expr]) -> dict[Expr, int]:

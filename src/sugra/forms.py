@@ -362,12 +362,13 @@ def check_signature_values(vals: np.ndarray, signature: tuple[int, int], points)
     raise at the first point that fails."""
     degenerate = np.any(np.abs(vals) < 1e-12, axis=1)
     negs = np.sum(vals < 0.0, axis=1)
-    for pt, deg, neg in zip(points, degenerate, negs):
-        if deg:
-            raise SingularMetricError(f"metric is degenerate at {tuple(pt)}")
-        if neg != signature[1]:
-            raise FormError(f"metric has {neg} negative eigenvalues at {tuple(pt)}, "
-                            f"declared {signature[1]}")
+    bad = degenerate | (negs != signature[1])
+    if bad.any():  # degenerate comes first at a point
+        k = int(np.argmax(bad))
+        if degenerate[k]:
+            raise SingularMetricError(f"metric is degenerate at {tuple(points[k])}")
+        raise FormError(f"metric has {negs[k]} negative eigenvalues at {tuple(points[k])}, "
+                        f"declared {signature[1]}")
 
 
 # -- symbolic determinant / adjugate with zero pruning ----------------------

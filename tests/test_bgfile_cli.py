@@ -442,6 +442,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--tol", "-1e-8"], "tolerance must be finite and positive, got -1e-08"),
+        (["--tol", "-1E3"], "tolerance must be finite and positive, got -1000.0"),
+        (["--tol", "-inf"], "tolerance must be finite and positive, got -inf"),
+        (["--points", "-3"], "sample count must be positive, got -3"),
+        (["--perturb", "-H:1.1"], "argument --perturb: expected one argument"),
+    ], ids=["tol-exponent", "tol-upper-exponent", "tol-minus-inf", "points", "perturb-key"])
+    def test_negative_value_reaches_its_check(self, capsys, argv, message):
+        """A negative number, in any form that ``float`` reads, is the value
+        of the option before it and is refused by that option's own check; a
+        value that is not a number still reads as an option."""
+        assert main(["verify", "alpha-ppwave", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_crash_is_exit_3_never_a_verdict(self, capsys, monkeypatch):
         """An exception that is not bad input is a fault of the program: its
         traceback, then one ``internal error:`` line, and exit code 3."""

@@ -35,6 +35,7 @@ from sugra.forms import (
     matrix_values,
     metric_values,
     monomial_form,
+    perm_sign,
     wedge,
 )
 from sugra.geometry import (
@@ -403,7 +404,7 @@ def whole_plan_rows(jets, points, size, equations) -> list[tuple]:
     """Rows as ``(equation, block, max, mean, worst point, worst component)``
     from the residuals of all batches at once: concatenate, ``abs``,
     ``argmax``, ``mean``."""
-    values = jets.values(points)
+    values = jets.values(points)[0]
     batches = [jets.residuals(points[i:i + size], values[i:i + size])
                for i in range(0, len(points), size)]
     rows = []
@@ -422,7 +423,7 @@ def whole_plan_rows(jets, points, size, equations) -> list[tuple]:
 def core_components(bg, points) -> list[dict[str, dict[str, float]]]:
     """Per point, each family's residual components from the jet core, by name."""
     jets = _Jets(bg)
-    res = jets.residuals(points, jets.values(points))
+    res = jets.residuals(points, jets.values(points)[0])
     out = [{} for _ in points]
     for equation, _block, columns, names in jets.rows:
         for k, values in enumerate(res[equation]):
@@ -514,6 +515,25 @@ class TestJetCore:
         want = matrix_values(ricci(m), pts)
         assert np.max(np.abs(ric - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("size", [2, 1])
+    def test_overflow_names_the_first_failing_point(self, size):
+        """A contraction that overflows names the first point where any
+        family is not finite, whatever the batch: here the Einstein residual
+        at point 0 (|F|^2 of a flux of size 1e160), before the closedness
+        residual at point 1 (five terms of 1e308)."""
+        m = 5
+        g = np.diag([2.0] + [-2.0] * (m - 1)) + 0.1 * (np.ones((m, m)) - np.eye(m))
+        f = np.ones((2,) + (m,) * 4)
+        f[0] *= 1e160
+        df = np.zeros((2,) + (m,) * 5)
+        for l in range(m):
+            rest = tuple(i for i in range(m) if i != l)
+            df[1][(l,) + rest] = perm_sign((l,) + rest) * 1e308
+        core, values = self._dense_core({"h": np.array([g, g]), "F": f, "dF": df}, (1, m - 1))
+        with pytest.raises(sugra.forms.FormError) as err:
+            core.residuals([(0.0,), (1.0,)][:size], values[:size])
+        assert str(err.value) == "non-finite einstein residual at (0.0,)"
+
     def test_flux_algebra_on_dense_data(self):
         """The planned flux contractions against one-point numpy contractions
         on a dense Lorentzian metric and a dense random 4-form, where no
@@ -598,7 +618,7 @@ class TestJetCore:
         bg = background(which)
         jets = _Jets(bg)
         pts = bg.sample(40, seed=3)
-        values = jets.values(pts)
+        values = jets.values(pts)[0]
         whole = jets.residuals(pts, values)
         single = [jets.residuals(pts[k:k + 1], values[k:k + 1]) for k in range(len(pts))]
         for name, a in whole.items():
@@ -618,10 +638,10 @@ class TestJetCore:
         size = jets.core.batch
         assert size == 4
         first = bg.sample(3 * size, seed=5)
-        values = jets.values(first)
+        values = jets.values(first)[0]
         for c in range(11):  # a coordinate no jet entry depends on
             second = [p[:c] + (q[c],) + p[c + 1:] for p, q in zip(first, first[::-1])]
-            if np.array_equal(jets.values(second), values):
+            if np.array_equal(jets.values(second)[0], values):
                 break
         else:
             pytest.fail(f"{which} has no coordinate that its jets ignore")
@@ -757,17 +777,36 @@ class TestStreamedPlans:
         """kahler-theta at 1,500 points walks its plan once per walk chunk,
         and at most 8 times: the count of one walk per 193-point contraction
         batch under a 1 MiB budget."""
-        run, walks = sugra.expr._Plan._run, []
+        walk, walks = sugra.expr._Plan.walk, []
 
         def counted(self, pts):
             walks.append(len(pts))
-            return run(self, pts)
+            return walk(self, pts)
 
         bg = build("kahler-theta")
         chunk = _Jets(bg).chunk
-        monkeypatch.setattr(sugra.expr._Plan, "_run", counted)
+        monkeypatch.setattr(sugra.expr._Plan, "walk", counted)
         verify(bg, count=1500, seed=42)
         assert len(walks) == -(-1500 // chunk) <= 8
+
+    @staticmethod
+    def _two_failures() -> Background:
+        """alpha-ppwave with ``g(y1,y1) = y1``, which fails the signature
+        where ``y1 > 0``, and ``g(y2,y2) = -sqrt(y3)``, which leaves its
+        domain where ``y3 < 0``."""
+        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
+        edits = {"g(y1,y1) = ": "g(y1,y1) = y1", "g(y2,y2) = ": "g(y2,y2) = -sqrt(y3)"}
+        return parse_background_text("\n".join(next((new for old, new in edits.items() if ln.startswith(old)), ln)
+                                                for ln in lines) + "\n")
+
+    @staticmethod
+    def _fine_points(bg: Background, count: int) -> list[list[float]]:
+        """``count`` sample points where both edits of ``_two_failures`` are
+        fine: ``y1 = -0.5`` and ``y3 = 1``."""
+        pts = [list(p) for p in sample_points(bg.box, count, 7)]
+        for p in pts:
+            p[5], p[7] = -0.5, 1.0
+        return pts
 
     @pytest.mark.parametrize("wrong, bad", [(3, 9), (3, "next batch"), (9, 3), ("next batch", 3),
                                             (3, "next chunk"), ("next chunk", 3)])
@@ -775,16 +814,11 @@ class TestStreamedPlans:
         """A signature failure at one point and a domain error at another:
         the earlier of the two is raised, in one batch, across two batches of
         a walk chunk, or across two chunks."""
-        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
-        edits = {"g(y1,y1) = ": "g(y1,y1) = y1", "g(y2,y2) = ": "g(y2,y2) = -sqrt(y3)"}
-        bg = parse_background_text("\n".join(next((new for old, new in edits.items() if ln.startswith(old)), ln)
-                                             for ln in lines) + "\n")
+        bg = self._two_failures()
         jets = _Jets(bg)
         later = {"next batch": jets.core.batch + 2, "next chunk": jets.chunk + 2}
         wrong, bad = (later.get(k, k) for k in (wrong, bad))
-        pts = [list(p) for p in sample_points(bg.box, jets.chunk + 20, 7)]
-        for p in pts:
-            p[5], p[7] = -0.5, 1.0
+        pts = self._fine_points(bg, jets.chunk + 20)
         pts[wrong][5], pts[bad][7] = 0.5, -1.0
         pts = [tuple(p) for p in pts]
         with pytest.raises((sugra.forms.FormError, EvalDomainError)) as err:
@@ -792,6 +826,44 @@ class TestStreamedPlans:
         first = min(wrong, bad)
         assert isinstance(err.value, EvalDomainError) == (first == bad)
         assert f"{pts[first]}" in str(err.value)
+
+    def test_signature_failure_before_a_nan_point_is_reported(self):
+        """A point whose coordinate is NaN makes every entry that depends on
+        it non-finite there; a signature failure at an earlier point is still
+        the one raised.  (NaN equals nothing, so the failing point cannot be
+        found again among the points by equality.)"""
+        bg = self._two_failures()
+        pts = self._fine_points(bg, 20)
+        pts[2][5], pts[5][0] = 0.5, float("nan")
+        pts = [tuple(p) for p in pts]
+        with pytest.raises(sugra.forms.FormError, match="negative eigenvalues") as err:
+            _residual_rows(bg, pts, ("einstein",))
+        assert f"at {pts[2]}, declared" in str(err.value)
+
+    def test_a_failing_chunk_is_walked_once(self, monkeypatch):
+        """A chunk with a domain error is walked once: each ``sqrt`` node of
+        its plan is computed once, at all of its points, and the points
+        before the error are contracted."""
+        bg = self._two_failures()
+        pts = self._fine_points(bg, 50)
+        pts[9][7] = -1.0
+        computed, contracted = [], []
+        np_sqrt, residuals = sugra.expr.Sqrt._np, _Contractions.residuals
+
+        def counted_sqrt(self, points, arg):
+            computed.append((id(self), len(points)))
+            return np_sqrt(self, points, arg)
+
+        def counted_residuals(self, points, values):
+            contracted.append(len(points))
+            return residuals(self, points, values)
+
+        monkeypatch.setattr(sugra.expr.Sqrt, "_np", counted_sqrt)
+        monkeypatch.setattr(_Contractions, "residuals", counted_residuals)
+        with pytest.raises(EvalDomainError, match="square root of a negative value"):
+            _residual_rows(bg, pts, ("einstein",))
+        assert computed and len(set(computed)) == len(computed)
+        assert {n for _, n in computed} == {50} and sum(contracted) == 9
 
 
 class TestDenseMetric:
