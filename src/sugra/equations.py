@@ -488,11 +488,17 @@ class _Contractions:
     def residuals(self, points, values: np.ndarray) -> dict[str, np.ndarray]:
         """The residual components of each family at a batch of points, as
         arrays of shape ``(len(points), components)``, from the values of
-        the jet entries there (one row per point)."""
+        the jet entries there (one row per point).  A non-finite residual
+        before the first point where the signature fails is raised first."""
         tape = np.empty((self.ncols, len(points)))
         tape[:self.one] = values.T
         tape[self.one], tape[self.zero] = 1.0, 0.0
-        self._metric(tape, points)
+        try:
+            self._metric(tape, points)
+        except FormError as err:  # contract the points before it, which pass the check
+            if err.index:
+                self.residuals(points[:err.index], values[:err.index])
+            raise
         with np.errstate(all="ignore"):  # a non-finite result is refused below
             for ia, ib, coef, starts, lo, hi in self.ops:
                 p = tape[ia]

@@ -16,14 +16,14 @@ and safe to share between threads.  They support
 Every operation is one walk over the distinct nodes (by identity) of its
 expressions, children first (:func:`_distinct_nodes`), applying a local rule
 of each node class to the results of its children: shared subtrees cost
-once and no operation recurses.  Sort keys are nested tuples built at
-construction; comparing two recurses in C through their depth, which the
-parser's bound keeps within the interpreter's limit for parsed input.
+once and no operation recurses.
 
 There is deliberately no general simplifier: the smart constructors only
 absorb literal zeros and ones (and fold arithmetic on literal constants),
-which keeps repeated differentiation tractable.  All downstream comparisons
-are made by evaluation, never by structural equality.
+which keeps repeated differentiation tractable.  Sums and products keep
+their terms in the order they were built, the folded constant first, so no
+operation compares the structure of two expressions: all downstream
+comparisons are made by evaluation.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ class Chart:
 class Expr:
     """Base class of all expression nodes.  Immutable; identity-hashed.
 
-    Subclasses set ``_key`` (see :meth:`sort_key`) in ``__init__`` from
-    their children's keys and implement the local rules below.
+    Subclasses implement the local rules below.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ()
     _prec = 5  # how tightly the printed form binds; see _paren
 
     # -- operator sugar -------------------------------------------------
@@ -194,15 +193,11 @@ class Expr:
         raise NotImplementedError
 
     def _rebuild(self, kids: list) -> "Expr":
-        """The same node over the children ``kids``, sums and products re-sorted."""
+        """The same node over the children ``kids``."""
         return type(self)(*kids)
 
     def _children(self) -> tuple:
         return ()
-
-    def sort_key(self):
-        """Structural key that orders the terms of sums and products."""
-        return self._key
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -216,16 +211,11 @@ def _as_expr(x) -> Expr:
     raise ExprError(f"cannot interpret {x!r} as an expression")
 
 
-def _sorted(nodes) -> tuple:
-    return tuple(sorted(nodes, key=Expr.sort_key))
-
-
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
         self.value = float(value)
-        self._key = (0, self.value)
 
     def _diff(self, index, d):
         return _ZERO
@@ -254,7 +244,6 @@ class Coord(Expr):
         if index < 0:
             raise ExprError(f"coordinate index must be non-negative, got {index}")
         self.index = index
-        self._key = (1, index)
 
     def _diff(self, index, d):
         return _ONE if index == self.index else _ZERO
@@ -273,9 +262,8 @@ class Add(Expr):
     __slots__ = ("terms",)
     _prec = 1
 
-    def __init__(self, terms: tuple[Expr, ...]):
+    def __init__(self, *terms: Expr):
         self.terms = terms
-        self._key = (9, tuple([x._key for x in terms]))
 
     def _diff(self, index, d):
         return add(*[d[x] for x in self.terms])
@@ -285,9 +273,6 @@ class Add(Expr):
 
     def _children(self):
         return self.terms
-
-    def _rebuild(self, kids):
-        return Add(_sorted(kids))
 
     def _text(self, names, t):
         parts = [t[self.terms[0]]]
@@ -305,9 +290,8 @@ class Mul(Expr):
     __slots__ = ("factors",)
     _prec = 2
 
-    def __init__(self, factors: tuple[Expr, ...]):
+    def __init__(self, *factors: Expr):
         self.factors = factors
-        self._key = (8, tuple([f._key for f in factors]))
 
     def _diff(self, index, d):
         terms = []
@@ -321,9 +305,6 @@ class Mul(Expr):
 
     def _children(self):
         return self.factors
-
-    def _rebuild(self, kids):
-        return Mul(_sorted(kids))
 
     def _text(self, names, t):
         parts = [_paren(self.factors[0], 2, t)]
@@ -340,7 +321,6 @@ class Neg(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
-        self._key = (7, arg._key)
 
     def _diff(self, index, d):
         return neg(d[self.arg])
@@ -362,7 +342,6 @@ class Div(Expr):
     def __init__(self, num: Expr, den: Expr):
         self.num = num
         self.den = den
-        self._key = (6, num._key, den._key)
 
     def _diff(self, index, d):
         dn = d[self.num]
@@ -388,7 +367,6 @@ class IntPow(Expr):
     def __init__(self, base: Expr, exponent: int):
         self.base = base
         self.exponent = exponent
-        self._key = (5, base._key, exponent)
 
     def _diff(self, index, d):
         db = d[self.base]
@@ -417,7 +395,6 @@ class _Func(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
-        self._key = (2, self.name, arg._key)
 
     def _children(self):
         return (self.arg,)
@@ -512,12 +489,12 @@ def add(*terms) -> Expr:
         else:
             flat.append(t)
     if csum != 0.0:
-        flat.append(Const(csum))
+        flat.insert(0, Const(csum))
     if not flat:
         return _ZERO
     if len(flat) == 1:
         return flat[0]
-    return Add(_sorted(flat))
+    return Add(*flat)
 
 
 def mul(*factors) -> Expr:
@@ -538,10 +515,10 @@ def mul(*factors) -> Expr:
     if not flat:
         return Const(cprod)
     if cprod != 1.0:
-        flat.append(Const(cprod))
+        flat.insert(0, Const(cprod))
     if len(flat) == 1:
         return flat[0]
-    return Mul(_sorted(flat))
+    return Mul(*flat)
 
 
 def neg(e) -> Expr:
@@ -788,9 +765,10 @@ _TOKEN_RE = re.compile(
 
 _FUNCS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
 
-# Deepest nesting that parse accepts: parentheses (function calls included)
-# plus the ``/`` links of a quotient chain, each of which nests the sort key
-# of everything before it.  Shipped files nest 3.
+# Deepest nesting that parse accepts: parentheses (function calls included),
+# each a few frames of the recursive descent below, plus the ``/`` links of
+# a quotient chain, which the README's bad-input contract counts too.
+# Shipped files nest 3.
 _MAX_NESTING = 100
 
 

@@ -359,16 +359,19 @@ def metric_values(m: Metric, points) -> tuple[np.ndarray, np.ndarray]:
 def check_signature_values(vals: np.ndarray, signature: tuple[int, int], points) -> None:
     """Check the eigenvalues of a metric at each point (one row per point)
     for invertibility and the declared count ``q`` of negative eigenvalues;
-    raise at the first point that fails."""
+    raise at the first point that fails, with its position in ``.index``."""
     degenerate = np.any(np.abs(vals) < 1e-12, axis=1)
     negs = np.sum(vals < 0.0, axis=1)
     bad = degenerate | (negs != signature[1])
     if bad.any():  # degenerate comes first at a point
         k = int(np.argmax(bad))
         if degenerate[k]:
-            raise SingularMetricError(f"metric is degenerate at {tuple(points[k])}")
-        raise FormError(f"metric has {negs[k]} negative eigenvalues at {tuple(points[k])}, "
-                        f"declared {signature[1]}")
+            err = SingularMetricError(f"metric is degenerate at {tuple(points[k])}")
+        else:
+            err = FormError(f"metric has {negs[k]} negative eigenvalues at {tuple(points[k])}, "
+                            f"declared {signature[1]}")
+        err.index = k
+        raise err
 
 
 # -- symbolic determinant / adjugate with zero pruning ----------------------

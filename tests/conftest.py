@@ -7,7 +7,8 @@ import zlib
 
 import numpy as np
 
-from sugra.expr import Chart, add, const, coord, cos, div, evaluate_points, intpow, mul, sin, _Plan
+from sugra.expr import (Chart, add, const, coord, cos, div, evaluate_points, intpow, mul, sin, _Plan,
+                        _distinct_nodes)
 from sugra.forms import KForm, Metric
 
 
@@ -28,6 +29,16 @@ def form_fn(form: KForm):
     for the oracles in ``oracles.py``; the walk is laid out once."""
     plan = _Plan(list(form.coeffs.values()))
     return lambda p: dict(zip(form.coeffs, plan.values([p])[0].tolist()))
+
+
+def structure(e) -> tuple:
+    """``e`` as nested tuples ``(class, payload, children)``, built children
+    first, for tests that compare two expressions node by node."""
+    s: dict = {}
+    for node in _distinct_nodes([e]):
+        payload = getattr(node, "value", getattr(node, "index", getattr(node, "exponent", None)))
+        s[node] = (type(node).__name__, payload, tuple([s[c] for c in node._children()]))
+    return s[e]
 
 
 def count_plans(monkeypatch) -> list[int]:

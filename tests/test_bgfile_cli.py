@@ -84,7 +84,16 @@ class TestParser:
     @pytest.mark.parametrize("ident", catalog_ids())
     def test_shipped_files_are_rendered_builders(self, ident):
         """Each shipped file is the rendered builder, byte for byte (this pins
-        the order of its lines)."""
+        the order of its lines).  A change that moves them on purpose
+        regenerates the files, from the root of the repository:
+
+            PYTHONPATH=src python -c "from pathlib import Path; \\
+                from sugra.bgfile import render_background; \\
+                from sugra.catalog import build, catalog_ids, get_entry
+            for i in catalog_ids():
+                Path(f'src/sugra/backgrounds/{i}.bg').write_text(
+                    render_background(build(i), header=f'{i}: {get_entry(i).summary}'))"
+        """
         text = render_background(build(ident), header=f"{ident}: {get_entry(ident).summary}")
         assert (SHIPPED / f"{ident}.bg").read_text() == text
 
@@ -231,7 +240,7 @@ class TestCli:
         pytest.param("g(x1,x1) = ", "g(x1,x1) = -" + "(" * 260 + "1" + ")" * 260,
                      "{path}:9: metric entry g(x1,x1): parentheses and quotients nested deeper than 100",
                      id="nesting"),
-        # two similar quotient chains: comparing their sort keys recursed too deep
+        # two quotient chains of 1,500 links, each link counted against the bound
         pytest.param("g(u,u) = ", "g(u,u) = 1 + u" + "/(1+x1^2)" * 1500 + " + v" + "/(1+x1^2)" * 1500,
                      "{path}:7: metric entry g(u,u): parentheses and quotients nested deeper than 100",
                      id="quotients"),

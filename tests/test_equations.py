@@ -534,6 +534,22 @@ class TestJetCore:
             core.residuals([(0.0,), (1.0,)][:size], values[:size])
         assert str(err.value) == "non-finite einstein residual at (0.0,)"
 
+    @pytest.mark.parametrize("size", [2, 1])
+    def test_overflow_before_a_signature_failure_comes_first(self, size):
+        """An overflow at point 0 (|F|^2 of a flux of size 1e160) is raised
+        before the signature failure at point 1 (a metric with five negative
+        eigenvalues, four declared), whatever the batch."""
+        m = 5
+        g = np.diag([2.0] + [-2.0] * (m - 1)) + 0.1 * (np.ones((m, m)) - np.eye(m))
+        f = np.ones((2,) + (m,) * 4)
+        f[0] *= 1e160
+        core, values = self._dense_core({"h": np.array([g, -np.eye(m)]), "F": f}, (1, m - 1))
+        points = [(0.0,), (1.0,)]
+        with pytest.raises(sugra.forms.FormError) as err:
+            for lo in range(0, len(points), size):
+                core.residuals(points[lo:lo + size], values[lo:lo + size])
+        assert str(err.value) == "non-finite einstein residual at (0.0,)"
+
     def test_flux_algebra_on_dense_data(self):
         """The planned flux contractions against one-point numpy contractions
         on a dense Lorentzian metric and a dense random 4-form, where no

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_plans, random_scalar, rng_for
+from conftest import count_plans, random_scalar, rng_for, structure
 from oracles import central_diff
 
 from sugra.expr import (
     Add,
     Chart,
     Const,
-    Coord,
     Div,
     EvalDomainError,
     Exp,
@@ -122,11 +121,11 @@ class TestParse:
     @settings(max_examples=60, deadline=1000, derandomize=True, database=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_parse_inverts_to_text(self, seed):
-        """``parse(to_text(e)) == e`` by sort key, for random scalars on a
+        """``parse(to_text(e)) == e`` node by node, for random scalars on a
         two-coordinate chart (so both coordinates often coincide)."""
         chart = Chart(("p", "q"))
         e = random_scalar(chart, np.random.default_rng(seed))
-        assert parse(to_text(e, chart), chart).sort_key() == e.sort_key()
+        assert structure(parse(to_text(e, chart), chart)) == structure(e)
 
 
 class TestEval:
@@ -192,7 +191,7 @@ class TestEval:
         # 2^61 - 1 tree nodes but 61 distinct ones
         e = coord(1)
         for _ in range(60):
-            e = Add((e, e))
+            e = Add(e, e)
         assert evaluate(e, (0.0, 3.0, 0.0, 0.0, 0.0)) == 3.0 * 2.0 ** 60
         assert evaluate(diff(e, 1), (0.0,) * 5) == 2.0 ** 60
         assert evaluate(remap_coords(e, {1: 3}), (0.0, 0.0, 0.0, 5.0, 0.0)) == 5.0 * 2.0 ** 60
@@ -203,17 +202,26 @@ class TestEval:
         for _ in range(2500):
             e = Sin(Neg(e))
         assert to_text(e, W5) == "sin(-" * 2500 + "x1" + ")" * 2500
-        key = e.sort_key()
-        for _ in range(2500):
-            assert key[:2] == (2, "sin") and key[2][0] == 7
-            key = key[2][1]
-        assert key == Coord(1).sort_key()
         x, dx = 0.7, 1.0  # the chain rule, one link at a time
         for _ in range(2500):
             x, dx = math.sin(-x), -math.cos(-x) * dx
         assert evaluate(e, (0.0, 0.7, 0.0, 0.0, 0.0)) == pytest.approx(x, rel=1e-12)
         assert evaluate(diff(e, 1), (0.0, 0.7, 0.0, 0.0, 0.0)) == pytest.approx(dx, rel=1e-10)
         assert evaluate(remap_coords(e, {1: 4}), (0.0, 0.0, 0.0, 0.0, 0.7)) == pytest.approx(x, rel=1e-12)
+
+    def test_similar_deep_chains_combine(self):
+        """``add`` and ``mul`` of two chains, built in code, that agree for
+        1,000 levels: no construction compares their structure."""
+        a, b = coord(0), coord(1)
+        x, dx, y = 0.3, 1.0, 0.7  # the values of a and b, and a's derivative
+        for _ in range(1000):
+            a, b = Sin(Neg(a)), Sin(Neg(b))
+            x, dx, y = math.sin(-x), -math.cos(-x) * dx, math.sin(-y)
+        p = (0.3, 0.7, 0.0, 0.0, 0.0)
+        for e, value, d in ((add(a, b), x + y, dx), (mul(a, b), x * y, dx * y)):
+            assert to_text(e, W5).count("sin(-") == 2000
+            assert evaluate(e, p) == pytest.approx(value, rel=1e-12)
+            assert evaluate(diff(e, 0), p) == pytest.approx(d, rel=1e-10)
 
     def test_wide_sum(self):
         terms = [mul(float(k), coord(k % 5)) for k in range(1, 5001)]
@@ -286,8 +294,8 @@ class TestDiff:
         rng = rng_for("gradient")
         for _ in range(20):
             e = random_scalar(W5, rng)
-            got = [g.sort_key() for g in gradient(e, [4, 0, 2, 0])]
-            assert got == [diff(e, i).sort_key() for i in (4, 0, 2, 0)]
+            got = [structure(g) for g in gradient(e, [4, 0, 2, 0])]
+            assert got == [structure(diff(e, i)) for i in (4, 0, 2, 0)]
         assert gradient(coord(1), []) == []
 
     def test_against_central_differences_random(self):

@@ -49,14 +49,39 @@ print(json.dumps(runs))
 """
 
 
+# Every catalog id rendered, then kahler-theta's report at 100 points.
+_RENDER_AND_VERIFY = """
+from sugra.bgfile import render_background
+from sugra.catalog import build, catalog_ids
+from sugra.cli import main
+for ident in catalog_ids():
+    print(render_background(build(ident), header=ident))
+main(["verify", "kahler-theta", "--json", "--points", "100"])
+"""
+
+
+def _run(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh process that imports ``src``, with ``env`` added."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=600)
+
+
 @pytest.fixture(scope="module")
 def reports() -> dict:
     """The report of every catalog id, from one fresh process under ``DISPATCH``."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _VERIFY_ALL, *catalog_ids()], capture_output=True,
-                          text=True, env={**os.environ, **DISPATCH, "PYTHONPATH": path}, timeout=600)
+    done = _run(_VERIFY_ALL, *catalog_ids(), **DISPATCH)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_output_does_not_depend_on_string_hashing():
+    """Sums and products keep their terms in the order they were built, so
+    the rendered catalog and a report are the same bytes under two hash
+    seeds: no iteration over hashed strings reaches that order."""
+    runs = [_run(_RENDER_AND_VERIFY, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_one_stored_report_per_catalog_id():
