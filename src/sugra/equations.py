@@ -41,18 +41,18 @@ from .forms import (
     FormError,
     KForm,
     Metric,
-    embed_form,
     ext_d,
     form_inner,
     hodge,
     metric_values,
     perm_sign,
+    pullback,
     solve_blocks,
     wedge,
     zero_form,
     _components,
 )
-from .geometry import ProductStructure, product_metric
+from .geometry import PRODUCT_COORDS, ProductStructure, product_metric
 
 __all__ = [
     "FluxSpec",
@@ -245,7 +245,7 @@ def assemble_flux(fs: FluxSpec, ps: ProductStructure) -> KForm:
     chart = ps.chart
     total = zero_form(chart, 4)
     for _, lo, hi in fs.terms(ps):
-        total = total + wedge(embed_form(lo, chart, 0), embed_form(hi, chart, 5))
+        total = total + wedge(*(pullback(f, chart, PRODUCT_COORDS[f.chart.dim]) for f in (lo, hi)))
     return total
 
 
@@ -803,7 +803,7 @@ def _row_terms(text: str, pieces: dict, ps: ProductStructure) -> list[tuple[str,
             tokens.pop()
             a, b = form, atom()
             if a.chart.names != b.chart.names:
-                a, b = (embed_form(f, ps.chart, 0 if f.chart.dim == 5 else 5) for f in (a, b))
+                a, b = (pullback(f, ps.chart, PRODUCT_COORDS[f.chart.dim]) for f in (a, b))
             form = wedge(a, b)
         if tokens[-1] == "/":
             tokens.pop()

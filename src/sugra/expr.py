@@ -10,7 +10,7 @@ and safe to share between threads.  They support
   each node computed once for a whole batch of points; its walk is laid out
   once as a plan that can be run batch after batch; domain errors carry
   the offending subexpression and the first point where it fails,
-* coordinate remapping, and
+* substitution of an expression for each coordinate, and
 * parsing from text (at most ``_MAX_NESTING`` levels deep) and printing.
 
 Every operation is one walk over the distinct nodes (by identity) of its
@@ -72,7 +72,7 @@ __all__ = [
     "gradient",
     "to_text",
     "compile_expr",
-    "remap_coords",
+    "substitute",
     "depends_on",
     "is_zero",
 ]
@@ -726,12 +726,12 @@ def _paren(e: Expr, min_prec: int, t: dict) -> str:
     return f"({t[e]})" if e._prec < min_prec else t[e]
 
 
-def remap_coords(e: Expr, table: dict[int, int]) -> Expr:
-    """Rebuild ``e`` with every coordinate index sent through ``table``.  Each
+def substitute(e: Expr, table: Sequence[Expr] | dict[int, Expr]) -> Expr:
+    """Rebuild ``e`` with every coordinate ``i`` replaced by ``table[i]``.  Each
     node keeps its class (a nested sum is not flattened into its parent)."""
     new: dict = {}
     for node in _distinct_nodes([e]):
-        new[node] = (Coord(table[node.index]) if isinstance(node, Coord)
+        new[node] = (table[node.index] if isinstance(node, Coord)
                      else node._rebuild([new[c] for c in node._children()]))
     return new[e]
 

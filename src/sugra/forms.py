@@ -32,8 +32,8 @@ from .expr import (
     is_zero,
     mul,
     neg,
-    remap_coords,
     sqrt,
+    substitute,
     _as_expr,
 )
 
@@ -53,8 +53,7 @@ __all__ = [
     "coordinate_form",
     "monomial_form",
     "volume_form",
-    "embed_form",
-    "restrict_form",
+    "pullback",
     "perm_sign",
     "sym_inverse",
 ]
@@ -551,34 +550,19 @@ def volume_form(m: Metric, orientation: Optional[Sequence[str]] = None) -> KForm
 
 
 # ---------------------------------------------------------------------------
-# Chart embeddings (factor chart <-> product chart).
+# Change of chart.
 # ---------------------------------------------------------------------------
 
-def embed_form(a: KForm, big: Chart, offset: int) -> KForm:
-    """Reinterpret a factor-chart form on ``big`` with indices shifted by ``offset``."""
-    n = a.chart.dim
-    if offset < 0 or offset + n > big.dim:
-        raise FormError(f"block [{offset}, {offset + n}) leaves the chart of dim {big.dim}")
-    table = {i: i + offset for i in range(n)}
-    coeffs = {
-        tuple(i + offset for i in key): remap_coords(val, table)
-        for key, val in a.coeffs.items()
-    }
-    return KForm(big, a.degree, coeffs)
-
-
-def restrict_form(a: KForm, small: Chart, offset: int) -> KForm:
-    """Inverse of :func:`embed_form`; errors if the form leaves the block."""
-    n = small.dim
-    table = {i + offset: i for i in range(n)}
-    coeffs = {}
-    for key, val in a.coeffs.items():
-        if any(i not in table for i in key):
-            raise FormError(f"component {key} lies outside the block at offset {offset}")
-        try:
-            coeffs[tuple(table[i] for i in key)] = remap_coords(val, table)
-        except KeyError as err:
-            raise FormError(f"component {key} depends on {a.chart.names[err.args[0]]!r}, "
-                            f"outside the block at offset {offset}") from None
-    return KForm(small, a.degree, coeffs)
-
+def pullback(a: KForm, chart: Chart, phi: Sequence[Expr]) -> KForm:
+    """``phi* a = sum_K (a_K o phi) dphi^K1 ^ ... ^ dphi^Kk`` on ``chart``, where
+    ``phi[i]`` is coordinate ``i`` of ``a``'s chart as an expression on
+    ``chart``.  Only the differentials that ``a``'s keys use are built."""
+    dphi = {i: KForm(chart, 1, {(j,): d for j, d in enumerate(gradient(phi[i], range(chart.dim)))})
+            for i in {i for key in a.coeffs for i in key}}
+    out = KForm(chart, a.degree)
+    for key, val in a.items():
+        term = KForm(chart, 0, {(): substitute(val, phi)})
+        for i in key:
+            term = wedge(term, dphi[i])
+        out = out + term
+    return out

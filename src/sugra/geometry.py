@@ -29,12 +29,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import (_ZERO, Chart, Expr, _as_expr, add, diff, evaluate_points, gradient, is_zero, mul, neg,
-                   remap_coords)
+from .expr import (_ZERO, Chart, Expr, _as_expr, add, coord, diff, evaluate_points, gradient, is_zero, mul,
+                   neg, substitute)
 from .forms import FormError, Metric, matrix_values, metric_values, sym_inverse
 
 __all__ = [
     "ProductStructure",
+    "PRODUCT_COORDS",
     "WalkerData",
     "christoffel",
     "ricci",
@@ -206,6 +207,10 @@ def validate_ricci_isotropic(w: WalkerData, points: Sequence[Sequence[float]],
         raise FormError(f"{checks[check][1]} at {tuple(points[point])}")
 
 
+#: Each factor's coordinates on the product chart, by factor dimension: Lorentzian first.
+PRODUCT_COORDS = {5: tuple(map(coord, range(5))), 6: tuple(map(coord, range(5, 11)))}
+
+
 @dataclass(frozen=True)
 class ProductStructure:
     """A (5, 6) block split: Lorentzian factor metric of signature (1, 4) on
@@ -238,9 +243,8 @@ class ProductStructure:
 
 def product_metric(ps: ProductStructure) -> Metric:
     """Block-diagonal 11x11 metric of signature (1, 10)."""
-    shift = {i: i + 5 for i in range(6)}
     rows = ([list(row) + [_ZERO] * 6 for row in ps.lorentz.entries]
-            + [[_ZERO] * 5 + [remap_coords(e, shift) for e in row] for row in ps.riemann.entries])
+            + [[_ZERO] * 5 + [substitute(e, PRODUCT_COORDS[6]) for e in row] for row in ps.riemann.entries])
     return Metric(ps.chart, rows, (1, 10))
 
 

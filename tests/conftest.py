@@ -9,7 +9,8 @@ import numpy as np
 
 from sugra.expr import (Chart, add, const, coord, cos, div, evaluate_points, intpow, mul, sin, _Plan,
                         _distinct_nodes)
-from sugra.forms import KForm, Metric
+from sugra.forms import KForm, Metric, pullback
+from sugra.geometry import PRODUCT_COORDS
 
 
 def values(e, points) -> np.ndarray:
@@ -52,6 +53,12 @@ def count_plans(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_Plan, "__init__", counting)
     return built
+
+
+def lift(form: KForm, chart: Chart) -> KForm:
+    """A factor form on the (5, 6) product ``chart``: its pullback by the
+    projection onto its factor."""
+    return pullback(form, chart, PRODUCT_COORDS[form.chart.dim])
 
 
 def flat_metric(chart: Chart, signature: tuple[int, int]) -> Metric:

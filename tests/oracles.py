@@ -6,13 +6,25 @@ symbolic derivative path it cross-checks.  The field-equation oracles build
 on it: they see the metric and the flux only through their values at points.
 :func:`jet_ricci` assembles the Ricci tensor from exact derivatives taken
 elsewhere (by sympy, in the tests).
+
+The covariance oracle manufactures exact backgrounds instead: the field
+equations are tensorial, so :func:`pull_back_background` of a solution by a
+diffeomorphism of each factor (:func:`linear_map`, :func:`shear_map`) is
+again a solution, with dense metric blocks, and the residuals of any
+background transform as tensors under it.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
+
+from sugra.equations import _PIECES, Background, FluxSpec
+from sugra.expr import add, coord, gradient, mul, substitute
+from sugra.forms import Metric, pullback
+from sugra.geometry import ProductStructure
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -165,3 +177,44 @@ def fd_closedness(fluxfn, point, h: float = 1e-4) -> dict:
     df = [richardson_partial(fluxfn, point, i, h) for i in range(n)]
     return {x: sum((-1) ** t * df[i][x[:t] + x[t + 1:]] for t, i in enumerate(x))
             for x in itertools.combinations(range(n), 5)}
+
+
+def linear_map(n: int, seed: int) -> list:
+    """``x + A x`` on an n-chart, as its n coordinate expressions, with the
+    entries of A drawn from U(-0.1, 0.1) by ``random.Random(seed)``."""
+    draw = random.Random(seed).uniform
+    return [add(coord(i), *[mul(draw(-0.1, 0.1), coord(j)) for j in range(n)]) for i in range(n)]
+
+
+def shear_map(n: int, seed: int) -> list:
+    """``x_i + sum_{j<=k} eps_ijk x_j x_k`` on an n-chart, with each eps drawn
+    from U(-0.05, 0.05) by ``random.Random(seed)``."""
+    draw = random.Random(seed).uniform
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    return [add(coord(i), *[mul(draw(-0.05, 0.05), coord(j), coord(k)) for j, k in pairs]) for i in range(n)]
+
+
+def pull_back_metric(m: Metric, phi) -> Metric:
+    """``J^T (g o phi) J`` on ``m``'s chart, with ``J[c][a] = d_a phi^c``."""
+    n = m.dim
+    jac = [gradient(p, range(n)) for p in phi]
+    g = [[substitute(e, phi) for e in row] for row in m.entries]
+    return Metric(m.chart, [[add(*[mul(jac[c][a], g[c][d], jac[d][b]) for c in range(n) for d in range(n)])
+                             if a <= b else 0.0 for b in range(n)] for a in range(n)], m.signature)
+
+
+def pull_back_background(bg: Background, phi5, phi6) -> Background:
+    """``bg`` pulled back by ``phi5`` on its 5-chart and ``phi6`` on its
+    6-chart: the metric blocks by :func:`pull_back_metric`, the form pieces
+    by ``pullback`` and the scalars phi and psi by ``substitute``.  Each side
+    of the sample box shrinks by 10%, and no predicate is kept."""
+    ps = bg.product
+    factors = {5: (ps.lorentz.chart, phi5), 6: (ps.riemann.chart, phi6)}
+    pieces = {}
+    for name, (dim, deg, _) in _PIECES.items():
+        if (f := getattr(bg.flux, name)) is not None:
+            chart, phi = factors[dim]
+            pieces[name] = pullback(f, chart, phi) if deg else substitute(f, phi)
+    box = [(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)) for lo, hi in bg.box]
+    return Background(ProductStructure(pull_back_metric(ps.lorentz, phi5), pull_back_metric(ps.riemann, phi6)),
+                      FluxSpec(**pieces), box, ident=bg.ident, provenance=f"{bg.provenance}, pulled back")

@@ -12,12 +12,11 @@ import time
 
 import numpy as np
 
-from conftest import flat_metric, matrix_fn, random_form, random_points, rng_for, values
+from conftest import flat_metric, lift, matrix_fn, random_form, random_points, rng_for, values
 from oracles import fd_ricci
 
 from sugra.expr import Chart, add, const, coord, evaluate_points, intpow, mul, parse
 from sugra.forms import (
-    embed_form,
     form_inner,
     hodge,
     interior,
@@ -90,32 +89,32 @@ def test_criterion_01_product_hodge_identities():
     worst = 0.0
     # the two volume-form identities, with s~ = 4, s = 6, p*q = 30
     worst = max(worst, max_coeff_delta(
-        hodge(embed_form(vol_l, C11, 0), h), embed_form(vol_r, C11, 5), pts,
+        hodge(lift(vol_l, C11), h), lift(vol_r, C11), pts,
         scale=(-1.0) ** 4))
     worst = max(worst, max_coeff_delta(
-        hodge(embed_form(vol_r, C11, 5), h), embed_form(vol_l, C11, 0), pts,
+        hodge(lift(vol_r, C11), h), lift(vol_l, C11), pts,
         scale=(-1.0) ** 6 * (-1.0) ** 30))
     for trial in range(200):
         kt = int(rng.integers(0, 5))
         k = int(rng.integers(0, 5))
         a5 = random_form(W5, kt, rng, nkeys=2)
         b6 = random_form(R6, k, rng, nkeys=2)
-        a5e = embed_form(a5, C11, 0)
-        b6e = embed_form(b6, C11, 5)
+        a5e = lift(a5, C11)
+        b6e = lift(b6, C11)
         # star(a5) = star5(a5) ^ vol_R
         worst = max(worst, max_coeff_delta(
-            hodge(a5e, h), wedge(embed_form(hodge(a5, gl), C11, 0),
-                                 embed_form(vol_r, C11, 5)), pts))
+            hodge(a5e, h), wedge(lift(hodge(a5, gl), C11),
+                                 lift(vol_r, C11)), pts))
         # star(b6) = (-1)^(pq) star6(b6) ^ vol_L
         worst = max(worst, max_coeff_delta(
-            hodge(b6e, h), wedge(embed_form(hodge(b6, gr), C11, 5),
-                                 embed_form(vol_l, C11, 0)), pts,
+            hodge(b6e, h), wedge(lift(hodge(b6, gr), C11),
+                                 lift(vol_l, C11)), pts,
             scale=(-1.0) ** 30))
         # star(a5 ^ b6) = (-1)^(k(p - kt)) star5(a5) ^ star6(b6)
         if kt + k <= 4:
             big = wedge(a5e, b6e)
-            rhs = wedge(embed_form(hodge(a5, gl), C11, 0),
-                        embed_form(hodge(b6, gr), C11, 5))
+            rhs = wedge(lift(hodge(a5, gl), C11),
+                        lift(hodge(b6, gr), C11))
             worst = max(worst, max_coeff_delta(hodge(big, h), rhs, pts,
                                                scale=(-1.0) ** (k * (5 - kt))))
             # <a5^b6, a5^b6>_h = <a5,a5> <b6,b6>

@@ -36,7 +36,7 @@ from sugra.expr import (
     intpow,
     mul,
     parse,
-    remap_coords,
+    substitute,
     to_text,
 )
 
@@ -194,7 +194,7 @@ class TestEval:
             e = Add(e, e)
         assert evaluate(e, (0.0, 3.0, 0.0, 0.0, 0.0)) == 3.0 * 2.0 ** 60
         assert evaluate(diff(e, 1), (0.0,) * 5) == 2.0 ** 60
-        assert evaluate(remap_coords(e, {1: 3}), (0.0, 0.0, 0.0, 5.0, 0.0)) == 5.0 * 2.0 ** 60
+        assert evaluate(substitute(e, {1: coord(3)}), (0.0, 0.0, 0.0, 5.0, 0.0)) == 5.0 * 2.0 ** 60
 
     def test_deep_chain_without_recursion(self):
         # sin(-sin(-...sin(-x1)...)), 5,000 nodes deep
@@ -207,7 +207,7 @@ class TestEval:
             x, dx = math.sin(-x), -math.cos(-x) * dx
         assert evaluate(e, (0.0, 0.7, 0.0, 0.0, 0.0)) == pytest.approx(x, rel=1e-12)
         assert evaluate(diff(e, 1), (0.0, 0.7, 0.0, 0.0, 0.0)) == pytest.approx(dx, rel=1e-10)
-        assert evaluate(remap_coords(e, {1: 4}), (0.0, 0.0, 0.0, 0.0, 0.7)) == pytest.approx(x, rel=1e-12)
+        assert evaluate(substitute(e, {1: coord(4)}), (0.0, 0.0, 0.0, 0.0, 0.7)) == pytest.approx(x, rel=1e-12)
 
     def test_similar_deep_chains_combine(self):
         """``add`` and ``mul`` of two chains, built in code, that agree for
@@ -363,7 +363,7 @@ class TestConstructors:
     def test_remap(self):
         e = parse("u * x1", W5)
         big = Chart(tuple(f"c{i}" for i in range(11)))
-        shifted = remap_coords(e, {0: 5, 1: 6})
+        shifted = substitute(e, {0: coord(5), 1: coord(6)})
         assert evaluate(shifted, (0,) * 5 + (2.0, 3.0, 0, 0, 0, 0)) == 6.0
 
     def test_chart_validation(self):

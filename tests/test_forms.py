@@ -1,6 +1,7 @@
 """Wedge, exterior derivative, interior product, inner products, Hodge star."""
 
 import ast
+import functools
 import itertools
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import flat_metric, random_form, random_points, rng_for, values
+from conftest import flat_metric, lift, random_form, random_points, rng_for, values
 
 from sugra.expr import (Chart, add, const, coord, cos, evaluate, evaluate_points, intpow, mul, parse, sin,
                         _as_expr)
@@ -20,13 +21,12 @@ from sugra.forms import (
     Metric,
     SingularMetricError,
     coordinate_form,
-    embed_form,
     ext_d,
     form_inner,
     hodge,
     interior,
     monomial_form,
-    restrict_form,
+    pullback,
     volume_form,
     wedge,
     zero_form,
@@ -171,44 +171,87 @@ class TestExteriorDerivative:
 
 C4 = Chart(("p", "q", "r", "s"))
 C4_POINTS = [(0.3, -0.7, 1.1, 0.2), (-1.2, 0.5, 0.0, 0.9), (0.8, 0.8, -0.4, -1.5)]
+W5_POINTS = [(0.3, -0.7, 1.1, 0.2, 0.5), (-1.2, 0.5, 0.0, 0.9, -0.4), (0.8, 0.8, -0.4, -1.5, 0.1)]
 
-# Scalars on C4: sums, products, sines and cosines of at most six leaves
-# (coordinates, their squares and cubes, small integers), so their values
-# and derivatives at C4_POINTS stay small enough for an absolute 1e-9.
-SCALARS = st.recursive(
-    st.one_of(st.integers(0, 3).map(coord), st.integers(-3, 3).map(const),
-              st.tuples(st.integers(0, 3).map(coord), st.integers(2, 3)).map(lambda t: intpow(*t))),
-    lambda kids: st.one_of(st.tuples(kids, kids).map(lambda t: add(*t)),
-                           st.tuples(kids, kids).map(lambda t: mul(*t)),
-                           kids.map(sin), kids.map(cos)),
-    max_leaves=6)
+
+@functools.cache
+def scalars(n: int):
+    """Scalars on an n-chart: sums, products, sines and cosines of at most
+    six leaves (coordinates, their squares and cubes, small integers), so
+    their values and derivatives at C4_POINTS stay small enough for an
+    absolute 1e-9."""
+    return st.recursive(
+        st.one_of(st.integers(0, n - 1).map(coord), st.integers(-3, 3).map(const),
+                  st.tuples(st.integers(0, n - 1).map(coord), st.integers(2, 3)).map(lambda t: intpow(*t))),
+        lambda kids: st.one_of(st.tuples(kids, kids).map(lambda t: add(*t)),
+                               st.tuples(kids, kids).map(lambda t: mul(*t)),
+                               kids.map(sin), kids.map(cos)),
+        max_leaves=6)
 
 
 @st.composite
-def c4_forms(draw, degree: int) -> KForm:
-    keys = list(itertools.combinations(range(4), degree))
+def chart_forms(draw, degree: int, chart: Chart = C4) -> KForm:
+    keys = list(itertools.combinations(range(chart.dim), degree))
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
-    return KForm(C4, degree, {k: draw(SCALARS) for k in chosen})
+    return KForm(chart, degree, {k: draw(scalars(chart.dim)) for k in chosen})
+
+
+def w5_forms(degree: int):
+    return chart_forms(degree, W5)
+
+
+@st.composite
+def w5_maps(draw) -> list:
+    """A polynomial map of the 5-chart to itself: each coordinate x_i plus at
+    most two terms c x_j or c x_j x_k, with |c| at most 1/2."""
+    monomials = st.lists(st.integers(0, 4).map(coord), min_size=1, max_size=2)
+    terms = st.tuples(st.sampled_from([-0.5, -0.25, 0.25, 0.5]), monomials).map(lambda t: mul(t[0], *t[1]))
+    return [add(coord(i), *draw(st.lists(terms, max_size=2))) for i in range(5)]
+
+
+def agree_to_scale(a: KForm, b: KForm, pts) -> tuple[bool, float]:
+    """:func:`form_values_equal` to 1e-9 of the largest component of ``a``
+    at ``pts``, or of 1 if that is smaller."""
+    top = np.max(np.abs(evaluate_points(list(a.coeffs.values()), pts)), initial=1.0)
+    return form_values_equal(a, b, pts, 1e-9 * float(top))
 
 
 class TestProperties:
-    """Laws of the exterior derivative on random forms over a 4-chart."""
+    """Laws of the exterior derivative on random forms over a 4-chart, and
+    the naturality of the pullback under polynomial maps of the 5-chart."""
 
     @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
-    @given(st.integers(0, 2).flatmap(c4_forms))
+    @given(st.integers(0, 2).flatmap(chart_forms))
     def test_d_squared_is_zero(self, a):
         dd = ext_d(ext_d(a))
         ok, worst = form_values_equal(dd, zero_form(C4, a.degree + 2), C4_POINTS)
         assert ok, worst
 
     @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
-    @given(st.integers(0, 3).flatmap(lambda k: st.tuples(c4_forms(k), c4_forms(3 - k))))
+    @given(st.integers(0, 3).flatmap(lambda k: st.tuples(chart_forms(k), chart_forms(3 - k))))
     def test_graded_leibniz(self, pair):
         """``d(a ^ b) = da ^ b + (-1)^k a ^ db`` for a k-form a."""
         a, b = pair
         lhs = ext_d(wedge(a, b))
         rhs = wedge(ext_d(a), b) + wedge(a, ext_d(b)).scale(const((-1.0) ** a.degree))
         ok, worst = form_values_equal(lhs, rhs, C4_POINTS)
+        assert ok, worst
+
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(st.integers(0, 3).flatmap(w5_forms), w5_maps())
+    def test_pullback_commutes_with_d(self, a, phi):
+        """``phi*(da) = d(phi* a)``."""
+        ok, worst = agree_to_scale(pullback(ext_d(a), W5, phi), ext_d(pullback(a, W5, phi)), W5_POINTS)
+        assert ok, worst
+
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(st.integers(0, 4).flatmap(lambda k: st.tuples(w5_forms(k), st.integers(0, 4 - k).flatmap(w5_forms))),
+           w5_maps())
+    def test_pullback_commutes_with_wedge(self, pair, phi):
+        """``phi*(a ^ b) = phi* a ^ phi* b``."""
+        a, b = pair
+        ok, worst = agree_to_scale(pullback(wedge(a, b), W5, phi),
+                                   wedge(pullback(a, W5, phi), pullback(b, W5, phi)), W5_POINTS)
         assert ok, worst
 
 
@@ -435,8 +478,8 @@ class TestProductIdentities:
         pts = random_points(rng, 3, 11)
         for kt in range(0, 5):
             a5 = random_form(W5, kt, rng)
-            lhs = hodge(embed_form(a5, C11, 0), h)
-            rhs = wedge(embed_form(hodge(a5, gl), C11, 0), embed_form(volume_form(gr), C11, 5))
+            lhs = hodge(lift(a5, C11), h)
+            rhs = wedge(lift(hodge(a5, gl), C11), lift(volume_form(gr), C11))
             ok, worst = form_values_equal(lhs, rhs, pts, 1e-9)
             assert ok, f"star(a5) != star5(a5)^vol_R by {worst}"
 
@@ -446,8 +489,8 @@ class TestProductIdentities:
         pts = random_points(rng, 3, 11)
         for k in range(0, 5):
             b6 = random_form(R6, k, rng)
-            lhs = hodge(embed_form(b6, C11, 5), h)
-            rhs = wedge(embed_form(hodge(b6, gr), C11, 5), embed_form(volume_form(gl), C11, 0))
+            lhs = hodge(lift(b6, C11), h)
+            rhs = wedge(lift(hodge(b6, gr), C11), lift(volume_form(gl), C11))
             rhs = rhs.scale(const((-1.0) ** (5 * 6)))
             ok, worst = form_values_equal(lhs, rhs, pts, 1e-9)
             assert ok, f"star(b6) != (-1)^(pq) star6(b6)^vol_L by {worst}"
@@ -455,12 +498,12 @@ class TestProductIdentities:
     def test_star_of_volume_forms(self):
         gl, gr, h = self._product()
         # star(vol_L) = (-1)^s~ vol_R with s~ = 4;  star(vol_R) = (-1)^s (-1)^(pq) vol_L
-        sv = hodge(embed_form(volume_form(gl), C11, 0), h)
-        want = embed_form(volume_form(gr), C11, 5)
+        sv = hodge(lift(volume_form(gl), C11), h)
+        want = lift(volume_form(gr), C11)
         ok, worst = form_values_equal(sv, want, [(0.1,) * 11], 1e-12)
         assert ok, worst
-        sv2 = hodge(embed_form(volume_form(gr), C11, 5), h)
-        want2 = embed_form(volume_form(gl), C11, 0)
+        sv2 = hodge(lift(volume_form(gr), C11), h)
+        want2 = lift(volume_form(gl), C11)
         ok, worst = form_values_equal(sv2, want2, [(0.1,) * 11], 1e-12)
         assert ok, worst
 
@@ -471,7 +514,7 @@ class TestProductIdentities:
         for kt, k in [(2, 1), (1, 2), (3, 0)]:
             a5 = random_form(W5, kt, rng)
             b6 = random_form(R6, k, rng)
-            big = wedge(embed_form(a5, C11, 0), embed_form(b6, C11, 5))
+            big = wedge(lift(a5, C11), lift(b6, C11))
             lhs = form_inner(big, big, h, pts)
             rhs = (form_inner(a5, a5, gl, [p[:5] for p in pts])
                    * form_inner(b6, b6, gr, [p[5:] for p in pts]))
@@ -484,34 +527,24 @@ class TestProductIdentities:
         for kt, k in [(2, 2), (1, 3), (3, 1), (4, 0), (0, 4)]:
             a5 = random_form(W5, kt, rng)
             b6 = random_form(R6, k, rng)
-            big = wedge(embed_form(a5, C11, 0), embed_form(b6, C11, 5))
+            big = wedge(lift(a5, C11), lift(b6, C11))
             lhs = hodge(big, h)
-            rhs = wedge(embed_form(hodge(a5, gl), C11, 0), embed_form(hodge(b6, gr), C11, 5))
+            rhs = wedge(lift(hodge(a5, gl), C11), lift(hodge(b6, gr), C11))
             rhs = rhs.scale(const((-1.0) ** (k * (5 - kt))))
             ok, worst = form_values_equal(lhs, rhs, pts, 1e-9)
             assert ok, f"mixed star factorization off by {worst}"
 
 
-class TestEmbedding:
-    def test_embed_restrict_roundtrip(self):
+class TestPullback:
+    def test_project_then_include_is_the_identity(self):
+        """A 6-chart form pulled back to the product chart by the projection,
+        then back by an inclusion ``y -> (0.3, ..., 0.3, y)``, is itself."""
         rng = rng_for("embed")
         a = random_form(R6, 2, rng)
-        big = embed_form(a, C11, 5)
-        back = restrict_form(big, R6, 5)
+        back = pullback(lift(a, C11), R6, [const(0.3)] * 5 + [coord(i) for i in range(6)])
         pts = random_points(rng, 3, 6)
         ok, worst = form_values_equal(a, back, pts, 1e-12)
         assert ok, worst
-
-    def test_restrict_detects_escape(self):
-        """A component off the block, or a coefficient that depends on a
-        coordinate off the block, is a FormError naming what escaped."""
-        cases = [(coordinate_form(C11, "u"), "component (0,) lies outside the block at offset 5"),
-                 (KForm(C11, 1, {(5,): mul(coord(0), sin(coord(6)))}),
-                  "component (5,) depends on 'u', outside the block at offset 5")]
-        for form, message in cases:
-            with pytest.raises(FormError) as err:
-                restrict_form(form, R6, 5)
-            assert str(err.value) == message
 
 
 class TestMetricValidation:
