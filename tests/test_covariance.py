@@ -83,6 +83,15 @@ def pulled_form(values: np.ndarray, keys: list, jac: np.ndarray, degree: int) ->
     return out
 
 
+def symmetric(rows: np.ndarray) -> np.ndarray:
+    """The symmetric 11x11 tensors whose upper triangles, row by row, are
+    the rows of ``rows`` (the order of the Einstein components)."""
+    out = np.zeros((len(rows), 11, 11))
+    i, j = np.triu_indices(11)
+    out[:, i, j] = out[:, j, i] = rows
+    return out
+
+
 def assert_close(got, want, what: str):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     tol = 1e-12 * float(np.max(np.abs(want), initial=0.0)) + 1e-10
@@ -102,15 +111,8 @@ def test_residuals_transform_as_tensors(target, chart_map, factor):
     jac[:, :5, :5], jac[:, 5:, 5:] = jacobian(phi5, x[:, :5]), jacobian(phi6, x[:, 5:])
     got, got_keys = components(mapped, [tuple(p) for p in x])
     at_y, keys = components(bg, [tuple(p) for p in y])
-
-    upper = list(zip(*np.triu_indices(11)))
-    def tensor(a):
-        e = np.zeros((len(a), 11, 11))
-        for c, (i, j) in enumerate(upper):
-            e[:, i, j] = e[:, j, i] = a[:, c]
-        return e
-    assert_close(tensor(got["einstein"]), np.einsum("pca,pcd,pdb->pab", jac, tensor(at_y["einstein"]), jac),
-                 "Einstein")
+    assert_close(symmetric(got["einstein"]),
+                 np.einsum("pca,pcd,pdb->pab", jac, symmetric(at_y["einstein"]), jac), "Einstein")
     assert_close(got["trace"], at_y["trace"], "trace")
     for family, degree in (("closedness", 5), ("maxwell", 8)):
         want = pulled_form(at_y[family], keys[family], jac, degree)
