@@ -179,7 +179,8 @@ def scalars(n: int):
     """Scalars on an n-chart: sums, products, sines and cosines of at most
     six leaves (coordinates, their squares and cubes, small integers), so
     their values and derivatives at C4_POINTS stay small enough for an
-    absolute 1e-9."""
+    absolute 1e-9.  Composed with a map, they are compared to scale
+    (:func:`agree_to_scale`)."""
     return st.recursive(
         st.one_of(st.integers(0, n - 1).map(coord), st.integers(-3, 3).map(const),
                   st.tuples(st.integers(0, n - 1).map(coord), st.integers(2, 3)).map(lambda t: intpow(*t))),
