@@ -24,13 +24,15 @@ A background file has five bracketed sections::
     ...
     tol = 1e-8               # optional default tolerance
 
-``#`` starts a comment; whitespace and blank lines are insignificant.  Only
-flux form pieces may repeat their key; a key repeated anywhere else is an
-error.  The
-``^`` in a flux line separates the coefficient expression from the wedge
-monomial (the split is at the last ``^`` whose tail is a pure coordinate
-list, so exponents inside the coefficient are fine).  Using a coordinate of
-the wrong block anywhere in a piece is a block violation.
+``#`` starts a comment; whitespace and blank lines are insignificant; the
+file is UTF-8.  Only flux form pieces may repeat their key; a key repeated
+anywhere else is an error.  The ``^`` in a flux line separates the
+coefficient expression from the wedge monomial (the split is at the last
+``^`` whose tail is a pure coordinate list, so exponents inside the
+coefficient are fine).  The reader collects each section's ``(key, value,
+line)`` triples alike, then resolves every coordinate name (metric key, wedge
+factor, ``[sample]`` key, expression identifier) by chart membership: the
+line's own block, the other block's (a block violation), or unknown.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .expr import Chart, Expr, ExprError, const, is_zero, parse, to_text
+from .expr import Chart, Expr, ExprError, const, depends_on, is_zero, parse, to_text
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
 from .equations import _PIECES, DEFAULT_TOL, Background, FluxSpec
@@ -68,188 +70,170 @@ _METRIC_RE = re.compile(r"g\(\s*(\w+)\s*,\s*(\w+)\s*\)$")
 _WEDGE_TAIL_RE = re.compile(r"\^\s*([A-Za-z_]\w*(?:\s+[A-Za-z_]\w*)*)\s*$")
 
 
-def _parse_block_expr(text: str, own: Chart, other: Chart, line: int, path: str,
-                      what: str) -> Expr:
-    try:
-        return parse(text, own)
-    except ExprError as err:
-        ident = re.search(r"unknown identifier '(\w+)'", str(err))
-        if ident and ident.group(1) in other.names:
-            raise BlockViolationError(
-                f"{what} uses coordinate {ident.group(1)!r} from the other block",
-                line, path) from None
-        raise BgFileError(f"{what}: {err}", line, path) from None
-
-
 def parse_background_file(path) -> Background:
-    p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:  # a missing file, or one that is not UTF-8
         raise BgFileError(str(err), 0, str(path)) from None
     return parse_background_text(text, str(path))
 
 
 def parse_background_text(text: str, path: str = "") -> Background:
+    lines: dict[str, list[tuple[str, str, int]]] = {name: [] for name in _SECTIONS}
     section: Optional[str] = None
-    charts: dict[str, Chart] = {}
-    metric_lines: dict[str, list[tuple[str, str, str, int]]] = {
-        "metric.lorentz": [], "metric.riemann": []}
-    flux_lines: list[tuple[str, str, int]] = []
-    sample_lines: list[tuple[str, str, int]] = []
-
-    any_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        any_content = True
         if line.startswith("["):
             if not line.endswith("]"):
                 raise BgFileError(f"unterminated section header {line!r}", lineno, path)
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise BgFileError(f"unknown section [{name}]", lineno, path)
-            section = name
-            continue
-        if section is None:
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise BgFileError(f"unknown section [{section}]", lineno, path)
+        elif section is None:
             raise BgFileError(f"content before the first section: {line!r}", lineno, path)
-        if "=" not in line:
+        elif "=" not in line:
             raise BgFileError(f"expected 'key = value', got {line!r}", lineno, path)
-        key, value = (s.strip() for s in line.split("=", 1))
-        if section == "chart":
-            names = tuple(value.split())
-            size = {"lorentz": 5, "riemann": 6}.get(key)
-            if size is None:
-                raise BgFileError(f"unknown chart key {key!r}", lineno, path)
-            if len(names) != size:
-                raise BgFileError(f"{key} chart needs {size} coordinates", lineno, path)
-            if key in charts:
-                raise BgFileError(f"duplicate {key} chart", lineno, path)
-            charts[key] = Chart(names)
-        elif section in ("metric.lorentz", "metric.riemann"):
-            m = _METRIC_RE.match(key)
-            if not m:
-                raise BgFileError(f"metric keys look like g(a,b); got {key!r}", lineno, path)
-            metric_lines[section].append((m.group(1), m.group(2), value, lineno))
-        elif section == "flux":
-            flux_lines.append((key, value, lineno))
         else:
-            sample_lines.append((key, value, lineno))
-
-    if not any_content:
+            key, value = (s.strip() for s in line.split("=", 1))
+            lines[section].append((key, value, lineno))
+    if section is None:
         raise BgFileError("empty background file", 0, path)
-    chart_l, chart_r = charts.get("lorentz"), charts.get("riemann")
-    if chart_l is None or chart_r is None:
+
+    charts: dict[str, Chart] = {}
+    for key, value, lineno in lines["chart"]:
+        names = tuple(value.split())
+        size = {"lorentz": 5, "riemann": 6}.get(key)
+        if size is None:
+            raise BgFileError(f"unknown chart key {key!r}", lineno, path)
+        if len(names) != size:
+            raise BgFileError(f"{key} chart needs {size} coordinates", lineno, path)
+        if key in charts:
+            raise BgFileError(f"duplicate {key} chart", lineno, path)
+        repeated = [n for n in names if names.count(n) > 1]
+        if repeated:
+            raise BgFileError(f"{key} chart repeats the name {repeated[0]!r}", lineno, path)
+        if "tol" in names:
+            raise BgFileError(f"{key} chart names a coordinate 'tol', which [sample] reads as "
+                              "the tolerance", lineno, path)
+        charts[key] = Chart(names)
+    if len(charts) != 2:
         raise BgFileError("missing [chart] section with lorentz and riemann lines", 0, path)
+    chart_l, chart_r = charts["lorentz"], charts["riemann"]
     overlap = set(chart_l.names) & set(chart_r.names)
     if overlap:
         raise BgFileError(f"charts share coordinates {sorted(overlap)}", 0, path)
+    # Per block: its own coordinates, then the other block's ([sample] is block 11).
+    blocks = {5: (chart_l.names, chart_r.names), 6: (chart_r.names, chart_l.names),
+             11: (chart_l.names + chart_r.names, ())}
 
-    def build_metric(sec: str, chart: Chart, other: Chart) -> Metric:
-        n = chart.dim
-        zero = const(0.0)
-        rows = [[zero] * n for _ in range(n)]
+    def coordinate(name: str, block: int, what: str, lineno: int) -> int:
+        """The index of ``name`` on ``block``'s chart; the other block's is a violation."""
+        own, other = blocks[block]
+        if name in own:
+            return own.index(name)
+        if name in other:
+            raise BlockViolationError(f"{what} uses the other block's coordinate {name!r}",
+                                      lineno, path)
+        raise BgFileError(f"{what} uses unknown coordinate {name!r}", lineno, path)
+
+    def expression(text: str, block: int, what: str, lineno: int) -> Expr:
+        """``text`` parsed on the block's coordinates followed by the other block's,
+        so an index past the block's own chart is the other block's coordinate."""
+        own, other = blocks[block]
+        try:
+            e = parse(text, Chart(own + other))
+        except ExprError as err:
+            raise BgFileError(f"{what}: {err}", lineno, path) from None
+        if depends_on(e, range(len(own), len(own + other))):
+            coordinate(next(n for k, n in enumerate(other, len(own)) if depends_on(e, [k])),
+                       block, what, lineno)
+        return e
+
+    def metric(section: str, chart: Chart, signature: tuple[int, int]) -> Metric:
+        rows = [[const(0.0)] * chart.dim for _ in range(chart.dim)]
         seen = set()
-        for a, b, value, lineno in metric_lines[sec]:
-            for name in (a, b):
-                if name not in chart.names:
-                    if name in other.names:
-                        raise BlockViolationError(
-                            f"metric entry g({a},{b}) uses the other block's coordinate {name!r}",
-                            lineno, path)
-                    raise BgFileError(f"unknown coordinate {name!r} in g({a},{b})", lineno, path)
-            i, j = chart.index(a), chart.index(b)
-            if (min(i, j), max(i, j)) in seen:
-                raise BgFileError(f"duplicate metric entry g({a},{b})", lineno, path)
-            seen.add((min(i, j), max(i, j)))
-            e = _parse_block_expr(value, chart, other, lineno, path, f"metric entry g({a},{b})")
-            rows[i][j] = e
-            rows[j][i] = e
-        sig = (1, 4) if sec == "metric.lorentz" else (0, 6)
-        return Metric(chart, rows, sig)
+        for key, value, lineno in lines[section]:
+            m = _METRIC_RE.match(key)
+            if not m:
+                raise BgFileError(f"metric keys look like g(a,b); got {key!r}", lineno, path)
+            what = f"metric entry g({m[1]},{m[2]})"
+            i, j = sorted(coordinate(n, chart.dim, what, lineno) for n in m.groups())
+            if (i, j) in seen:
+                raise BgFileError(f"duplicate {what}", lineno, path)
+            seen.add((i, j))
+            rows[i][j] = rows[j][i] = expression(value, chart.dim, what, lineno)
+        return Metric(chart, rows, signature)
 
-    gl = build_metric("metric.lorentz", chart_l, chart_r)
-    gr = build_metric("metric.riemann", chart_r, chart_l)
+    product = ProductStructure(metric("metric.lorentz", chart_l, (1, 4)),
+                               metric("metric.riemann", chart_r, (0, 6)))
 
-    blocks = {5: (chart_l, chart_r), 6: (chart_r, chart_l)}
     pieces: dict = {}
-    for key, value, lineno in flux_lines:
+    for key, value, lineno in lines["flux"]:
         if key not in _PIECES:
             raise BgFileError(f"unknown flux piece {key!r}", lineno, path)
         dim, deg, _ = _PIECES[key]
-        own, other = blocks[dim]
         if not deg:
-            e = _parse_block_expr(value, own, other, lineno, path, f"flux scalar {key}")
             if key in pieces:
                 raise BgFileError(f"duplicate scalar {key!r}", lineno, path)
-            pieces[key] = e
+            pieces[key] = expression(value, dim, f"flux scalar {key}", lineno)
             continue
         m = _WEDGE_TAIL_RE.search(value)
         if m is None:
             raise BgFileError(
                 f"flux piece {key!r} needs the form '<coeff> ^ <coordinates>'", lineno, path)
-        names = tuple(m.group(1).split())
+        wedge = m[1].split()
+        for n in wedge:
+            coordinate(n, dim, f"flux piece {key}", lineno)
+        if len(wedge) != deg:
+            raise BgFileError(f"flux piece {key!r} must have degree {deg}, got {len(wedge)} "
+                              "wedge factors", lineno, path)
         coeff_text = value[:m.start()].strip()
-        unknown = [n for n in names if n not in chart_l.names and n not in chart_r.names]
-        if unknown:
-            raise BgFileError(
-                f"flux piece {key!r} wedges unknown coordinate {unknown[0]!r}", lineno, path)
-        if len(names) != deg:
-            raise BgFileError(
-                f"flux piece {key!r} must have degree {deg}, got {len(names)} wedge factors",
-                lineno, path)
-        for n in names:
-            if n not in own.names:
-                raise BlockViolationError(
-                    f"flux piece {key!r} wedges the other block's coordinate {n!r}",
-                    lineno, path)
         if not coeff_text:
             raise BgFileError(f"flux piece {key!r} is missing its coefficient", lineno, path)
-        coeff = _parse_block_expr(coeff_text, own, other, lineno, path, f"flux piece {key}")
-        term = monomial_form(own, coeff, names)
+        coeff = expression(coeff_text, dim, f"flux piece {key}", lineno)
+        term = monomial_form({5: chart_l, 6: chart_r}[dim], coeff, wedge)
         pieces[key] = pieces[key] + term if key in pieces else term
 
     box_map: dict[str, tuple[float, float]] = {}
     tol: Optional[float] = None
-    for key, value, lineno in sample_lines:
+    for key, value, lineno in lines["sample"]:
+        parts = [value] if key == "tol" else value.split()
+        if len(parts) != 2 and key != "tol":
+            raise BgFileError(f"sample range for {key!r} needs 'lo hi'", lineno, path)
+        try:
+            nums = [float(p) for p in parts]
+        except ValueError:
+            what = "tolerance" if key == "tol" else "sample range"
+            raise BgFileError(f"bad {what} {value!r}", lineno, path) from None
         if key == "tol":
-            try:
-                t = float(value)
-            except ValueError:
-                raise BgFileError(f"bad tolerance {value!r}", lineno, path) from None
-            if not (math.isfinite(t) and t > 0.0):
+            if not (math.isfinite(nums[0]) and nums[0] > 0.0):
                 raise BgFileError(f"tolerance must be finite and positive, got {value!r}",
                                   lineno, path)
             if tol is not None:
                 raise BgFileError("duplicate tolerance", lineno, path)
-            tol = t
+            tol = nums[0]
             continue
-        parts = value.split()
-        if len(parts) != 2:
-            raise BgFileError(f"sample range for {key!r} needs 'lo hi'", lineno, path)
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise BgFileError(f"bad sample range {value!r}", lineno, path) from None
+        lo, hi = nums
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise BgFileError(f"sample range for {key!r} must be finite, got {value!r}",
                               lineno, path)
         if not lo < hi:
             raise BgFileError(f"empty sample range for {key!r}", lineno, path)
-        if key not in chart_l.names and key not in chart_r.names:
-            raise BgFileError(f"sample range for unknown coordinate {key!r}", lineno, path)
+        if not math.isfinite(hi - lo):
+            raise BgFileError(f"sample range for {key!r} is wider than a float, got {value!r}",
+                              lineno, path)
+        coordinate(key, 11, "sample range", lineno)
         if key in box_map:
             raise BgFileError(f"duplicate sample range for {key!r}", lineno, path)
         box_map[key] = (lo, hi)
 
-    all_names = chart_l.names + chart_r.names
+    all_names = blocks[11][0]
     missing = [n for n in all_names if n not in box_map]
     if missing:
         raise BgFileError(f"missing sample ranges for {missing}", 0, path)
-
-    ps = ProductStructure(gl, gr)
-    return Background(ps, FluxSpec(**pieces), [box_map[n] for n in all_names],
+    return Background(product, FluxSpec(**pieces), [box_map[n] for n in all_names],
                       ident=Path(path).stem if path else "",
                       provenance=f"background file {path}" if path else "background file",
                       tolerance=tol)

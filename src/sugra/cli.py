@@ -128,7 +128,7 @@ def build_report(target: str, bg: Background, result: VerificationResult,
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _report_to_text(report: dict) -> str:

@@ -212,17 +212,19 @@ def draw_points(box, count: int, seed: int,
     lo) * random()`` from ``random.Random(seed)``, whose sequence Python
     keeps the same across versions, so a plan depends only on (box, count,
     seed, predicate).  At most ``1000 * count`` points are drawn.  ``count``
-    must be positive and ``seed`` non-negative; both are checked here, before
-    any point is drawn.
+    must be positive, ``seed`` non-negative, and the box's bounds and widths
+    finite; all are checked here, before any point is drawn.
     """
     if count < 1:
         raise FormError(f"sample count must be positive, got {count}")
     if seed < 0:
         raise FormError(f"sample seed must be non-negative, got {seed}")
+    ranges = [(lo, hi - lo) for lo, hi in box]
+    if not np.isfinite(ranges).all():
+        raise FormError(f"sample box bounds and widths must be finite, got {list(box)}")
 
     def draws():
         draw = random.Random(seed).random
-        ranges = [(lo, hi - lo) for lo, hi in box]
         kept = 0
         for _ in range(1000 * count):
             p = tuple([lo + width * draw() for lo, width in ranges])

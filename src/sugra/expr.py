@@ -33,7 +33,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -759,9 +759,10 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
 #   func   := 'sin' | 'cos' | 'exp' | 'sqrt'
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
-)
+# One ``(kind, text, pos)`` token per match: a number, an identifier, an
+# operator (told apart by its text), or a ``bad`` character that starts none.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)"
+                       r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 _FUNCS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
 
@@ -772,116 +773,87 @@ _FUNCS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
 _MAX_NESTING = 100
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = n - len(stripped)
-            raise ParseError(f"unexpected character {text[bad]!r}", text, bad)
-        if m.group("num") is not None:
-            toks.append(_Tok("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            toks.append(_Tok("ident", m.group("ident"), m.start("ident")))
-        else:
-            toks.append(_Tok(m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
-    toks.append(_Tok("end", "", n))
-    return toks
-
-
 class _Parser:
     def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
-        self.toks = _tokenize(text)
+        self.toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                     for m in _TOKEN_RE.finditer(text)] + [("end", "", len(text))]
         self.i = 0
         self.depth = 0
+        bad = [t for t in self.toks if t[0] == "bad"]
+        if bad:
+            self.fail("unexpected character", bad[0])
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def fail(self, message: str, tok: tuple, found: bool = True) -> NoReturn:
+        """Raise ``message`` at ``tok``, followed by the text found there."""
+        shown = f"{message} {tok[1] or 'end of input'!r}" if found else message
+        raise ParseError(shown, self.text, tok[2])
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
+    def peek(self) -> str:
+        """The text of the next token ("" at the end)."""
+        return self.toks[self.i][1]
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if its text is ``text``."""
+        taken = self.peek() == text
+        self.i += taken
+        return taken
+
+    def next(self) -> tuple:
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
-    def expect(self, kind: str) -> _Tok:
+    def expect(self, text: str) -> tuple:
         t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}", self.text, t.pos)
+        if t[1] != text:
+            self.fail(f"expected {text!r}, found", t)
         return t
 
     def parse(self) -> Expr:
         e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected trailing input {t.text!r}", self.text, t.pos)
+        if self.peek():
+            self.fail("unexpected trailing input", self.next())
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else add(e, neg(rhs))
+        while self.peek() in ("+", "-"):
+            e = add(e, self.term() if self.next()[1] == "+" else neg(self.term()))
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         depth = self.depth
-        while self.peek().kind in ("*", "/"):
+        while self.peek() in ("*", "/"):
             op = self.next()
-            if op.kind == "/":  # a quotient nests everything before it one level deeper
+            if op[1] == "/":  # a quotient nests everything before it one level deeper
                 self.nest(op)
-            rhs = self.factor()
-            e = mul(e, rhs) if op.kind == "*" else div(e, rhs)
+            e = mul(e, self.factor()) if op[1] == "*" else div(e, self.factor())
         self.depth = depth
         return e
 
     def factor(self) -> Expr:
-        negate = False
-        if self.peek().kind == "-":
-            self.next()
-            negate = True
+        negate = self.accept("-")
         e = self.base()
-        if self.peek().kind == "^":
-            self.next()
+        if self.accept("^"):
             e = intpow(e, self.exponent())
         return neg(e) if negate else e
 
     def exponent(self) -> int:
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         t = self.next()
-        if t.kind != "num" or not re.fullmatch(r"\d+", t.text):
-            raise ParseError(f"malformed exponent {t.text or 'end of input'!r}", self.text, t.pos)
-        return sign * int(t.text)
+        if t[0] != "num" or not t[1].isdigit():
+            self.fail("malformed exponent", t)
+        return sign * int(t[1])
 
-    def nest(self, tok: _Tok) -> None:
+    def nest(self, tok: tuple) -> None:
         """One level deeper at ``tok``, an opening parenthesis or a ``/``."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise ParseError(f"parentheses and quotients nested deeper than {_MAX_NESTING}",
-                             self.text, tok.pos)
+            self.fail(f"parentheses and quotients nested deeper than {_MAX_NESTING}", tok, False)
 
-    def group(self, opening: _Tok) -> Expr:
+    def group(self, opening: tuple) -> Expr:
         """The expression after ``opening`` and its closing parenthesis."""
         self.nest(opening)
         e = self.expr()
@@ -890,18 +862,16 @@ class _Parser:
         return e
 
     def base(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return Const(float(t.text))
-        if t.kind == "(":
+        kind, text, _ = t = self.next()
+        if kind == "num":
+            return Const(float(text))
+        if text == "(":
             return self.group(t)
-        if t.kind == "ident":
-            if t.text in _FUNCS:
-                return _FUNCS[t.text](self.group(self.expect("(")))
-            if t.text in self.chart.names:
-                return Coord(self.chart.names.index(t.text))
-            raise ParseError(f"unknown identifier {t.text!r}", self.text, t.pos)
-        raise ParseError(f"expected a value, found {t.text or 'end of input'!r}", self.text, t.pos)
+        if kind == "ident" and text in _FUNCS:
+            return _FUNCS[text](self.group(self.expect("(")))
+        if kind == "ident" and text in self.chart.names:
+            return Coord(self.chart.names.index(text))
+        self.fail("unknown identifier" if kind == "ident" else "expected a value, found", t)
 
 
 def parse(text: str, chart: Chart) -> Expr:

@@ -14,7 +14,7 @@ from sugra.bgfile import (
     render_background,
 )
 from sugra.catalog import build, catalog_ids, get_entry
-from sugra.cli import _resolve_target, _scale_flux, main
+from sugra.cli import _resolve_target, _scale_flux, main, report_to_json
 from sugra.equations import verify
 from sugra.expr import evaluate_points, to_text
 
@@ -271,6 +271,42 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: " + message.format(path=path))
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry, replacement, message", [
+        # hi - lo overflows: verify used to pass with Infinity in its JSON report
+        ("y6 = ", "y6 = -1e308 1e308",
+         "{path}:36: sample range for 'y6' is wider than a float, got '-1e308 1e308'"),
+        # was "duplicate coordinate names in chart (...)" with no file or line
+        ("lorentz = ", "lorentz = u u x2 x3 v", "{path}:3: lorentz chart repeats the name 'u'"),
+        # was "bad tolerance '-1.0 1.0'" at the [sample] line of the coordinate
+        ("lorentz = ", "lorentz = u x1 x2 x3 tol",
+         "{path}:3: lorentz chart names a coordinate 'tol', which [sample] reads as the tolerance"),
+    ], ids=["wide-range", "repeated-name", "tol-name"])
+    def test_front_end_refusal_exit_2(self, tmp_path, capsys, entry, replacement, message):
+        """Each is exactly one ``error:`` line at its file line, and exit 2."""
+        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
+        lines = [replacement if ln.startswith(entry) else ln for ln in lines]
+        path = tmp_path / "bad.bg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path), "--json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    def test_file_that_is_not_utf8_exit_2(self, tmp_path, capsys):
+        """A 0xff byte (never valid UTF-8) in a shipped file: one ``error:``
+        line naming the file, and exit 2, not a UnicodeDecodeError crash."""
+        data = (SHIPPED / "alpha-ppwave.bg").read_bytes()
+        path = tmp_path / "latin.bg"
+        path.write_bytes(data[:100] + b"\xff" + data[100:])
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff "
+                                "in position 100: invalid start byte\n")
+
+    def test_report_refuses_non_finite_numbers(self):
+        """A report with a non-finite number cannot be written as a verdict."""
+        with pytest.raises(ValueError):
+            report_to_json({"rows": [{"worst_point": [float("inf")]}]})
 
     @pytest.mark.parametrize("argv, env, edit, message", [
         (["--points", "0"], None, None, "sample count must be positive"),

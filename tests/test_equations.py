@@ -1289,6 +1289,15 @@ class TestDiagnostics:
         with pytest.raises(sugra.forms.FormError, match=message):
             diagnose_reduced_case(bg.flux, bg.product, box=box, points=points)
 
+    @pytest.mark.parametrize("box", [[(-1e308, 1e308)] * 11, [(0.0, float("inf"))] * 11,
+                                     [(float("nan"), 1.0)] * 11])
+    def test_box_must_be_finite(self, box):
+        """A box whose width overflows, or whose bounds are not finite, is
+        refused before any point is drawn (a draw there is not finite)."""
+        bg = build("beta-nu-ppwave")
+        with pytest.raises(sugra.forms.FormError, match="bounds and widths must be finite"):
+            diagnose_reduced_case(bg.flux, bg.product, box=box)
+
     def test_kappa_fit_threshold_declares_zero(self):
         bg = build("alphabeta-poly")
         d = diagnose_reduced_case(bg.flux, bg.product, points=bg.sample(20, seed=7))

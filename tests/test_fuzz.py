@@ -3,14 +3,18 @@ files, and drawn ``verify`` command lines, go through ``sugra verify``
 in-process.
 
 Each file case applies 1-3 edits, each of which inserts, deletes,
-duplicates or replaces one character, token or line.  Whatever the file or
-the command line has become, the verifier must end with exit code 0 (pass),
-1 (verification failed) or 2 (bad input, told in exactly one ``error:``
-line), and never let an exception escape.
+duplicates or replaces one character, token or line; every tenth case then
+inserts one byte that is not valid UTF-8.  Whatever the file or the command
+line has become, the verifier must end with exit code 0 (pass), 1
+(verification failed) or 2 (bad input, told in exactly one ``error:``
+line), and never let an exception escape.  A ``--json`` run that ends 0 or
+1 prints strict JSON: ``Infinity`` or ``NaN`` in a report breaks the
+contract.
 """
 
 import contextlib
 import io
+import json
 import os
 import random
 import re
@@ -69,24 +73,46 @@ def run_main(argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def breaks_contract(code, err: str) -> bool:
+#: Bytes that are never valid UTF-8 where they are inserted: a lone
+#: continuation byte, a lead byte cut short by the next character, and 0xff.
+BAD_BYTES = [b"\x80", b"\xc3", b"\xff"]
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def breaks_contract(code, err: str, json_out: str | None = None) -> bool:
     """Whether an outcome breaks the contract: exit 2 with anything but one
-    ``error:`` line, exit 0 or 1 with anything on stderr, or anything else."""
+    ``error:`` line, exit 0 or 1 with anything on stderr, or anything else.
+    ``json_out`` is the stdout of a ``--json`` run, which must then be
+    strict JSON."""
     if code == 2:
         return not err.startswith("error: ") or err.count("\n") != 1
+    if code in (0, 1) and json_out is not None:
+        try:
+            json.loads(json_out, parse_constant=_no_constant)
+        except ValueError:
+            return True
     return code not in (0, 1) or err != ""
 
 
 @pytest.mark.parametrize("ident", catalog_ids())
 def test_mutated_files_keep_the_exit_contract(ident, tmp_path):
     rng = random.Random(f"fuzz-{ident}")
+    byte_rng = random.Random(f"bytes-{ident}")
     original = (SHIPPED / f"{ident}.bg").read_text()
     path = tmp_path / f"{ident}.bg"
     breaches = []
     for case in range(CASES_PER_FILE):
-        path.write_text(mutate(original, rng))
-        code, _, err = run_main(["verify", str(path), "--points", "5"])
-        if breaks_contract(code, err):
+        data = mutate(original, rng).encode()
+        if case % 10 == 9:
+            at = byte_rng.randrange(len(data) + 1)
+            data = data[:at] + byte_rng.choice(BAD_BYTES) + data[at:]
+        path.write_bytes(data)
+        as_json = case % 2 == 1
+        code, out, err = run_main(["verify", str(path), "--points", "5"] + ["--json"] * as_json)
+        if breaks_contract(code, err, out if as_json else None):
             breaches.append(f"case {case}: {code!r}, stderr {err!r}")
     assert not breaches, "\n".join(breaches)
 
@@ -128,5 +154,5 @@ def test_drawn_command_lines_keep_the_exit_contract(target, points, options, sug
         names = {"tmp": tmp, "file": str(SHIPPED / "beta-nu-ppwave.bg")}
         argv = ["verify", target, "--points", str(points), *(arg for opt in options for arg in opt)]
         argv = [arg.format(**names) for arg in argv]
-        code, _, err = run_main(argv)
-    assert not breaks_contract(code, err), (argv, code, err)
+        code, out, err = run_main(argv)
+    assert not breaks_contract(code, err, out if "--json" in argv else None), (argv, code, err)
