@@ -126,7 +126,7 @@ def parse_background_text(text: str, path: str = "") -> Background:
         raise BgFileError(f"charts share coordinates {sorted(overlap)}", 0, path)
     # Per block: its own coordinates, then the other block's ([sample] is block 11).
     blocks = {5: (chart_l.names, chart_r.names), 6: (chart_r.names, chart_l.names),
-             11: (chart_l.names + chart_r.names, ())}
+              11: (chart_l.names + chart_r.names, ())}
 
     def coordinate(name: str, block: int, what: str, lineno: int) -> int:
         """The index of ``name`` on ``block``'s chart; the other block's is a violation."""
@@ -139,17 +139,19 @@ def parse_background_text(text: str, path: str = "") -> Background:
         raise BgFileError(f"{what} uses unknown coordinate {name!r}", lineno, path)
 
     def expression(text: str, block: int, what: str, lineno: int) -> Expr:
-        """``text`` parsed on the block's coordinates followed by the other block's,
-        so an index past the block's own chart is the other block's coordinate."""
+        """``text`` parsed on the block's chart.  Text that it refuses is parsed on the
+        block's coordinates followed by the other block's, where an index past the
+        block's own chart is the other block's coordinate."""
         own, other = blocks[block]
         try:
-            e = parse(text, Chart(own + other))
-        except ExprError as err:
-            raise BgFileError(f"{what}: {err}", lineno, path) from None
-        if depends_on(e, range(len(own), len(own + other))):
-            coordinate(next(n for k, n in enumerate(other, len(own)) if depends_on(e, [k])),
-                       block, what, lineno)
-        return e
+            return parse(text, Chart(own))
+        except ExprError:
+            try:
+                e = parse(text, Chart(own + other))
+            except ExprError as err:
+                raise BgFileError(f"{what}: {err}", lineno, path) from None
+        coordinate(next(n for k, n in enumerate(other, len(own)) if depends_on(e, [k])),
+                   block, what, lineno)
 
     def metric(section: str, chart: Chart, signature: tuple[int, int]) -> Metric:
         rows = [[const(0.0)] * chart.dim for _ in range(chart.dim)]

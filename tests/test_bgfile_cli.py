@@ -251,6 +251,17 @@ class TestCli:
                      id="duplicate-range"),
         pytest.param("lorentz = ", "lorentz = u x1 x2 x3 v\nlorentz = u x1 x2 x3 v",
                      "{path}:4: duplicate lorentz chart", id="duplicate-chart"),
+        # was "duplicate coordinate names in chart (...)" with no file or line
+        pytest.param("lorentz = ", "lorentz = u u x2 x3 v", "{path}:3: lorentz chart repeats the name 'u'",
+                     id="repeated-name"),
+        # was "bad tolerance '-1.0 1.0'" at the [sample] line of the coordinate
+        pytest.param("lorentz = ", "lorentz = u x1 x2 x3 tol",
+                     "{path}:3: lorentz chart names a coordinate 'tol', which [sample] reads as the tolerance",
+                     id="tol-name"),
+        # hi - lo overflows: verify passed, with Infinity in its JSON report
+        pytest.param("y6 = ", "y6 = -1e308 1e308",
+                     "{path}:36: sample range for 'y6' is wider than a float, got '-1e308 1e308'",
+                     id="wide-range"),
         # constants the parser folds: an overflow was a traceback and exit 1,
         # a zero denominator an error with no file line
         *[pytest.param("g(u,u) = ", f"g(u,u) = {value}", "{path}:7: metric entry g(u,u): " + message,
@@ -271,25 +282,6 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: " + message.format(path=path))
         assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("entry, replacement, message", [
-        # hi - lo overflows: verify used to pass with Infinity in its JSON report
-        ("y6 = ", "y6 = -1e308 1e308",
-         "{path}:36: sample range for 'y6' is wider than a float, got '-1e308 1e308'"),
-        # was "duplicate coordinate names in chart (...)" with no file or line
-        ("lorentz = ", "lorentz = u u x2 x3 v", "{path}:3: lorentz chart repeats the name 'u'"),
-        # was "bad tolerance '-1.0 1.0'" at the [sample] line of the coordinate
-        ("lorentz = ", "lorentz = u x1 x2 x3 tol",
-         "{path}:3: lorentz chart names a coordinate 'tol', which [sample] reads as the tolerance"),
-    ], ids=["wide-range", "repeated-name", "tol-name"])
-    def test_front_end_refusal_exit_2(self, tmp_path, capsys, entry, replacement, message):
-        """Each is exactly one ``error:`` line at its file line, and exit 2."""
-        lines = (SHIPPED / "alpha-ppwave.bg").read_text().splitlines()
-        lines = [replacement if ln.startswith(entry) else ln for ln in lines]
-        path = tmp_path / "bad.bg"
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["verify", str(path), "--json"]) == 2
-        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
     def test_file_that_is_not_utf8_exit_2(self, tmp_path, capsys):
         """A 0xff byte (never valid UTF-8) in a shipped file: one ``error:``
