@@ -30,9 +30,9 @@ anywhere else is an error.  The ``^`` in a flux line separates the
 coefficient expression from the wedge monomial (the split is at the last
 ``^`` whose tail is a pure coordinate list, so exponents inside the
 coefficient are fine).  The reader collects each section's ``(key, value,
-line)`` triples alike, then resolves every coordinate name (metric key, wedge
-factor, ``[sample]`` key, expression identifier) by chart membership: the
-line's own block, the other block's (a block violation), or unknown.
+line)`` triples alike.  A block's coordinate names (metric keys, wedge factors,
+the name where an expression's parse on the block's chart stops) resolve by
+chart membership: own block, other block's (a block violation), or unknown.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .expr import Chart, Expr, ExprError, const, depends_on, is_zero, parse, to_text
+from .expr import Chart, Expr, ExprError, ParseError, const, is_zero, parse, to_text
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
 from .equations import _PIECES, DEFAULT_TOL, Background, FluxSpec
@@ -124,48 +124,43 @@ def parse_background_text(text: str, path: str = "") -> Background:
     overlap = set(chart_l.names) & set(chart_r.names)
     if overlap:
         raise BgFileError(f"charts share coordinates {sorted(overlap)}", 0, path)
-    # Per block: its own coordinates, then the other block's ([sample] is block 11).
-    blocks = {5: (chart_l.names, chart_r.names), 6: (chart_r.names, chart_l.names),
-              11: (chart_l.names + chart_r.names, ())}
+    # Per block: its chart, and the other block's coordinate names.
+    blocks = {5: (chart_l, chart_r.names), 6: (chart_r, chart_l.names)}
 
     def coordinate(name: str, block: int, what: str, lineno: int) -> int:
         """The index of ``name`` on ``block``'s chart; the other block's is a violation."""
-        own, other = blocks[block]
-        if name in own:
-            return own.index(name)
+        chart, other = blocks[block]
+        if name in chart.names:
+            return chart.names.index(name)
         if name in other:
             raise BlockViolationError(f"{what} uses the other block's coordinate {name!r}",
                                       lineno, path)
         raise BgFileError(f"{what} uses unknown coordinate {name!r}", lineno, path)
 
     def expression(text: str, block: int, what: str, lineno: int) -> Expr:
-        """``text`` parsed on the block's chart.  Text that it refuses is parsed on the
-        block's coordinates followed by the other block's, where an index past the
-        block's own chart is the other block's coordinate."""
-        own, other = blocks[block]
+        """``text`` parsed on the block's chart.  The name where the parser stops is
+        resolved through ``coordinate``: the other block's is a block violation."""
         try:
-            return parse(text, Chart(own))
-        except ExprError:
-            try:
-                e = parse(text, Chart(own + other))
-            except ExprError as err:
-                raise BgFileError(f"{what}: {err}", lineno, path) from None
-        coordinate(next(n for k, n in enumerate(other, len(own)) if depends_on(e, [k])),
-                   block, what, lineno)
+            return parse(text, blocks[block][0])
+        except ExprError as err:
+            refused = re.match(r"\w*", text[err.pos:])[0] if isinstance(err, ParseError) else ""
+            if refused in blocks[block][1]:
+                coordinate(refused, block, what, lineno)
+            raise BgFileError(f"{what}: {err}", lineno, path) from None
 
     def metric(section: str, chart: Chart, signature: tuple[int, int]) -> Metric:
-        rows = [[const(0.0)] * chart.dim for _ in range(chart.dim)]
-        seen = set()
+        entries: dict[tuple[int, int], Expr] = {}  # upper triangle, i <= j
         for key, value, lineno in lines[section]:
             m = _METRIC_RE.match(key)
             if not m:
                 raise BgFileError(f"metric keys look like g(a,b); got {key!r}", lineno, path)
             what = f"metric entry g({m[1]},{m[2]})"
             i, j = sorted(coordinate(n, chart.dim, what, lineno) for n in m.groups())
-            if (i, j) in seen:
+            if (i, j) in entries:
                 raise BgFileError(f"duplicate {what}", lineno, path)
-            seen.add((i, j))
-            rows[i][j] = rows[j][i] = expression(value, chart.dim, what, lineno)
+            entries[i, j] = expression(value, chart.dim, what, lineno)
+        rows = [[entries.get((min(i, j), max(i, j)), const(0.0)) for j in range(chart.dim)]
+                for i in range(chart.dim)]
         return Metric(chart, rows, signature)
 
     product = ProductStructure(metric("metric.lorentz", chart_l, (1, 4)),
@@ -195,9 +190,10 @@ def parse_background_text(text: str, path: str = "") -> Background:
         if not coeff_text:
             raise BgFileError(f"flux piece {key!r} is missing its coefficient", lineno, path)
         coeff = expression(coeff_text, dim, f"flux piece {key}", lineno)
-        term = monomial_form({5: chart_l, 6: chart_r}[dim], coeff, wedge)
+        term = monomial_form(blocks[dim][0], coeff, wedge)
         pieces[key] = pieces[key] + term if key in pieces else term
 
+    all_names = chart_l.names + chart_r.names
     box_map: dict[str, tuple[float, float]] = {}
     tol: Optional[float] = None
     for key, value, lineno in lines["sample"]:
@@ -226,12 +222,12 @@ def parse_background_text(text: str, path: str = "") -> Background:
         if not math.isfinite(hi - lo):
             raise BgFileError(f"sample range for {key!r} is wider than a float, got {value!r}",
                               lineno, path)
-        coordinate(key, 11, "sample range", lineno)
+        if key not in all_names:
+            raise BgFileError(f"sample range for unknown coordinate {key!r}", lineno, path)
         if key in box_map:
             raise BgFileError(f"duplicate sample range for {key!r}", lineno, path)
         box_map[key] = (lo, hi)
 
-    all_names = blocks[11][0]
     missing = [n for n in all_names if n not in box_map]
     if missing:
         raise BgFileError(f"missing sample ranges for {missing}", 0, path)

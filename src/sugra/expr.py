@@ -819,7 +819,9 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while self.peek() in ("+", "-"):
-            e = add(e, self.term() if self.next()[1] == "+" else neg(self.term()))
+            op = self.next()[1]
+            rhs = self.term()
+            e = add(e, rhs) if op == "+" else add(e, neg(rhs))
         return e
 
     def term(self) -> Expr:
@@ -829,7 +831,8 @@ class _Parser:
             op = self.next()
             if op[1] == "/":  # a quotient nests everything before it one level deeper
                 self.nest(op)
-            e = mul(e, self.factor()) if op[1] == "*" else div(e, self.factor())
+            rhs = self.factor()
+            e = mul(e, rhs) if op[1] == "*" else div(e, rhs)
         self.depth = depth
         return e
 
@@ -862,7 +865,8 @@ class _Parser:
         return e
 
     def base(self) -> Expr:
-        kind, text, _ = t = self.next()
+        t = self.next()
+        kind, text, _ = t
         if kind == "num":
             return Const(float(text))
         if text == "(":

@@ -138,6 +138,17 @@ class TestParser:
         with pytest.raises(BlockViolationError):
             parse_background_text(bad, "bad.bg")
 
+    @pytest.mark.parametrize("old, new", [("g(u,v) = 1", "g(u,v) = {}"), ("phi = 1", "phi = {}"),
+                                          ("alpha = u ^", "alpha = {} ^")])
+    @pytest.mark.parametrize("form", ["1 + 0*{}", "{}^0", "0/{}"])
+    def test_block_violation_in_folded_term(self, old, new, form):
+        """A term of the other block's coordinate that the parser folds to a
+        constant is still a block violation (it was an internal error)."""
+        other = "u" if old.startswith("phi") else "y1"
+        bad = MINIMAL.replace(old, new.format(form.format(other)))
+        with pytest.raises(BlockViolationError, match=f"other block's coordinate '{other}'"):
+            parse_background_text(bad, "bad.bg")
+
     def test_empty_file(self):
         with pytest.raises(BgFileError):
             parse_background_text("", "empty.bg")
@@ -262,6 +273,10 @@ class TestCli:
         pytest.param("y6 = ", "y6 = -1e308 1e308",
                      "{path}:36: sample range for 'y6' is wider than a float, got '-1e308 1e308'",
                      id="wide-range"),
+        # the other block's coordinate in a term the parser folds to zero
+        pytest.param("g(u,u) = ", "g(u,u) = 1 + 0*y1",
+                     "{path}:7: metric entry g(u,u) uses the other block's coordinate 'y1'",
+                     id="folded-other-block"),
         # constants the parser folds: an overflow was a traceback and exit 1,
         # a zero denominator an error with no file line
         *[pytest.param("g(u,u) = ", f"g(u,u) = {value}", "{path}:7: metric entry g(u,u): " + message,
