@@ -42,7 +42,8 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .expr import Chart, Expr, ExprError, ParseError, const, is_zero, parse, to_text
+from .expr import (_FUNCS, _TOKEN_RE, Chart, Expr, ExprError, ParseError, const, is_zero,
+                   parse, to_text)
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
 from .equations import _PIECES, DEFAULT_TOL, Background, FluxSpec
@@ -117,13 +118,20 @@ def parse_background_text(text: str, path: str = "") -> Background:
         if "tol" in names:
             raise BgFileError(f"{key} chart names a coordinate 'tol', which [sample] reads as "
                               "the tolerance", lineno, path)
+        for n in names:  # what an expression reads as a coordinate
+            m = _TOKEN_RE.fullmatch(n)
+            if m is None or m.lastgroup != "ident" or n in _FUNCS:
+                raise BgFileError(f"{key} chart coordinate {n!r} is not a name that expressions "
+                                  f"can use (an identifier other than {', '.join(_FUNCS)})",
+                                  lineno, path)
+        for other in charts.values():  # the chart of the earlier line
+            overlap = set(names) & set(other.names)
+            if overlap:
+                raise BgFileError(f"charts share coordinates {sorted(overlap)}", lineno, path)
         charts[key] = Chart(names)
     if len(charts) != 2:
         raise BgFileError("missing [chart] section with lorentz and riemann lines", 0, path)
     chart_l, chart_r = charts["lorentz"], charts["riemann"]
-    overlap = set(chart_l.names) & set(chart_r.names)
-    if overlap:
-        raise BgFileError(f"charts share coordinates {sorted(overlap)}", 0, path)
     # Per block: its chart, and the other block's coordinate names.
     blocks = {5: (chart_l, chart_r.names), 6: (chart_r, chart_l.names)}
 

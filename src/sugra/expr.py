@@ -144,40 +144,13 @@ class Chart:
 class Expr:
     """Base class of all expression nodes.  Immutable; identity-hashed.
 
-    Subclasses implement the local rules below.
+    Subclasses implement the local rules below (``Const`` has no ``_np``:
+    ``_Plan`` fills constants in).  Build expressions with the module's
+    functions (:func:`add`, :func:`mul`, ...) or :func:`parse`.
     """
 
     __slots__ = ()
     _prec = 5  # how tightly the printed form binds; see _paren
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(_as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(_as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __pow__(self, n: int):
-        return intpow(self, n)
-
-    def __neg__(self):
-        return neg(self)
 
     # -- local rules, given the results for the nodes below ---------------
     def _diff(self, index: int, d: dict) -> "Expr":
@@ -219,9 +192,6 @@ class Const(Expr):
 
     def _diff(self, index, d):
         return _ZERO
-
-    def _np(self, pts):
-        return self.value
 
     def _text(self, names, t):
         return repr(self.value) if self.value >= 0 else f"-{repr(-self.value)}"

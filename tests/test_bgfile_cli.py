@@ -1,6 +1,7 @@
 """Background file format and command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -217,13 +218,20 @@ class TestCli:
         assert "unknown catalog id" in capsys.readouterr().err
 
     def test_bad_perturb_spec(self, capsys):
-        """A spec that is not KEY:FACTOR and a repeated key (which used to
-        keep its last factor) are each one error line and exit 2."""
-        for specs, message in ((["H=1.1"], "--perturb wants KEY:FACTOR, got 'H=1.1'"),
-                               (["H:2", "H:3"], "--perturb gives the key 'H' more than once"),
-                               (["H:1.1", " H :1.1"], "--perturb gives the key 'H' more than once")):
+        """A spec that is not KEY:FACTOR, a repeated key (which used to keep
+        its last factor), a factor that takes a catalog constant out of its
+        range and a key other than ``flux`` on a file target are each one
+        error line and exit 2."""
+        shipped = str(SHIPPED / "alpha-ppwave.bg")
+        for target, specs, message in (
+                ("alpha-ppwave", ["H=1.1"], "--perturb wants KEY:FACTOR, got 'H=1.1'"),
+                ("alpha-ppwave", ["H:2", "H:3"], "--perturb gives the key 'H' more than once"),
+                ("alpha-ppwave", ["H:1.1", " H :1.1"], "--perturb gives the key 'H' more than once"),
+                ("varpi-epsilon-ppwave", ["E:-1"], "E must be positive"),
+                ("alphabeta-trig", ["kappa:0"], "kappa must be nonzero"),
+                (shipped, ["H:1.1"], "file targets support only the 'flux' perturbation, got 'H'")):
             argv = [arg for spec in specs for arg in ("--perturb", spec)]
-            assert main(["verify", "alpha-ppwave", *argv]) == 2
+            assert main(["verify", target, *argv]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
@@ -269,6 +277,18 @@ class TestCli:
         pytest.param("lorentz = ", "lorentz = u x1 x2 x3 tol",
                      "{path}:3: lorentz chart names a coordinate 'tol', which [sample] reads as the tolerance",
                      id="tol-name"),
+        # names that no expression can write: verify passed, with the coordinate unusable
+        *[pytest.param("lorentz = ", f"lorentz = u x1 x2 x3 {name}",
+                       f"{{path}}:3: lorentz chart coordinate {name!r} is not a name that "
+                       "expressions can use (an identifier other than sin, cos, exp, sqrt)",
+                       id=f"{name}-name") for name in ("sin", "1v")],
+        # was reported with no line
+        pytest.param("riemann = ", "riemann = y1 y2 y3 y4 y5 u",
+                     "{path}:4: charts share coordinates ['u']", id="shared-name"),
+        pytest.param("phi = ", "phi = 1.0\nphi = 2.0", "{path}:23: duplicate scalar 'phi'",
+                     id="duplicate-scalar"),
+        pytest.param("alpha = ", "alpha = ^ u x1 x2 x3",
+                     "{path}:23: flux piece 'alpha' is missing its coefficient", id="no-coefficient"),
         # hi - lo overflows: verify passed, with Infinity in its JSON report
         pytest.param("y6 = ", "y6 = -1e308 1e308",
                      "{path}:36: sample range for 'y6' is wider than a float, got '-1e308 1e308'",
@@ -410,6 +430,8 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert "millis" in report
+        assert main(["verify", "alpha-ppwave", "--points", "10", "--timing"]) == 0
+        assert re.fullmatch(r"verdict: pass  \(\d+ ms\)", capsys.readouterr().out.splitlines()[-1])
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUGRA_SEED", "7")

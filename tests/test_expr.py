@@ -27,6 +27,7 @@ from sugra.expr import (
     Sqrt,
     add,
     compile_expr,
+    const,
     coord,
     diff,
     div,
@@ -117,6 +118,13 @@ class TestParse:
             e2 = parse(to_text(e, W5), W5)
             for p in pts[:5]:
                 assert evaluate(e2, p) == pytest.approx(evaluate(e, p), rel=1e-12, abs=1e-12)
+        # substitute keeps the Add, so a negative constant can follow its first term
+        e = substitute(parse("x1 + x2", W5), {1: coord(1), 2: const(-2.0)})
+        assert isinstance(e, Add) and isinstance(e.terms[1], Const)
+        assert to_text(e, W5) == "x1 - 2.0"
+        e2 = parse(to_text(e, W5), W5)
+        for p in pts[:5]:
+            assert evaluate(e2, p) == evaluate(e, p)
 
     @settings(max_examples=60, deadline=1000, derandomize=True, database=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
