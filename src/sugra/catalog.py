@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -328,20 +327,20 @@ def _build_kahler_theta(params, scale):
                       box, predicate=lambda p: abs(p[4]) < 0.05)  # the horizon z = 0
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """One catalog id: its summary (the listing), provenance (the report),
     parameter defaults, builder and perturbation key."""
 
-    ident: str
-    summary: str
-    provenance: str
-    defaults: tuple
-    builder: Callable
-    perturb_key: str
+    __slots__ = ("ident", "summary", "provenance", "defaults", "builder", "perturb_key")
 
-    def default_params(self) -> dict:
-        return dict(self.defaults)
+    def __init__(self, ident: str, summary: str, provenance: str, defaults: tuple, builder: Callable,
+                 perturb_key: str):
+        self.ident = ident
+        self.summary = summary
+        self.provenance = provenance
+        self.defaults = defaults
+        self.builder = builder
+        self.perturb_key = perturb_key
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -415,7 +414,7 @@ def build(ident: str, params: Optional[dict] = None,
     number (a parameter whose default is expression text may also be text);
     anything else raises one :class:`CatalogError` that names it."""
     entry = get_entry(ident)
-    merged = entry.default_params()
+    merged = dict(entry.defaults)
     for k, v in (params or {}).items():
         if k not in merged:
             raise CatalogError(f"{ident!r} has no parameter {k!r}; knows {sorted(merged)}")

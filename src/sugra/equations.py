@@ -30,7 +30,6 @@ import functools
 import itertools
 import random
 import re
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -100,38 +99,31 @@ _PIECES = {
 }
 
 
-@dataclass(frozen=True)
 class FluxSpec:
-    """Block-decomposable pieces of the flux 4-form; any piece may be None.
+    """The flux 4-form's block-decomposable pieces, one keyword each (``_PIECES``); any may be None.
 
     Lorentzian-factor pieces (on the 5-chart): alpha (deg 4), beta (3),
     gamma (2), varpi (1), scalar psi.  Riemannian-factor pieces (on the
     6-chart): scalar phi, nu (1), delta (2), eps (3), theta (4).
     """
 
-    alpha: Optional[KForm] = None
-    beta: Optional[KForm] = None
-    gamma: Optional[KForm] = None
-    varpi: Optional[KForm] = None
-    psi: Optional[Expr] = None
-    phi: Optional[Expr] = None
-    nu: Optional[KForm] = None
-    delta: Optional[KForm] = None
-    eps: Optional[KForm] = None
-    theta: Optional[KForm] = None
+    __slots__ = tuple(_PIECES)
 
-    def __post_init__(self):
+    def __init__(self, **pieces: KForm | Expr | None):
+        if pieces.keys() - _PIECES.keys():
+            raise TypeError(f"FluxSpec has no pieces {sorted(pieces.keys() - _PIECES.keys())}")
         for name, (_, deg, _) in _PIECES.items():
-            f = getattr(self, name)
+            f = pieces.get(name)
             if deg and f is not None and f.degree != deg:
                 raise FormError(f"{name} must be a {deg}-form, got degree {f.degree}")
+            setattr(self, name, f)
 
     def scale(self, factor) -> "FluxSpec":
         """Every form piece multiplied by ``factor``; the scalars phi and psi
         are kept, so a term of two form pieces scales by ``factor**2``."""
-        return replace(self, **{name: getattr(self, name).scale(factor)
-                                for name, (_, deg, _) in _PIECES.items()
-                                if deg and getattr(self, name) is not None})
+        pieces = {name: getattr(self, name) for name in _PIECES}
+        return FluxSpec(**{name: f.scale(factor) if _PIECES[name][1] and f is not None else f
+                           for name, f in pieces.items()})
 
     def terms(self, ps: ProductStructure) -> list[tuple[str, KForm, KForm]]:
         """The terms of the flux whose two pieces are both nonzero, in flux
@@ -279,20 +271,25 @@ def flux_norm_sq_pieces(fs: FluxSpec, ps: ProductStructure, points) -> np.ndarra
 # Residual rows.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ResidualRow:
-    equation: str
-    block: str
-    max_abs: float
-    mean_abs: float
-    worst_point: tuple[float, ...]
-    worst_component: str
+    __slots__ = ("equation", "block", "max_abs", "mean_abs", "worst_point", "worst_component")
+
+    def __init__(self, equation: str, block: str, max_abs: float, mean_abs: float,
+                 worst_point: tuple[float, ...], worst_component: str):
+        self.equation = equation
+        self.block = block
+        self.max_abs = max_abs
+        self.mean_abs = mean_abs
+        self.worst_point = worst_point
+        self.worst_component = worst_component
 
 
-@dataclass
 class VerificationResult:
-    rows: list[ResidualRow]
-    tolerance: float
+    __slots__ = ("rows", "tolerance")
+
+    def __init__(self, rows: list[ResidualRow], tolerance: float):
+        self.rows = rows
+        self.tolerance = tolerance
 
     @property
     def verdict(self) -> bool:
@@ -738,14 +735,17 @@ _FULL_ROWS = {"closedness": "closedness: d(F) = 0", "maxwell": "maxwell: d(*F) -
 _TOKEN = re.compile(r"\*[56]|\w+|\S")
 
 
-@dataclass
 class ReducedCaseDiagnosis:
-    case: str
-    kappa: Optional[float]
-    lam: Optional[float]
-    rows: list[tuple[str, float, float]] = field(default_factory=list)
-    consistent: bool = True
-    note: str = ""
+    __slots__ = ("case", "kappa", "lam", "rows", "consistent", "note")
+
+    def __init__(self, case: str, kappa: Optional[float], lam: Optional[float],
+                 rows: Optional[list[tuple[str, float, float]]] = None, consistent: bool = True, note: str = ""):
+        self.case = case
+        self.kappa = kappa
+        self.lam = lam
+        self.rows = [] if rows is None else rows
+        self.consistent = consistent
+        self.note = note
 
     def max_residual(self) -> float:
         return max((r[1] for r in self.rows), default=0.0)

@@ -32,7 +32,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -118,17 +117,17 @@ class ParseError(ExprError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Chart:
     """An ordered tuple of coordinate names; dimension between 1 and 11."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if not (1 <= len(self.names) <= 11):
-            raise ExprError(f"chart dimension must be 1..11, got {len(self.names)}")
-        if len(set(self.names)) != len(self.names):
-            raise ExprError(f"duplicate coordinate names in chart {self.names}")
+    def __init__(self, names: tuple[str, ...]):
+        if not (1 <= len(names) <= 11):
+            raise ExprError(f"chart dimension must be 1..11, got {len(names)}")
+        if len(set(names)) != len(names):
+            raise ExprError(f"duplicate coordinate names in chart {names}")
+        self.names = names
 
     @property
     def dim(self) -> int:
@@ -584,8 +583,8 @@ class _Plan:
     first, are the slots of the walk: constants are filled in up front, and
     every other node is a step ``(slot, node, child slots)``.  A node's
     values are dropped after the step of its last use (``last``), so at
-    most ``live`` slots hold values at once, and ``cols`` maps a slot to
-    the output columns it fills."""
+    most ``live`` slots hold values at once, ``cols`` maps a slot to the
+    output columns it fills, and a point needs at least ``width`` floats."""
 
     def __init__(self, exprs: Sequence[Expr]):
         index = _distinct_nodes(exprs)
@@ -600,6 +599,7 @@ class _Plan:
         self.cols: dict[int, list[int]] = {}
         for c, e in enumerate(self.exprs):
             self.cols.setdefault(index[e], []).append(c)
+        self.width = max((node.index + 1 for node in index if isinstance(node, Coord)), default=0)
 
     @functools.cached_property
     def live(self) -> int:
@@ -622,8 +622,14 @@ class _Plan:
         """One walk: each node is computed for all points with numpy and its
         values dropped after their last use.  Returns the rows before the
         first point where a node leaves its domain or a value is not finite,
-        and the error naming it and the first node failing there, or None."""
-        pts = np.asarray(points, dtype=float)
+        and the error naming it and the first node failing there, or None.
+        Points that are not rows of ``width`` floats or more raise ``ExprError``."""
+        try:
+            pts = np.asarray(points, dtype=float)
+        except ValueError:  # ragged rows
+            pts = None
+        if pts is None or pts.shape != (0,) and (pts.ndim != 2 or pts.shape[1] < self.width):
+            raise ExprError(f"points must be rows of at least {self.width} floats")
         out = np.empty((len(pts), len(self.exprs)))
         if not len(pts):
             return out, None
@@ -633,24 +639,20 @@ class _Plan:
             if vals[i] is not None:
                 out[:, c] = vals[i]
         with np.errstate(all="ignore"):
-            try:
-                for i, node, kids in self.steps:
-                    try:
-                        v = node._np(pts, *[vals[k] for k in kids])
-                    except _OutOfDomain as err:  # a later node may fail at an earlier point
-                        message, bad, v = err.args
-                        if bad < first:
-                            first, failure = bad, EvalDomainError(message, node, tuple(pts[bad].tolist()))
-                    for c in cols.get(i, ()):
-                        out[:, c] = v
-                    if last[i] != i:
-                        vals[i] = v
-                    for k in kids:
-                        if last[k] == i:
-                            vals[k] = None
-            except IndexError:
-                raise ExprError(f"points of length {pts.shape[1]} have no coordinate "
-                                f"{node.index}") from None
+            for i, node, kids in self.steps:
+                try:
+                    v = node._np(pts, *[vals[k] for k in kids])
+                except _OutOfDomain as err:  # a later node may fail at an earlier point
+                    message, bad, v = err.args
+                    if bad < first:
+                        first, failure = bad, EvalDomainError(message, node, tuple(pts[bad].tolist()))
+                for c in cols.get(i, ()):
+                    out[:, c] = v
+                if last[i] != i:
+                    vals[i] = v
+                for k in kids:
+                    if last[k] == i:
+                        vals[k] = None
         bad = ~np.isfinite(out[:first])
         if np.count_nonzero(bad):
             first = int(np.argmax(bad.any(axis=1)))

@@ -23,7 +23,6 @@ Curvature is assembled symbolically and compared only by evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 from typing import Optional, Sequence
 
@@ -143,7 +142,6 @@ def laplace_beltrami(m: Metric, s: Expr, block: Optional[tuple[int, ...]] = None
 # Constructors.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class WalkerData:
     """Ingredients of a five-dimensional Walker metric
     ``2 du dv + rho + 2 A du + H du^2`` on the chart (u, x1, x2, x3, v).
@@ -153,10 +151,14 @@ class WalkerData:
     (a function of u, x and possibly v).
     """
 
-    rho: tuple[tuple[Expr, ...], ...]
-    a: tuple[Expr, Expr, Expr]
-    h: Expr
-    chart: Chart = WALKER_CHART
+    __slots__ = ("rho", "a", "h", "chart")
+
+    def __init__(self, rho: tuple[tuple[Expr, ...], ...], a: tuple[Expr, Expr, Expr], h: Expr,
+                 chart: Chart = WALKER_CHART):
+        self.rho = rho
+        self.a = a
+        self.h = h
+        self.chart = chart
 
     @staticmethod
     def pp_wave(h, chart: Chart = WALKER_CHART) -> "WalkerData":
@@ -211,30 +213,26 @@ def validate_ricci_isotropic(w: WalkerData, points: Sequence[Sequence[float]],
 PRODUCT_COORDS = {5: tuple(map(coord, range(5))), 6: tuple(map(coord, range(5, 11)))}
 
 
-@dataclass(frozen=True)
 class ProductStructure:
     """A (5, 6) block split: Lorentzian factor metric of signature (1, 4) on
     its own 5-chart, negative-definite Riemannian factor metric on its own
     6-chart.  The product chart lists the Lorentzian names first.
     """
 
-    lorentz: Metric
-    riemann: Metric
+    __slots__ = ("lorentz", "riemann")
 
-    def __post_init__(self):
-        if self.lorentz.dim != 5 or self.lorentz.signature != (1, 4):
-            raise FormError(
-                f"Lorentzian block must be a (1,4) metric in 5 dimensions, "
-                f"got {self.lorentz.signature} in {self.lorentz.dim}"
-            )
-        if self.riemann.dim != 6 or self.riemann.signature != (0, 6):
-            raise FormError(
-                f"Riemannian block must be a (0,6) metric in 6 dimensions, "
-                f"got {self.riemann.signature} in {self.riemann.dim}"
-            )
-        overlap = set(self.lorentz.chart.names) & set(self.riemann.chart.names)
+    def __init__(self, lorentz: Metric, riemann: Metric):
+        if lorentz.dim != 5 or lorentz.signature != (1, 4):
+            raise FormError(f"Lorentzian block must be a (1,4) metric in 5 dimensions, "
+                            f"got {lorentz.signature} in {lorentz.dim}")
+        if riemann.dim != 6 or riemann.signature != (0, 6):
+            raise FormError(f"Riemannian block must be a (0,6) metric in 6 dimensions, "
+                            f"got {riemann.signature} in {riemann.dim}")
+        overlap = set(lorentz.chart.names) & set(riemann.chart.names)
         if overlap:
             raise FormError(f"factor charts share coordinate names {sorted(overlap)}")
+        self.lorentz = lorentz
+        self.riemann = riemann
 
     @property
     def chart(self) -> Chart:

@@ -1,6 +1,5 @@
 """Flux assembly, norms, residual operators, reduced-case diagnostics."""
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -51,6 +50,7 @@ from sugra.geometry import (
 from sugra.equations import (
     Background,
     FluxSpec,
+    ReducedCaseDiagnosis,
     TRACE_IDENTITY_SIGN,
     assemble_flux,
     closedness_residual,
@@ -62,6 +62,7 @@ from sugra.equations import (
     sample_points,
     trace_check,
     verify,
+    _PIECES,
     _Contractions,
     _Jets,
     _residual_rows,
@@ -104,6 +105,24 @@ class TestAssembleFlux:
         p = (0.3,) * 11
         for k, v in one.coeffs.items():
             assert evaluate(two.coeffs[k], p) == pytest.approx(2 * evaluate(v, p))
+
+    def test_unknown_piece_refused(self):
+        with pytest.raises(TypeError, match=r"FluxSpec has no pieces \['bogus'\]"):
+            FluxSpec(alpha=monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")), bogus=coordinate_form(W5, "u"))
+        with pytest.raises(TypeError):
+            FluxSpec(monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")))  # pieces are keyword-only
+
+    def test_wrong_degree_refused(self):
+        with pytest.raises(sugra.forms.FormError, match="beta must be a 3-form, got degree 1"):
+            FluxSpec(beta=coordinate_form(W5, "u"))
+
+    def test_scale_multiplies_the_forms_and_keeps_the_scalars(self):
+        alpha = monomial_form(W5, 1.0, ("u", "x1", "x2", "x3"))
+        phi = parse("y1", R6)
+        fs = FluxSpec(alpha=alpha, phi=phi).scale(3.0)
+        assert fs.phi is phi
+        assert all(getattr(fs, name) is None for name in _PIECES if name not in ("alpha", "phi"))
+        assert evaluate(fs.alpha.coeffs[(0, 1, 2, 3)], (0.0,) * 5) == 3.0
 
     def test_kahler_theta_is_half_omega_wedge_omega(self):
         """theta = c*star(omega) must expand to c * (1/2) omega^omega."""
@@ -1130,6 +1149,11 @@ class TestSamplePlans:
 
 
 class TestDiagnostics:
+    def test_default_rows_are_not_shared(self):
+        a, b = ReducedCaseDiagnosis("1", None, None), ReducedCaseDiagnosis("1", None, None)
+        a.rows.append(("d(nu) = 0", 1.0, 0.5))
+        assert (b.rows, b.consistent, b.note) == ([], True, "")
+
     CASES = {
         "alpha-ppwave": "1",
         "beta-nu-ppwave": "2",
@@ -1216,7 +1240,8 @@ class TestDiagnostics:
         product-factor, and its closedness row is the jet core's, whose
         maximum the finite-difference oracle confirms."""
         bg = build("general-combined")
-        fs = dataclasses.replace(bg.flux, beta=monomial_form(W5, parse("x3", W5), ("u", "x1", "x2")))
+        pieces = {name: getattr(bg.flux, name) for name in _PIECES}
+        fs = FluxSpec(**pieces | {"beta": monomial_form(W5, parse("x3", W5), ("u", "x1", "x2"))})
         pts = bg.sample(10, seed=5)
         d = diagnose_reduced_case(fs, bg.product, points=pts)
         assert d.case == "product-factor"

@@ -242,6 +242,16 @@ class TestEval:
     def test_no_points(self):
         assert evaluate_points([parse("u", W5), parse("1/x1", W5)], []).shape == (0, 2)
 
+    @pytest.mark.parametrize("text, points, width", [
+        ("u", [1.0, 2.0], 1),  # a flat list: one float per point, not one row
+        ("u + x3", [(0.0, 1.0, 2.0, 3.0, 4.0), (0.0, 1.0)], 4),  # ragged rows
+        ("u + x3", [(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)], 4),  # rows that stop before x3
+    ])
+    def test_bad_points_raise_one_expr_error(self, text, points, width):
+        with pytest.raises(ExprError, match=f"points must be rows of at least {width} floats") as err:
+            evaluate_points([parse(text, W5)], points)
+        assert type(err.value) is ExprError
+
     def test_domain_error_names_the_first_failing_point(self):
         # 1/x2 first fails at the third point, sqrt(u) at the second
         exprs = [parse("1/x2", W5), parse("sqrt(u)", W5)]

@@ -1,9 +1,11 @@
 """Every module of the package uses each name it imports, and each name it
 defines is used somewhere in ``src/``, ``tests/`` or ``perfbench/`` (the
 package's ``__init__.py`` imports names only to re-export them, so it is
-left out on both counts)."""
+left out on both counts), and the CLI's imports load no ``dataclasses``."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -102,3 +104,12 @@ def test_checker_flags_a_dead_definition():
 def test_no_dead_definitions():
     modules = {name: (SRC / name).read_text() for name in MODULES}
     assert dead_definitions(modules, [p.read_text() for p in CORPUS]) == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The package's records are plain classes, so ``import sugra.cli`` in a
+    fresh interpreter leaves the ``dataclasses`` module unloaded."""
+    code = "import sys, sugra.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC.parent)}, check=True, timeout=60).stdout.split()
+    assert out == ["False"]
