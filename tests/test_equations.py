@@ -1149,11 +1149,6 @@ class TestSamplePlans:
 
 
 class TestDiagnostics:
-    def test_default_rows_are_not_shared(self):
-        a, b = ReducedCaseDiagnosis("1", None, None), ReducedCaseDiagnosis("1", None, None)
-        a.rows.append(("d(nu) = 0", 1.0, 0.5))
-        assert (b.rows, b.consistent, b.note) == ([], True, "")
-
     CASES = {
         "alpha-ppwave": "1",
         "beta-nu-ppwave": "2",
@@ -1170,6 +1165,11 @@ class TestDiagnostics:
         bg = build(ident)
         d = diagnose_reduced_case(bg.flux, bg.product, points=bg.sample(30, seed=42))
         assert d.case == self.CASES[ident]
+
+    def test_default_rows_are_not_shared(self):
+        a, b = ReducedCaseDiagnosis("1", None, None), ReducedCaseDiagnosis("1", None, None)
+        a.rows.append(("d(nu) = 0", 1.0, 0.5))
+        assert (b.rows, b.consistent, b.note) == ([], True, "")
 
     def test_trig_constants(self):
         bg = build("alphabeta-trig", params={"kappa": 1.7})
