@@ -57,7 +57,6 @@ from .equations import (
     flux_norm_sq,
     flux_norm_sq_pieces,
     maxwell_residual,
-    sample_points,
     trace_check,
     verify,
 )

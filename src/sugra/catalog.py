@@ -36,7 +36,7 @@ import numpy as np
 from .expr import (Add, Chart, Coord, Div, Expr, ExprError, IntPow, Mul, Neg, add, coord, const, cos,
                    depends_on, div, evaluate, exp, intpow, is_zero, mul, neg, parse, sin, sqrt)
 from .forms import KForm, Metric, coordinate_form, form_inner, hodge, monomial_form
-from .geometry import WALKER_CHART, ProductStructure, WalkerData, walker_metric
+from .geometry import WALKER_CHART, X_BLOCK, ProductStructure, WalkerData, walker_metric
 from .equations import Background, FluxSpec
 
 __all__ = [
@@ -63,39 +63,34 @@ class SolverError(Exception):
 # Polynomial profile solver on the flat transverse block.
 # ---------------------------------------------------------------------------
 
-_X_NAMES = ("x1", "x2", "x3")
-
-
-def _poly_in_x(e: Expr, x_idx: tuple[int, int, int], v_idx: int):
-    """Decompose ``e`` as a polynomial in the transverse coordinates with
-    u-dependent coefficients: dict (a, b, c) -> coefficient expression."""
-    bad = x_idx + (v_idx,)
-    if depends_on(e, (v_idx,)):
+def _poly_in_x(e: Expr):
+    """Decompose ``e`` as a polynomial in the transverse coordinates x1, x2,
+    x3 of the Walker chart, with u-dependent coefficients: dict (a, b, c) ->
+    coefficient expression."""
+    if depends_on(e, (4,)):
         raise SolverError("right-hand side depends on v")
-    if not depends_on(e, bad):
+    if not depends_on(e, X_BLOCK):
         return {(0, 0, 0): e}
     if isinstance(e, Coord):
-        pos = x_idx.index(e.index)
-        key = tuple(1 if i == pos else 0 for i in range(3))
-        return {key: const(1.0)}
+        return {tuple(1 if i == e.index else 0 for i in X_BLOCK): const(1.0)}
     if isinstance(e, Add):
         out: dict = {}
         for t in e.terms:
-            for k, v in _poly_in_x(t, x_idx, v_idx).items():
+            for k, v in _poly_in_x(t).items():
                 out[k] = add(out[k], v) if k in out else v
         return out
     if isinstance(e, Neg):
-        return {k: neg(v) for k, v in _poly_in_x(e.arg, x_idx, v_idx).items()}
+        return {k: neg(v) for k, v in _poly_in_x(e.arg).items()}
     if isinstance(e, Mul):
-        return _poly_product(_poly_in_x(f, x_idx, v_idx) for f in e.factors)
+        return _poly_product(_poly_in_x(f) for f in e.factors)
     if isinstance(e, IntPow):
         if e.exponent < 0:
             raise SolverError("negative power of a transverse coordinate")
-        return _poly_product([_poly_in_x(e.base, x_idx, v_idx)] * e.exponent)
+        return _poly_product([_poly_in_x(e.base)] * e.exponent)
     if isinstance(e, Div):
-        if depends_on(e.den, bad):
+        if depends_on(e.den, X_BLOCK):
             raise SolverError("transverse coordinate in a denominator")
-        return {k: div(v, e.den) for k, v in _poly_in_x(e.num, x_idx, v_idx).items()}
+        return {k: div(v, e.den) for k, v in _poly_in_x(e.num).items()}
     raise SolverError(f"non-polynomial dependence on the transverse coordinates: {type(e).__name__}")
 
 
@@ -113,7 +108,7 @@ def _poly_product(polys: Iterable[dict]) -> dict:
     return out
 
 
-def solve_walker_H(rhs: Expr, chart: Chart = WALKER_CHART) -> Expr:
+def solve_walker_H(rhs: Expr) -> Expr:
     """Return a polynomial profile H with ``Lap_rho(H) = rhs`` exactly, for
     the flat negative-definite transverse block (``Lap_rho H = -sum H_xixi``).
 
@@ -125,11 +120,8 @@ def solve_walker_H(rhs: Expr, chart: Chart = WALKER_CHART) -> Expr:
     stray terms, so it reduces to plain double antidifferentiation in x1
     whenever rhs depends only on x1.
     """
-    x_idx = tuple(chart.index(n) for n in _X_NAMES)
-    v_idx = chart.index("v")
-    mono = _poly_in_x(rhs, x_idx, v_idx)
-    mono = {k: v for k, v in mono.items() if not is_zero(v)}
-    xs = [coord(i) for i in x_idx]
+    mono = {k: v for k, v in _poly_in_x(rhs).items() if not is_zero(v)}
+    xs = [coord(i) for i in X_BLOCK]
     if set(mono) <= {(0, 0, 0)}:
         c0 = mono.get((0, 0, 0), const(0.0))
         r2 = add(*[intpow(x, 2) for x in xs])

@@ -64,7 +64,6 @@ __all__ = [
     "assemble_flux",
     "flux_norm_sq",
     "flux_norm_sq_pieces",
-    "sample_points",
     "draw_points",
     "closedness_residual",
     "maxwell_residual",
@@ -180,18 +179,8 @@ class Background:
         return assemble_flux(self.flux, self.product)
 
     def sample(self, count: int, seed: int) -> list[tuple[float, ...]]:
-        return list(self.draws(count, seed))
-
-    def draws(self, count: int, seed: int) -> Iterator[tuple[float, ...]]:
-        """The points of :meth:`sample`, drawn as they are taken."""
-        return draw_points(self.box, count, seed, self.predicate)
-
-
-def sample_points(box, count: int, seed: int,
-                  predicate: Optional[Callable] = None) -> list[tuple[float, ...]]:
-    """Seeded uniform draws from the box, skipping predicate-flagged points:
-    the whole plan of :func:`draw_points`."""
-    return list(draw_points(box, count, seed, predicate))
+        """The whole plan of :func:`draw_points` on this background's box and predicate."""
+        return list(draw_points(self.box, count, seed, self.predicate))
 
 
 def draw_points(box, count: int, seed: int,
@@ -681,7 +670,7 @@ def verify(bg: Background, count: int = 100, seed: int = 42,
     """Run all four residual families over a fresh seeded plan."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise FormError(f"tolerance must be finite and positive, got {tol!r}")
-    rows = _residual_rows(bg, bg.draws(count, seed),
+    rows = _residual_rows(bg, draw_points(bg.box, count, seed, bg.predicate),
                           ("closedness", "maxwell", "einstein", "trace"))
     return VerificationResult(rows=rows, tolerance=tol)
 
@@ -847,7 +836,7 @@ def diagnose_reduced_case(fs: FluxSpec, ps: ProductStructure,
     """
     bg = Background(ps, fs, [(-1.0, 1.0)] * 11 if box is None else box)
     if points is None:
-        points = sample_points(bg.box, count, seed)
+        points = bg.sample(count, seed)
     points = [tuple(p) for p in points]
     if widths := {len(p) for p in points} - {11}:
         raise FormError(f"sample points need 11 coordinates, got {min(widths)}")

@@ -127,7 +127,7 @@ class Chart:
             raise ExprError(f"chart dimension must be 1..11, got {len(names)}")
         if len(set(names)) != len(names):
             raise ExprError(f"duplicate coordinate names in chart {names}")
-        self.names = names
+        self.names = tuple(names)
 
     @property
     def dim(self) -> int:

@@ -7,10 +7,9 @@ inner products of equal-degree forms, and a fully symbolic Hodge star with
 pseudo-Riemannian sign bookkeeping.
 
 Orientation convention: the volume form of a metric is
-``sqrt(|det g|) dx^0 ^ ... ^ dx^(n-1)`` in chart coordinate order unless an
-explicit orientation permutation is supplied.  On a product chart whose
-Lorentzian coordinates precede the Riemannian ones this makes the total
-volume form the wedge of the factor volume forms.
+``sqrt(|det g|) dx^0 ^ ... ^ dx^(n-1)`` in chart coordinate order.  On a
+product chart whose Lorentzian coordinates precede the Riemannian ones this
+makes the total volume form the wedge of the factor volume forms.
 
 All objects are immutable after construction; every operation is pure.
 """
@@ -509,23 +508,15 @@ def form_inner(a: KForm, b: KForm, m: Metric, points, hinv: Optional[np.ndarray]
     return total
 
 
-def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> KForm:
-    """Symbolic Hodge star fixed by ``x ^ star(y) = <x, y> vol``.
-
-    ``orientation`` is a permutation of the chart coordinates declaring
-    ``vol = + sqrt(|det m|) d(orientation)``; the default is chart order.
+def hodge(a: KForm, m: Metric) -> KForm:
+    """Symbolic Hodge star fixed by ``x ^ star(y) = <x, y> vol``, with the
+    chart-ordered ``vol = + sqrt(|det m|) dx^0 ^ ... ^ dx^(n-1)``.
     Satisfies the double-star law ``star(star(a)) = (-1)^(k(n-k)+q) a`` for
     a metric with q negative eigenvalues.
     """
     if a.chart.names != m.chart.names:
         raise ChartMismatch("form and metric live on different charts")
     n = a.chart.dim
-    parity = 1
-    if orientation is not None:
-        perm = tuple(a.chart.index(name) for name in orientation)
-        if sorted(perm) != list(range(n)):
-            raise FormError(f"orientation {orientation} is not a chart permutation")
-        parity = perm_sign(perm)
     inv = m.inverse_entries()
     sq = m.sqrt_abs_det()
     memo: dict = {}
@@ -538,15 +529,14 @@ def hodge(a: KForm, m: Metric, orientation: Optional[Sequence[str]] = None) -> K
             if is_zero(minor):
                 continue
             comp = tuple(c for c in range(n) if c not in sel)
-            sign = perm_sign(sel + comp) * parity
-            term = mul(sign, val, minor, sq)
+            term = mul(perm_sign(sel + comp), val, minor, sq)
             out[comp] = add(out[comp], term) if comp in out else term
     return KForm(a.chart, n - a.degree, out)
 
 
-def volume_form(m: Metric, orientation: Optional[Sequence[str]] = None) -> KForm:
-    """sqrt(|det m|) times the oriented top coordinate form: the star of 1."""
-    return hodge(KForm(m.chart, 0, {(): 1.0}), m, orientation)
+def volume_form(m: Metric) -> KForm:
+    """sqrt(|det m|) times the chart-ordered top coordinate form: the star of 1."""
+    return hodge(KForm(m.chart, 0, {(): 1.0}), m)
 
 
 # ---------------------------------------------------------------------------

@@ -151,22 +151,20 @@ class WalkerData:
     (a function of u, x and possibly v).
     """
 
-    __slots__ = ("rho", "a", "h", "chart")
+    __slots__ = ("rho", "a", "h")
 
-    def __init__(self, rho: tuple[tuple[Expr, ...], ...], a: tuple[Expr, Expr, Expr], h: Expr,
-                 chart: Chart = WALKER_CHART):
+    def __init__(self, rho: tuple[tuple[Expr, ...], ...], a: tuple[Expr, Expr, Expr], h: Expr):
         self.rho = rho
         self.a = a
         self.h = h
-        self.chart = chart
 
     @staticmethod
-    def pp_wave(h, chart: Chart = WALKER_CHART) -> "WalkerData":
+    def pp_wave(h) -> "WalkerData":
         """Flat negative-definite transverse block and vanishing A."""
         zero = _as_expr(0.0)
         mone = _as_expr(-1.0)
         rho = tuple(tuple(mone if i == j else zero for j in range(3)) for i in range(3))
-        return WalkerData(rho=rho, a=(zero, zero, zero), h=_as_expr(h), chart=chart)
+        return WalkerData(rho=rho, a=(zero, zero, zero), h=_as_expr(h))
 
 
 def walker_metric(w: WalkerData) -> Metric:
@@ -183,18 +181,17 @@ def walker_metric(w: WalkerData) -> Metric:
         rows[1 + i][0] = w.a[i]
         for j in range(3):
             rows[1 + i][1 + j] = w.rho[i][j]
-    return Metric(w.chart, rows, (1, 4))
+    return Metric(WALKER_CHART, rows, (1, 4))
 
 
 X_BLOCK = (1, 2, 3)
 
 
-def validate_ricci_isotropic(w: WalkerData, points: Sequence[Sequence[float]],
-                             tol: float = 1e-9) -> None:
+def validate_ricci_isotropic(w: WalkerData, points: Sequence[Sequence[float]]) -> None:
     """Gate for the subclass with ``dH/dv = 0``, ``A = 0`` and Ricci-flat rho.
 
-    Raises ``FormError`` when any condition fails numerically at the sample
-    points, naming the first failing point and its first failing check.
+    Raises ``FormError`` when any condition exceeds 1e-9 in size at the
+    sample points, naming the first failing point and its first failing check.
     For metrics in this subclass the full Ricci tensor reduces to the
     single (u, u) component ``-(1/2) Lap_rho(H)``.
     """
@@ -203,7 +200,7 @@ def validate_ricci_isotropic(w: WalkerData, points: Sequence[Sequence[float]],
               + [(a, f"A component {i} does not vanish") for i, a in enumerate(w.a)]
               + [(ric_rho[i][j], "transverse block is not Ricci-flat") for i in X_BLOCK for j in X_BLOCK])
     points = list(points)
-    bad = np.abs(evaluate_points([e for e, _ in checks], points)) > tol
+    bad = np.abs(evaluate_points([e for e, _ in checks], points)) > 1e-9
     if bad.any():
         point, check = divmod(int(np.argmax(bad)), len(checks))
         raise FormError(f"{checks[check][1]} at {tuple(points[point])}")

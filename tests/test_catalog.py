@@ -18,7 +18,7 @@ from sugra.geometry import (
     scalar_curvature,
     walker_metric,
 )
-from sugra.equations import Background, closedness_residual, flux_norm_sq, sample_points, verify
+from sugra.equations import Background, closedness_residual, draw_points, flux_norm_sq, verify
 from sugra.catalog import (
     CATALOG,
     CatalogError,
@@ -45,25 +45,25 @@ def lap_flat(h_expr):
 class TestSolver:
     def test_constant_rhs_gives_symmetric_profile(self):
         h = solve_walker_H(const(-3.0))
-        lap = lap_flat(h)
-        for p in random_points(rng_for("solc"), 5, 5):
-            assert evaluate(lap, p) == pytest.approx(-3.0, abs=1e-12)
-            assert evaluate(h, p) == pytest.approx(0.5 * (p[1] ** 2 + p[2] ** 2 + p[3] ** 2))
+        pts = random_points(rng_for("solc"), 5, 5)
+        lap, got = evaluate_points([lap_flat(h), h], pts).T
+        assert lap == pytest.approx([-3.0] * len(pts), abs=1e-12)
+        assert got == pytest.approx([0.5 * (p[1] ** 2 + p[2] ** 2 + p[3] ** 2) for p in pts])
 
     def test_u_dependent_constant_reproduces_volume_flux_profile(self):
         f = coord(0)  # f(u) = u
         h = solve_walker_H(mul(-1.0, f, f))
         want = parse("1/6 * u^2 * (x1^2+x2^2+x3^2)", W5)
-        for p in random_points(rng_for("solu"), 10, 5):
-            assert evaluate(h, p) == pytest.approx(evaluate(want, p), rel=1e-12)
+        got, want = evaluate_points([h, want], random_points(rng_for("solu"), 10, 5)).T
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_slab_profile(self):
         big_l = 1.0
         rhs = add(const(-big_l ** 2), mul(-1.0, intpow(coord(1), 2)))
         h = solve_walker_H(rhs)
         want = parse("1/12*x1^4 + 1/2*x1^2", W5)
-        for p in random_points(rng_for("soll"), 10, 5):
-            assert evaluate(h, p) == pytest.approx(evaluate(want, p), rel=1e-12)
+        got, want = evaluate_points([h, want], random_points(rng_for("soll"), 10, 5)).T
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_random_polynomials_round_trip(self):
         rng = rng_for("solrt")
@@ -78,10 +78,8 @@ class TestSolver:
                             intpow(coord(0), int(rng.integers(0, 3))))
                 terms.append(mul(coeff, intpow(xs[0], a), intpow(xs[1], b), intpow(xs[2], c)))
             rhs = add(*terms)
-            h = solve_walker_H(rhs)
-            lap = lap_flat(h)
-            for p in random_points(rng, 20, 5):
-                assert abs(evaluate(lap, p) - evaluate(rhs, p)) < 1e-10
+            lap, want = evaluate_points([lap_flat(solve_walker_H(rhs)), rhs], random_points(rng, 20, 5)).T
+            assert np.all(np.abs(lap - want) < 1e-10)
 
     def test_non_polynomial_rejected(self):
         with pytest.raises(SolverError):
@@ -95,10 +93,8 @@ class TestSolver:
 
     def test_u_only_transcendental_coefficients_allowed(self):
         rhs = mul(sin(coord(0)), intpow(coord(1), 2))
-        h = solve_walker_H(rhs)
-        lap = lap_flat(h)
-        for p in random_points(rng_for("solt"), 5, 5):
-            assert evaluate(lap, p) == pytest.approx(evaluate(rhs, p), abs=1e-12)
+        lap, want = evaluate_points([lap_flat(solve_walker_H(rhs)), rhs], random_points(rng_for("solt"), 5, 5)).T
+        assert lap == pytest.approx(want, abs=1e-12)
 
 
 class TestEntries:
@@ -345,7 +341,7 @@ class TestSamplePredicate:
         assert bg.box[5] == pytest.approx((-0.07, 0.07))
         pts = bg.sample(200, seed=11)
         assert max(abs(p[5]) for p in pts) <= 0.05
-        assert max(abs(p[5]) for p in sample_points(bg.box, 200, 11)) > 0.05
+        assert max(abs(p[5]) for p in draw_points(bg.box, 200, 11)) > 0.05
 
     def test_alphabeta_poly_samples_at_small_l(self):
         """At L = 0.05 the margin is L/2, so the slab |y1| <= 0.025 of the box

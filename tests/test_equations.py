@@ -58,8 +58,8 @@ from sugra.equations import (
     einstein_residual,
     flux_norm_sq,
     flux_norm_sq_pieces,
+    draw_points,
     maxwell_residual,
-    sample_points,
     trace_check,
     verify,
     _PIECES,
@@ -102,9 +102,9 @@ class TestAssembleFlux:
         nu = random_form(R6, 1, rng, polynomial_only=True)
         one = assemble_flux(FluxSpec(beta=beta, nu=nu), ps)
         two = assemble_flux(FluxSpec(beta=beta.scale(const(2.0)), nu=nu), ps)
-        p = (0.3,) * 11
-        for k, v in one.coeffs.items():
-            assert evaluate(two.coeffs[k], p) == pytest.approx(2 * evaluate(v, p))
+        keys = list(one.coeffs)
+        got = evaluate_points([two.coeffs[k] for k in keys] + [one.coeffs[k] for k in keys], [(0.3,) * 11])[0]
+        assert got[:len(keys)] == pytest.approx(2 * got[len(keys):])
 
     def test_unknown_piece_refused(self):
         with pytest.raises(TypeError, match=r"FluxSpec has no pieces \['bogus'\]"):
@@ -135,11 +135,10 @@ class TestAssembleFlux:
                               (4, 5): mul(-1.0, lams[2])})
         direct = wedge(omega, omega).scale(const(0.5 * c))
         theta = bg.flux.theta
-        for p6 in random_points(rng_for("halfww"), 4, 6, lo=-0.6, hi=0.6):
-            for k in set(direct.coeffs) | set(theta.coeffs):
-                a = evaluate(direct.coeffs.get(k, const(0.0)), p6)
-                b = evaluate(theta.coeffs.get(k, const(0.0)), p6)
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        keys = sorted(set(direct.coeffs) | set(theta.coeffs))
+        values = evaluate_points([f.coeffs.get(k, const(0.0)) for f in (direct, theta) for k in keys],
+                                 random_points(rng_for("halfww"), 4, 6, lo=-0.6, hi=0.6))
+        assert values[:, :len(keys)] == pytest.approx(values[:, len(keys):], rel=1e-12, abs=1e-12)
 
 
 class TestFluxNorm:
@@ -707,7 +706,7 @@ class TestJetCore:
         bg = parse_background_text("\n".join(replacement if ln.startswith(entry) else ln
                                               for ln in lines) + "\n")
         size = _Jets(bg).core.batch
-        pts = [list(p) for p in sample_points(bg.box, size + 20, 7)]
+        pts = [list(p) for p in bg.sample(size + 20, 7)]
         for p in pts:
             p[coord] = good
         pts[size + 3][coord], pts[size + 11][coord] = bad
@@ -783,10 +782,10 @@ class TestStreamedPlans:
         chunk, size = jets.chunk, jets.core.batch
         assert chunk > size
         drawn, contracted, evaluated = [0], [], []
-        draws, residuals, values = Background.draws, _Contractions.residuals, _Jets.values
+        draws, residuals, values = sugra.equations.draw_points, _Contractions.residuals, _Jets.values
 
-        def counted_draws(self, count, seed):
-            for p in draws(self, count, seed):
+        def counted_draws(box, count, seed, predicate):
+            for p in draws(box, count, seed, predicate):
                 drawn[0] += 1
                 assert drawn[0] - sum(contracted) <= chunk
                 yield p
@@ -799,7 +798,7 @@ class TestStreamedPlans:
             evaluated.append(len(points))
             return values(self, points)
 
-        monkeypatch.setattr(Background, "draws", counted_draws)
+        monkeypatch.setattr(sugra.equations, "draw_points", counted_draws)
         monkeypatch.setattr(_Contractions, "residuals", counted_residuals)
         monkeypatch.setattr(_Jets, "values", counted_values)
         count = 2 * chunk + 7
@@ -838,7 +837,7 @@ class TestStreamedPlans:
     def _fine_points(bg: Background, count: int) -> list[list[float]]:
         """``count`` sample points where both edits of ``_two_failures`` are
         fine: ``y1 = -0.5`` and ``y3 = 1``."""
-        pts = [list(p) for p in sample_points(bg.box, count, 7)]
+        pts = [list(p) for p in bg.sample(count, 7)]
         for p in pts:
             p[5], p[7] = -0.5, 1.0
         return pts
@@ -1054,15 +1053,15 @@ class TestClosedFormBlocks:
 class TestSamplePlans:
     def test_deterministic(self):
         box = [(-1.0, 1.0)] * 11
-        a = sample_points(box, 20, 42)
-        b = sample_points(box, 20, 42)
+        a = list(draw_points(box, 20, 42))
+        b = list(draw_points(box, 20, 42))
         assert a == b
-        c = sample_points(box, 20, 43)
+        c = list(draw_points(box, 20, 43))
         assert a != c
 
     def test_predicate_rejection(self):
         box = [(-1.0, 1.0)] * 11
-        pts = sample_points(box, 50, 1, predicate=lambda p: p[0] < 0.0)
+        pts = list(draw_points(box, 50, 1, predicate=lambda p: p[0] < 0.0))
         assert len(pts) == 50
         assert all(p[0] >= 0.0 for p in pts)
 
@@ -1083,11 +1082,16 @@ class TestSamplePlans:
 
     @pytest.mark.parametrize("count, threshold", [(1500, None), (300, 0.0), (40, 0.9), (3, 2.0)])
     def test_matches_point_at_a_time_loop(self, count, threshold):
-        """Same points and the same predicate calls, in the same order, as the
+        """Same points and the same predicate calls, in the same order, from
+        :func:`draw_points` and :meth:`Background.sample` as from the
         reference loop; threshold 2.0 rejects every point (the error case)."""
         box = [(-1.0, 1.0)] * 5 + [(0.5, 2.5)] * 6
         results = []
-        for draw in (sample_points, self._point_at_a_time):
+
+        def sample(box, count, seed, predicate):
+            return Background(flat_product(), FluxSpec(), box, predicate=predicate).sample(count, seed)
+
+        for draw in (lambda *args: list(draw_points(*args)), sample, self._point_at_a_time):
             calls = []
 
             def predicate(p):
@@ -1099,7 +1103,7 @@ class TestSamplePlans:
             except sugra.forms.FormError as err:
                 out = str(err)
             results.append((out, calls))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         if threshold == 2.0:
             assert results[0][0] == "sample box appears to be mostly inside the singular set"
             assert len(results[0][1]) == 1000 * count
@@ -1110,10 +1114,11 @@ class TestSamplePlans:
         """The generator is part of the contract: plans must not move when
         numpy or the code around the draws changes."""
         box = [(-1.0, 1.0)] * 5 + [(0.5, 2.5)] * 6
-        assert sample_points(box, 1, 42)[0] == (
-            0.2788535969157675, -0.9499784895546661, -0.4499413632617615, -0.5535785237023545,
-            0.4729424283280248, 1.8533989748458226, 2.284359135409691, 0.6738776652588323,
-            1.3438436393705409, 0.5595944388761407, 0.9372759496072067)
+        first = (0.2788535969157675, -0.9499784895546661, -0.4499413632617615, -0.5535785237023545,
+                 0.4729424283280248, 1.8533989748458226, 2.284359135409691, 0.6738776652588323,
+                 1.3438436393705409, 0.5595944388761407, 0.9372759496072067)
+        assert next(draw_points(box, 1, 42)) == first
+        assert Background(flat_product(), FluxSpec(), box).sample(1, 42) == [first]
 
     def test_verify_and_diagnose_leave_numpy_random_unloaded(self):
         code = ("import contextlib, io, sys\n"
@@ -1139,7 +1144,7 @@ class TestSamplePlans:
         """No vacuous pass over an empty plan, no numpy error for a negative
         seed: every way to draw a plan rejects them."""
         bg = build("alpha-ppwave")
-        draws = [lambda: sample_points(bg.box, count, seed),
+        draws = [lambda: list(draw_points(bg.box, count, seed)),
                  lambda: bg.sample(count, seed),
                  lambda: verify(bg, count=count, seed=seed),
                  lambda: diagnose_reduced_case(bg.flux, bg.product, count=count, seed=seed)]
@@ -1196,7 +1201,7 @@ class TestDiagnostics:
         rng = rng_for("case8")
         fs = FluxSpec(alpha=monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")),
                       theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")))
-        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, flat_product(), count=10, seed=1)
         assert d.case == "8"
         assert not d.consistent
 
@@ -1205,7 +1210,7 @@ class TestDiagnostics:
                       nu=coordinate_form(R6, "y1"),
                       varpi=coordinate_form(W5, "u"),
                       eps=monomial_form(R6, 1.0, ("y2", "y3", "y4")))
-        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, flat_product(), count=10, seed=1)
         assert d.case == "9"
         assert d.max_residual() < 1e-12
 
@@ -1214,7 +1219,7 @@ class TestDiagnostics:
         fs = FluxSpec(beta=monomial_form(W5, 1.0, ("u", "x1", "x2")),
                       nu=coordinate_form(R6, "y1"),
                       theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")))
-        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, flat_product(), count=10, seed=1)
         assert d.case == "general"
 
     def test_general_fallback_matches_symbolic_oracle(self):
@@ -1262,8 +1267,7 @@ class TestDiagnostics:
         fs = FluxSpec(varpi=coordinate_form(W5, "u"), psi=parse("2*u", W5),
                       eps=monomial_form(R6, parse("y1", R6), ("y2", "y3", "y4")),
                       theta=monomial_form(R6, 0.5, ("y1", "y2", "y3", "y4")))
-        d = diagnose_reduced_case(fs, build("alpha-ppwave").product,
-                                  points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, build("alpha-ppwave").product, count=10, seed=1)
         assert (d.case, d.kappa, d.lam) == ("7", 2.0, 0.0)
         assert d.rows == [(label, 0.0, 0.0) for label in (
             "d(theta) = 0", "d(varpi) = 0", "d(*6 eps) = 0", "d(psi) - k*varpi = 0",
@@ -1276,7 +1280,7 @@ class TestDiagnostics:
         dy1^dy2^dy3^dy4 is left over."""
         fs = FluxSpec(gamma=monomial_form(W5, 1.0, ("u", "x1")) + monomial_form(W5, 1.0, ("x2", "x3")),
                       delta=monomial_form(R6, 1.0, ("y1", "y2")) + monomial_form(R6, 1.0, ("y3", "y4")))
-        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, flat_product(), count=10, seed=1)
         by_label = {label: mx for label, mx, _ in d.rows}
         assert (d.case, d.kappa, d.lam) == ("3", 0.0, None)
         assert "d(*5 gamma) = 0" not in by_label
@@ -1290,7 +1294,7 @@ class TestDiagnostics:
         fs = FluxSpec(alpha=monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")),
                       theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")),
                       **{scalar: const(0.0)})
-        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, flat_product(), count=10, seed=1)
         assert d.case == {"phi": "5", "psi": "1"}[scalar]
         assert d.consistent and d.max_residual() == 0.0
 
@@ -1299,7 +1303,7 @@ class TestDiagnostics:
         makes the flux nearly pure psi*theta, which is consistent."""
         fs = FluxSpec(alpha=monomial_form(W5, 1.0, ("u", "x1", "x2", "x3")), phi=const(1e-13),
                       theta=monomial_form(R6, 1.0, ("y1", "y2", "y3", "y4")))
-        d = diagnose_reduced_case(fs, flat_product(), points=sample_points([(-1, 1)] * 11, 10, 1))
+        d = diagnose_reduced_case(fs, flat_product(), count=10, seed=1)
         assert d.case == "8"
         assert d.rows == [("min(|phi*alpha|, |psi*theta|) = 0", 1e-13, 1e-13)]
         assert d.consistent

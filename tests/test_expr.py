@@ -40,6 +40,7 @@ from sugra.expr import (
     substitute,
     to_text,
 )
+from sugra.forms import coordinate_form
 
 W5 = Chart(("u", "x1", "x2", "x3", "v"))
 
@@ -392,3 +393,8 @@ class TestConstructors:
         assert W5.index("x2") == 2
         with pytest.raises(ExprError):
             W5.index("nope")
+
+    def test_chart_names_are_a_tuple(self):
+        assert Chart(["x", "y"]).names == ("x", "y")
+        both = coordinate_form(Chart(["x", "y"]), "x") + coordinate_form(Chart(("x", "y")), "y")
+        assert both.chart.names == ("x", "y") and len(both.coeffs) == 2

@@ -420,21 +420,6 @@ class TestHodge:
             ok, worst = form_values_equal(ss, a.scale(const(sign)), pts, 1e-9)
             assert ok, f"double star violated by {worst} in degree {k}"
 
-    @pytest.mark.parametrize("orientation", [("y1", "y1", "y3", "y4", "y5", "y6"),
-                                             ("y2", "y1")])
-    def test_volume_form_rejects_non_permutation(self, orientation):
-        with pytest.raises(FormError, match="not a chart permutation"):
-            volume_form(flat_metric(R6, (0, 6)), orientation)
-
-    def test_orientation_reversal_flips_sign(self):
-        m = flat_metric(R6, (0, 6))
-        a = monomial_form(R6, 1.0, ("y1", "y2"))
-        plus = hodge(a, m)
-        swapped = hodge(a, m, orientation=("y2", "y1", "y3", "y4", "y5", "y6"))
-        pts = [(0.1,) * 6]
-        ok, worst = form_values_equal(swapped, plus.scale(const(-1.0)), pts, 1e-12)
-        assert ok, worst
-
     def test_kahler_identity_star_is_half_square_flat(self):
         g = flat_metric(R6, (0, 6))
         delta = (monomial_form(R6, 1.0, ("y1", "y2"))

@@ -177,26 +177,24 @@ class TestChristoffel:
         m = walker_metric(WalkerData.pp_wave(H))
         sym = christoffel(m)
         fn = matrix_fn(m)
-        for p in random_points(rng_for("walkerfd"), 3, 5):
+        pts = random_points(rng_for("walkerfd"), 3, 5)
+        for p, row in zip(pts, evaluate_points(list(sym.values()), pts)):
             gam = fd_christoffel(fn, p)
             sym_gam = np.zeros((5, 5, 5))
-            for (k, i, j), e in sym.items():
-                v = evaluate(e, p)
-                sym_gam[k, i, j] = v
-                sym_gam[k, j, i] = v
+            for (k, i, j), v in zip(sym, row):
+                sym_gam[k, i, j] = sym_gam[k, j, i] = v
             assert np.max(np.abs(gam - sym_gam)) < 1e-6
 
     def test_ads_against_fd_oracle(self):
         m = ads5_metric()
         sym = christoffel(m)
         fn = matrix_fn(m)
-        for p in random_points(rng_for("adsfd"), 3, 5, lo=0.5, hi=1.4):
+        pts = random_points(rng_for("adsfd"), 3, 5, lo=0.5, hi=1.4)
+        for p, row in zip(pts, evaluate_points(list(sym.values()), pts)):
             gam = fd_christoffel(fn, p)
             sym_gam = np.zeros((5, 5, 5))
-            for (k, i, j), e in sym.items():
-                v = evaluate(e, p)
-                sym_gam[k, i, j] = v
-                sym_gam[k, j, i] = v
+            for (k, i, j), v in zip(sym, row):
+                sym_gam[k, i, j] = sym_gam[k, j, i] = v
             assert np.max(np.abs(gam - sym_gam)) < 1e-6
 
     def test_metric_compatibility(self):
@@ -239,12 +237,11 @@ class TestRicci:
             )
             m = walker_metric(WalkerData.pp_wave(H))
             lap = laplace_beltrami(m, H, (1, 2, 3))
-            for p in random_points(rng, 4, 5):
-                R = ricci_at(m, p)
-                want = -0.5 * evaluate(lap, p)
-                assert R[0, 0] == pytest.approx(want, abs=1e-9)
-                R[0, 0] = 0.0
-                assert np.max(np.abs(R)) < 1e-9
+            pts = random_points(rng, 4, 5)
+            R = matrix_values(ricci(m), pts)
+            assert R[:, 0, 0] == pytest.approx(-0.5 * evaluate_points([lap], pts)[:, 0], abs=1e-9)
+            R[:, 0, 0] = 0.0
+            assert np.max(np.abs(R)) < 1e-9
 
     def test_ads_einstein_constant(self):
         big_l = 2.0
@@ -278,14 +275,11 @@ class TestRicci:
         gl = walker_metric(WalkerData.pp_wave(H))
         gr = flat_metric(R6, (0, 6))
         h = product_metric(ProductStructure(gl, gr))
-        ric_l = ricci(gl)
-        for p in random_points(rng_for("prodric"), 4, 11):
-            R = ricci_at(h, p)
-            for i in range(5):
-                for j in range(5):
-                    assert R[i, j] == pytest.approx(evaluate(ric_l[i][j], tuple(p[:5])), abs=1e-10)
-            assert np.max(np.abs(R[5:, 5:])) < 1e-12
-            assert np.max(np.abs(R[:5, 5:])) < 1e-12
+        pts = random_points(rng_for("prodric"), 4, 11)
+        R = matrix_values(ricci(h), pts)
+        assert R[:, :5, :5] == pytest.approx(matrix_values(ricci(gl), [p[:5] for p in pts]), abs=1e-10)
+        assert np.max(np.abs(R[:, 5:, 5:])) < 1e-12
+        assert np.max(np.abs(R[:, :5, 5:])) < 1e-12
 
     def test_flat_product_is_flat(self):
         h = product_metric(ProductStructure(flat_metric(W5, (1, 4)), flat_metric(R6, (0, 6))))
@@ -386,16 +380,16 @@ class TestLaplaceBeltrami:
         m = walker_metric(WalkerData.pp_wave(const(0.0)))
         s = parse("exp(2*x1)/4", W5)
         lap = laplace_beltrami(m, s, (1, 2, 3))
-        for p in random_points(rng_for("lapexp"), 5, 5):
-            assert evaluate(lap, p) == pytest.approx(-np.exp(2 * p[1]), rel=1e-12)
+        pts = random_points(rng_for("lapexp"), 5, 5)
+        assert evaluate_points([lap], pts)[:, 0] == pytest.approx([-np.exp(2 * p[1]) for p in pts], rel=1e-12)
 
     def test_quartic_profile(self):
         big_l = 1.0
         m = walker_metric(WalkerData.pp_wave(const(0.0)))
         s = parse("1/12*x1^4 + 1/2*x1^2", W5)  # L = 1
         lap = laplace_beltrami(m, s, (1, 2, 3))
-        for p in random_points(rng_for("lapquart"), 5, 5):
-            assert evaluate(lap, p) == pytest.approx(-(big_l ** 2) - p[1] ** 2, rel=1e-12)
+        pts = random_points(rng_for("lapquart"), 5, 5)
+        assert evaluate_points([lap], pts)[:, 0] == pytest.approx([-(big_l ** 2) - p[1] ** 2 for p in pts], rel=1e-12)
 
     def test_full_metric_laplacian_flat(self):
         g = flat_metric(R6, (0, 6))
@@ -467,23 +461,17 @@ class TestProductStructure:
         h = bg.metric()
         gl = bg.product.lorentz
         gr = bg.product.riemann
-        ric_l = ricci(gl)
-        ric_r = ricci(gr)
         pts = bg.sample(3, seed=5)
-        gls = matrix_values(gl.entries, [p[:5] for p in pts])
-        grs = matrix_values(gr.entries, [p[5:] for p in pts])
-        for p, gl_v, gr_v in zip(pts, gls, grs):
+        p5s, p6s = [p[:5] for p in pts], [p[5:] for p in pts]
+        gls, grs = matrix_values(gl.entries, p5s), matrix_values(gr.entries, p6s)
+        ric_ls, ric_rs = matrix_values(ricci(gl), p5s), matrix_values(ricci(gr), p6s)
+        for p, gl_v, gr_v, ric_l, ric_r in zip(pts, gls, grs, ric_ls, ric_rs):
             R = ricci_at(h, p)
-            p5, p6 = tuple(p[:5]), tuple(p[5:])
             # Lorentz block: +c^2/2 = 1; Riemann block: -c^2/2 = -1 (K = 1)
             assert np.max(np.abs(R[:5, :5] - 1.0 * gl_v)) < 1e-10
             assert np.max(np.abs(R[5:, 5:] + 1.0 * gr_v)) < 1e-10
-            for i in range(5):
-                for j in range(5):
-                    assert R[i, j] == pytest.approx(evaluate(ric_l[i][j], p5), abs=1e-10)
-            for i in range(6):
-                for j in range(6):
-                    assert R[5 + i, 5 + j] == pytest.approx(evaluate(ric_r[i][j], p6), abs=1e-10)
+            assert R[:5, :5] == pytest.approx(ric_l, abs=1e-10)
+            assert R[5:, 5:] == pytest.approx(ric_r, abs=1e-10)
 
     def test_ads_times_spheres_against_fd_oracle(self):
         from sugra.catalog import build
