@@ -42,8 +42,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .expr import (_FUNCS, _TOKEN_RE, Chart, Expr, ExprError, ParseError, const, is_zero,
-                   parse, to_text)
+from .expr import Chart, Expr, ExprError, ParseError, const, is_zero, parse, to_text
 from .forms import Metric, monomial_form
 from .geometry import ProductStructure
 from .equations import _PIECES, DEFAULT_TOL, Background, FluxSpec
@@ -112,23 +111,18 @@ def parse_background_text(text: str, path: str = "") -> Background:
             raise BgFileError(f"{key} chart needs {size} coordinates", lineno, path)
         if key in charts:
             raise BgFileError(f"duplicate {key} chart", lineno, path)
-        repeated = [n for n in names if names.count(n) > 1]
-        if repeated:
-            raise BgFileError(f"{key} chart repeats the name {repeated[0]!r}", lineno, path)
+        try:  # a repeated name, or one that no expression can write
+            chart = Chart(names)
+        except ExprError as err:
+            raise BgFileError(f"{key} {err}", lineno, path) from None
         if "tol" in names:
             raise BgFileError(f"{key} chart names a coordinate 'tol', which [sample] reads as "
                               "the tolerance", lineno, path)
-        for n in names:  # what an expression reads as a coordinate
-            m = _TOKEN_RE.fullmatch(n)
-            if m is None or m.lastgroup != "ident" or n in _FUNCS:
-                raise BgFileError(f"{key} chart coordinate {n!r} is not a name that expressions "
-                                  f"can use (an identifier other than {', '.join(_FUNCS)})",
-                                  lineno, path)
         for other in charts.values():  # the chart of the earlier line
             overlap = set(names) & set(other.names)
             if overlap:
                 raise BgFileError(f"charts share coordinates {sorted(overlap)}", lineno, path)
-        charts[key] = Chart(names)
+        charts[key] = chart
     if len(charts) != 2:
         raise BgFileError("missing [chart] section with lorentz and riemann lines", 0, path)
     chart_l, chart_r = charts["lorentz"], charts["riemann"]
@@ -247,10 +241,9 @@ def parse_background_text(text: str, path: str = "") -> Background:
 
 def render_background(bg: Background, header: str = "") -> str:
     """Serialize a background to the file format (used to ship the catalog
-    entries as files; re-parsing reproduces the same residual tables).  The
-    ``tol`` line is the background's own tolerance, ``DEFAULT_TOL`` (1e-08)
-    if it has none.  A file cannot state a sample predicate, so the
-    background's ``predicate`` is dropped."""
+    entries as files; re-parsing reproduces the same residual tables, since
+    the sample box is all that decides a plan).  The ``tol`` line is the
+    background's own tolerance, ``DEFAULT_TOL`` (1e-08) if it has none."""
     gl = bg.product.lorentz
     gr = bg.product.riemann
     lines: list[str] = []

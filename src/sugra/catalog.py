@@ -4,7 +4,7 @@ prescribed Laplacian.
 
 Seven entries are plane-fronted waves times a Ricci-flat Riemannian factor,
 with null flux ``F = du ^ Phi``.  Their builders declare the flux (and any
-factor metric, box or sample predicate other than flat R^6's); :func:`_ppwave`
+factor metric or sample box other than flat R^6's); :func:`_ppwave`
 derives the profile H by one rule, the Einstein (u,u) equation
 ``Lap_rho(H) = |Phi|^2``, every constant of which comes from factor-metric
 norms of the flux pieces (``alphabeta-trig`` gives its H: its ``|Phi|^2`` is
@@ -188,8 +188,7 @@ def _norm_on(metric: Metric, form: KForm, box) -> float:
         return float(form_inner(form, form, metric, [point])[0])
 
 
-def _ppwave(scale, flux, riemann=None, y_ranges=None, predicate=None,
-            profile=None) -> Background:
+def _ppwave(scale, flux, riemann=None, y_ranges=None, profile=None) -> Background:
     """The plane wave ``2 du dv - |dx|^2 + scale * H du^2`` times ``riemann``
     (flat R^6 by default), carrying the null flux ``F = du ^ Phi``.
 
@@ -211,7 +210,7 @@ def _ppwave(scale, flux, riemann=None, y_ranges=None, predicate=None,
                 rhs.append(mul(c, c, const(_norm_on(flat.lorentz, dx, box[:5])), const(hi_norm)))
         profile = solve_walker_H(add(*rhs))
     g5 = walker_metric(WalkerData.pp_wave(mul(const(scale), profile)))
-    return Background(ProductStructure(g5, riemann), flux, box, predicate=predicate)
+    return Background(ProductStructure(g5, riemann), flux, box)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +294,8 @@ def _build_alphabeta_poly(params, scale):
     alpha = monomial_form(WALKER_CHART, coord(1), ("u", "x1", "x2", "x3"))
     beta = monomial_form(WALKER_CHART, 1.0, ("u", "x2", "x3"))
     flux = FluxSpec(alpha=alpha, phi=const(1.0), beta=beta, nu=nu)
-    return _ppwave(scale, flux, y_ranges=[(-0.7 * big_l, 0.7 * big_l)] + [(-1.0, 1.0)] * 5,
-                   predicate=lambda p: abs(p[5]) > big_l - min(0.05, big_l / 2))  # short of |y1| = L
+    reach = min(0.7 * big_l, big_l - min(0.05, big_l / 2))  # short of |y1| = L
+    return _ppwave(scale, flux, y_ranges=[(-reach, reach)] + [(-1.0, 1.0)] * 5)
 
 
 def _build_kahler_theta(params, scale):
@@ -314,9 +313,8 @@ def _build_kahler_theta(params, scale):
     riemann = _diagonal(R6_CHART, [neg(lam) for lam in lams for _ in range(2)], (0, 6))
     theta = hodge(_kahler_form(R6_CHART, lams), riemann).scale(const(c * scale))
 
-    box = ([(-1.0, 1.0)] * 4 + [(0.6, 1.6)]) + [(-0.8, 0.8)] * 6
-    return Background(ProductStructure(lorentz, riemann), FluxSpec(theta=theta, psi=const(1.0)),
-                      box, predicate=lambda p: abs(p[4]) < 0.05)  # the horizon z = 0
+    box = ([(-1.0, 1.0)] * 4 + [(0.6, 1.6)]) + [(-0.8, 0.8)] * 6  # z >= 0.6 keeps off the horizon z = 0
+    return Background(ProductStructure(lorentz, riemann), FluxSpec(theta=theta, psi=const(1.0)), box)
 
 
 class CatalogEntry:

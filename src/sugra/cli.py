@@ -80,8 +80,7 @@ def _parse_perturb(specs: list[str]) -> dict[str, float]:
 
 def _scale_flux(bg: Background, factor: float) -> Background:
     """Uniformly rescale every flux form piece (perturbation for file targets)."""
-    return Background(bg.product, bg.flux.scale(factor), bg.box, bg.ident, bg.provenance,
-                      bg.predicate, bg.tolerance)
+    return Background(bg.product, bg.flux.scale(factor), bg.box, bg.ident, bg.provenance, bg.tolerance)
 
 
 def _resolve_target(target: str, perturb: dict) -> Background:

@@ -31,7 +31,7 @@ import itertools
 import random
 import re
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -141,15 +141,13 @@ class FluxSpec:
 
 
 class Background:
-    """A candidate solution: block metric, flux pieces, a sample box, the
-    ``predicate`` that flags the points its sample plans skip (the only such
-    rule), and the residual ``tolerance`` it declares (a file's ``tol``)."""
+    """A candidate solution: block metric, flux pieces, the sample box that
+    every plan on it draws from (the only rule for where it draws), and the
+    residual ``tolerance`` it declares (a file's ``tol``)."""
 
     def __init__(self, product: ProductStructure, flux: FluxSpec,
                  box: Sequence[tuple[float, float]], ident: str = "",
-                 provenance: str = "",
-                 predicate: Optional[Callable[[Sequence[float]], bool]] = None,
-                 tolerance: Optional[float] = None):
+                 provenance: str = "", tolerance: Optional[float] = None):
         chart = product.chart
         if len(box) != 11:
             raise FormError(f"sample box needs 11 coordinate ranges, got {len(box)}")
@@ -164,7 +162,6 @@ class Background:
         self.box = tuple((float(lo), float(hi)) for lo, hi in box)
         self.ident = ident
         self.provenance = provenance
-        self.predicate = predicate
         self.chart = chart
         self.tolerance = tolerance
         self._metric: Optional[Metric] = None
@@ -179,21 +176,18 @@ class Background:
         return assemble_flux(self.flux, self.product)
 
     def sample(self, count: int, seed: int) -> list[tuple[float, ...]]:
-        """The whole plan of :func:`draw_points` on this background's box and predicate."""
-        return list(draw_points(self.box, count, seed, self.predicate))
+        """The whole plan of :func:`draw_points` on this background's box."""
+        return list(draw_points(self.box, count, seed))
 
 
-def draw_points(box, count: int, seed: int,
-                predicate: Optional[Callable] = None) -> Iterator[tuple[float, ...]]:
+def draw_points(box, count: int, seed: int) -> Iterator[tuple[float, ...]]:
     """The ``count`` points of a seeded plan, drawn one by one as they are
     taken.
 
-    The predicate returns True for points to avoid (too close to a declared
-    singular set).  Coordinates are drawn one after another as ``lo + (hi -
-    lo) * random()`` from ``random.Random(seed)``, whose sequence Python
-    keeps the same across versions, so a plan depends only on (box, count,
-    seed, predicate).  At most ``1000 * count`` points are drawn.  ``count``
-    must be positive, ``seed`` non-negative, and the box's bounds and widths
+    Coordinates are drawn one after another as ``lo + (hi - lo) * random()``
+    from ``random.Random(seed)``, whose sequence Python keeps the same across
+    versions, so a plan depends only on (box, count, seed).  ``count`` must
+    be positive, ``seed`` non-negative, and the box's bounds and widths
     finite; all are checked here, before any point is drawn.
     """
     if count < 1:
@@ -206,15 +200,8 @@ def draw_points(box, count: int, seed: int,
 
     def draws():
         draw = random.Random(seed).random
-        kept = 0
-        for _ in range(1000 * count):
-            p = tuple([lo + width * draw() for lo, width in ranges])
-            if predicate is None or not predicate(p):
-                yield p
-                kept += 1
-                if kept == count:
-                    return
-        raise FormError("sample box appears to be mostly inside the singular set")
+        for _ in range(count):
+            yield tuple([lo + width * draw() for lo, width in ranges])
 
     return draws()
 
@@ -670,7 +657,7 @@ def verify(bg: Background, count: int = 100, seed: int = 42,
     """Run all four residual families over a fresh seeded plan."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise FormError(f"tolerance must be finite and positive, got {tol!r}")
-    rows = _residual_rows(bg, draw_points(bg.box, count, seed, bg.predicate),
+    rows = _residual_rows(bg, draw_points(bg.box, count, seed),
                           ("closedness", "maxwell", "einstein", "trace"))
     return VerificationResult(rows=rows, tolerance=tol)
 

@@ -118,16 +118,23 @@ class ParseError(ExprError):
 
 
 class Chart:
-    """An ordered tuple of coordinate names; dimension between 1 and 11."""
+    """An ordered tuple of coordinate names; dimension between 1 and 11, and
+    each name one that :func:`parse` reads as a coordinate."""
 
     __slots__ = ("names",)
 
     def __init__(self, names: tuple[str, ...]):
+        names = tuple(names)
         if not (1 <= len(names) <= 11):
             raise ExprError(f"chart dimension must be 1..11, got {len(names)}")
-        if len(set(names)) != len(names):
-            raise ExprError(f"duplicate coordinate names in chart {names}")
-        self.names = tuple(names)
+        for n in names:
+            if names.count(n) > 1:
+                raise ExprError(f"chart repeats the name {n!r}")
+            m = _TOKEN_RE.fullmatch(n)
+            if m is None or m.lastgroup != "ident" or n in _FUNCS:
+                raise ExprError(f"chart coordinate {n!r} is not a name that expressions can use "
+                                f"(an identifier other than {', '.join(_FUNCS)})")
+        self.names = names
 
     @property
     def dim(self) -> int:

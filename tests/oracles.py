@@ -207,7 +207,7 @@ def pull_back_background(bg: Background, phi5, phi6) -> Background:
     """``bg`` pulled back by ``phi5`` on its 5-chart and ``phi6`` on its
     6-chart: the metric blocks by :func:`pull_back_metric`, the form pieces
     by ``pullback`` and the scalars phi and psi by ``substitute``.  Each side
-    of the sample box shrinks by 10%, and no predicate is kept."""
+    of the sample box shrinks by 10%."""
     ps = bg.product
     factors = {5: (ps.lorentz.chart, phi5), 6: (ps.riemann.chart, phi6)}
     pieces = {}

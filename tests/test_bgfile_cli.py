@@ -82,6 +82,23 @@ class TestParser:
                 assert abs(a.max_abs - b.max_abs) <= 1e-12, (ident, a.equation, a.block)
                 assert abs(a.mean_abs - b.mean_abs) <= 1e-12
 
+    @pytest.mark.parametrize("ident, params", [
+        pytest.param(ident, {name: default * factor}, id=f"{ident}-{name}-x{factor:g}")
+        for ident in catalog_ids() for name, default in get_entry(ident).defaults
+        if not isinstance(default, str) for factor in (0.1, 10.0)])
+    def test_rendered_file_matches_builder_at_any_parameter(self, ident, params):
+        """A file states only the sample box, and the box alone decides a
+        plan, so a rendered twin gives its builder's rows away from the
+        defaults too (alphabeta-poly's box narrows below L = 1/6)."""
+        from_builder = build(ident, params=params)
+        from_file = parse_background_text(render_background(from_builder), "twin.bg")
+        rb = verify(from_builder, count=100, seed=42)
+        rf = verify(from_file, count=100, seed=42)
+        assert [(r.equation, r.block) for r in rf.rows] == [(r.equation, r.block) for r in rb.rows]
+        for a, b in zip(rf.rows, rb.rows):
+            assert abs(a.max_abs - b.max_abs) <= 1e-12, (a.equation, a.block, a.max_abs, b.max_abs)
+            assert abs(a.mean_abs - b.mean_abs) <= 1e-12, (a.equation, a.block)
+
     @pytest.mark.parametrize("ident", catalog_ids())
     def test_shipped_files_are_rendered_builders(self, ident):
         """Each shipped file is the rendered builder, byte for byte (this pins

@@ -18,7 +18,7 @@ from sugra.geometry import (
     scalar_curvature,
     walker_metric,
 )
-from sugra.equations import Background, closedness_residual, draw_points, flux_norm_sq, verify
+from sugra.equations import closedness_residual, flux_norm_sq, verify
 from sugra.catalog import (
     CATALOG,
     CatalogError,
@@ -302,7 +302,7 @@ class TestDerivedProfiles:
          lambda u, x: (1.1 ** 2 + 0.7 ** 2 + 1.3 ** 2 + 0.4 ** 2) * (x @ x) / 6),
         ("alphabeta-poly", {"L": 0.8}, lambda u, x: 0.8 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
         ("alphabeta-trig", {"kappa": 1.7}, lambda u, x: np.exp(2 * x[0]) / 4),
-        # |nu|^2 is taken inside the box |y1| <= 0.056, not at y1 = 0.1 > L
+        # |nu|^2 is taken inside the box |y1| <= 0.04, not at y1 = 0.1 > L
         ("alphabeta-poly", {"L": 0.08}, lambda u, x: 0.08 ** 2 * x[0] ** 2 / 2 + x[0] ** 4 / 12),
     ])
     def test_profile_matches_its_closed_form(self, ident, params, closed_form):
@@ -323,47 +323,30 @@ class TestWalkerGate:
             validate_ricci_isotropic(w, [p[:5] for p in bg.sample(5, seed=3)])
 
 
-class TestSamplePredicate:
-    """``Background.predicate`` is the only rule for the points a plan skips."""
+class TestSampleBox:
+    """The sample box is the only rule for where a plan draws."""
 
     @pytest.mark.parametrize("ident", ALL_IDS)
-    def test_plans_skip_flagged_points(self, ident):
+    def test_plans_lie_in_the_box(self, ident):
         bg = build(ident)
         pts = bg.sample(200, seed=11)
         assert len(pts) == 200
-        if bg.predicate is not None:
-            assert not any(bg.predicate(p) for p in pts)
+        assert all(lo <= x <= hi for p in pts for x, (lo, hi) in zip(p, bg.box))
 
-    def test_alphabeta_poly_predicate_fires(self):
-        """At L = 0.1 the box is |y1| <= 0.07 and points with |y1| > 0.05
-        are flagged, so the plan differs from the unfiltered draws."""
-        bg = build("alphabeta-poly", params={"L": 0.1})
-        assert bg.box[5] == pytest.approx((-0.07, 0.07))
-        pts = bg.sample(200, seed=11)
-        assert max(abs(p[5]) for p in pts) <= 0.05
-        assert max(abs(p[5]) for p in draw_points(bg.box, 200, 11)) > 0.05
+    @pytest.mark.parametrize("big_l, reach", [(1.0, 0.7), (0.1, 0.05), (0.05, 0.025)])
+    def test_alphabeta_poly_box_stops_short_of_the_slab_edge(self, big_l, reach):
+        """y1 ranges over |y1| <= min(0.7 L, L - min(0.05, L/2)), clear of
+        |y1| = L, where sqrt(L^2 - y1^2) in nu has its branch point."""
+        bg = build("alphabeta-poly", params={"L": big_l})
+        assert bg.box[5] == (-reach, reach)
 
     def test_alphabeta_poly_samples_at_small_l(self):
-        """At L = 0.05 the margin is L/2, so the slab |y1| <= 0.025 of the box
-        |y1| <= 0.035 is sampled (a fixed 0.05 margin flagged every point),
-        and closedness is the only failing row, as at L = 1."""
+        """At L = 0.05 the slab |y1| <= 0.025 is sampled, and closedness is
+        the only failing row, as at L = 1."""
         bg = build("alphabeta-poly", params={"L": 0.05})
-        pts = bg.sample(100, seed=42)
-        assert max(abs(p[5]) for p in pts) <= 0.025
+        assert max(abs(p[5]) for p in bg.sample(100, seed=42)) <= 0.025
         result = verify(bg, count=100, seed=42)
         assert [r.equation for r in result.rows if r.max_abs >= result.tolerance] == ["closedness"]
-
-    def test_kahler_theta_predicate_fires_across_the_horizon(self):
-        """The product on a box widened across z = 0 draws no point with
-        |z| < 0.05; the metric declares no rule of its own."""
-        bg = build("kahler-theta")
-        box = list(bg.box)
-        box[4] = (-1.0, 1.0)
-        wide = Background(bg.product, bg.flux, box, predicate=bg.predicate)
-        pts = wide.sample(200, seed=11)
-        assert min(abs(p[4]) for p in pts) >= 0.05
-        bare = Background(bg.product, bg.flux, box).sample(200, seed=11)
-        assert min(abs(p[4]) for p in bare) < 0.05
 
 
 class TestMetricCompatibility:

@@ -784,8 +784,8 @@ class TestStreamedPlans:
         drawn, contracted, evaluated = [0], [], []
         draws, residuals, values = sugra.equations.draw_points, _Contractions.residuals, _Jets.values
 
-        def counted_draws(box, count, seed, predicate):
-            for p in draws(box, count, seed, predicate):
+        def counted_draws(box, count, seed):
+            for p in draws(box, count, seed):
                 drawn[0] += 1
                 assert drawn[0] - sum(contracted) <= chunk
                 yield p
@@ -1059,56 +1059,22 @@ class TestSamplePlans:
         c = list(draw_points(box, 20, 43))
         assert a != c
 
-    def test_predicate_rejection(self):
-        box = [(-1.0, 1.0)] * 11
-        pts = list(draw_points(box, 50, 1, predicate=lambda p: p[0] < 0.0))
-        assert len(pts) == 50
-        assert all(p[0] >= 0.0 for p in pts)
-
     @staticmethod
-    def _point_at_a_time(box, count, seed, predicate):
+    def _point_at_a_time(box, count, seed):
         """Reference plan: one point per call, its coordinates drawn in turn
-        from ``random.Random(seed)``, the predicate after each point."""
+        from ``random.Random(seed)``."""
         rng = random.Random(seed)
-        pts, attempts = [], 0
-        while len(pts) < count:
-            draw = tuple(lo + (hi - lo) * rng.random() for lo, hi in box)
-            attempts += 1
-            if attempts > 1000 * count:
-                raise sugra.forms.FormError("sample box appears to be mostly inside the singular set")
-            if predicate is None or not predicate(draw):
-                pts.append(draw)
-        return pts
+        return [tuple(lo + (hi - lo) * rng.random() for lo, hi in box) for _ in range(count)]
 
-    @pytest.mark.parametrize("count, threshold", [(1500, None), (300, 0.0), (40, 0.9), (3, 2.0)])
-    def test_matches_point_at_a_time_loop(self, count, threshold):
-        """Same points and the same predicate calls, in the same order, from
-        :func:`draw_points` and :meth:`Background.sample` as from the
-        reference loop; threshold 2.0 rejects every point (the error case)."""
+    @pytest.mark.parametrize("count", [1500, 300, 40, 3])
+    def test_matches_point_at_a_time_loop(self, count):
+        """Same points, in the same order, from :func:`draw_points` and
+        :meth:`Background.sample` as from the reference loop."""
         box = [(-1.0, 1.0)] * 5 + [(0.5, 2.5)] * 6
-        results = []
-
-        def sample(box, count, seed, predicate):
-            return Background(flat_product(), FluxSpec(), box, predicate=predicate).sample(count, seed)
-
-        for draw in (lambda *args: list(draw_points(*args)), sample, self._point_at_a_time):
-            calls = []
-
-            def predicate(p):
-                calls.append(p)
-                return p[0] < threshold
-
-            try:
-                out = draw(box, count, 7, None if threshold is None else predicate)
-            except sugra.forms.FormError as err:
-                out = str(err)
-            results.append((out, calls))
-        assert results[0] == results[1] == results[2]
-        if threshold == 2.0:
-            assert results[0][0] == "sample box appears to be mostly inside the singular set"
-            assert len(results[0][1]) == 1000 * count
-        else:
-            assert len(results[0][0]) == count
+        want = self._point_at_a_time(box, count, 7)
+        assert len(want) == count
+        assert list(draw_points(box, count, 7)) == want
+        assert Background(flat_product(), FluxSpec(), box).sample(count, 7) == want
 
     def test_first_point_is_pinned(self):
         """The generator is part of the contract: plans must not move when

@@ -394,6 +394,20 @@ class TestConstructors:
         with pytest.raises(ExprError):
             W5.index("nope")
 
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a"), "chart repeats the name 'a'"),
+        (("sin", "x"), "chart coordinate 'sin' is not a name that expressions can use "
+                       "(an identifier other than sin, cos, exp, sqrt)"),
+        (("1v", "x"), "chart coordinate '1v' is not a name that expressions can use"),
+        (("x", "x y"), "chart coordinate 'x y' is not a name"),
+    ], ids=["repeat", "function", "number", "space"])
+    def test_chart_names_are_ones_parse_reads(self, names, message):
+        """A chart holds only names that an expression can write: ``sin``
+        parses as the function and ``1v`` as the number 1 then ``v``."""
+        with pytest.raises(ExprError) as err:
+            Chart(names)
+        assert str(err.value).startswith(message)
+
     def test_chart_names_are_a_tuple(self):
         assert Chart(["x", "y"]).names == ("x", "y")
         both = coordinate_form(Chart(["x", "y"]), "x") + coordinate_form(Chart(("x", "y")), "y")
